@@ -1,7 +1,7 @@
 """Sift kernel backends.
 
 The envelope kernels exist twice: plain C (``sift.c``, called through
-``compiled``) for speed, and a numpy/scipy implementation
+``compiled``) for speed, and a numpy implementation
 (``numpy_backend``) that runs everywhere and serves as the tests' oracle.
 
 At import the compiled library is looked up under its source-hash name (see

@@ -1,4 +1,4 @@
-"""Pure numpy/scipy implementation of the sift kernels.
+"""Pure numpy implementation of the sift kernels.
 
 Used when the compiled kernels (``sift.c``) are unavailable or when forced
 via the ``HHTSCALE_BACKEND=python`` environment variable, and the reference
@@ -12,7 +12,6 @@ compiled backend:
 """
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 name = "python"
 
@@ -55,5 +54,38 @@ def spline_eval(knot_t, knot_v, n_out):
     if knot_t.shape[0] == 2:
         slope = (knot_v[1] - knot_v[0]) / (knot_t[1] - knot_t[0])
         return knot_v[0] + slope * (grid - knot_t[0])
-    spline = CubicSpline(knot_t, knot_v, bc_type="natural", extrapolate=True)
-    return spline(grid)
+    h = np.diff(knot_t)
+    slope = np.diff(knot_v) / h
+    m = _second_derivatives(h, 6.0 * np.diff(slope), 2.0 * (h[:-1] + h[1:]))
+    # segment seg covers t[seg] < i <= t[seg + 1]; the end segments extend
+    # past the outer knots
+    seg = np.clip(np.searchsorted(knot_t, grid) - 1, 0, h.shape[0] - 1)
+    c1 = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    c2 = m[:-1] / 2.0
+    c3 = (m[1:] - m[:-1]) / (6.0 * h)
+    d = grid - knot_t[seg]
+    return knot_v[seg] + d * (c1[seg] + d * (c2[seg] + d * c3[seg]))
+
+
+def _second_derivatives(h, rhs, diag):
+    """Natural-spline second derivatives at every knot (zero at both ends).
+
+    Solves the tridiagonal system with sub/super-diagonals ``h[1:-1]`` and
+    ``diag`` on the diagonal by the Thomas algorithm, in the order
+    ``sift.c`` uses, on Python floats (faster than numpy scalars here).
+    """
+    h, rhs, diag = h.tolist(), rhs.tolist(), diag.tolist()
+    n = len(diag)
+    cp = [0.0] * n
+    dp = [0.0] * n
+    c = d = 0.0
+    for idx in range(n):
+        w = diag[idx] - h[idx] * c
+        c = h[idx + 1] / w
+        d = (rhs[idx] - h[idx] * d) / w
+        cp[idx] = c
+        dp[idx] = d
+    m = [0.0] * (n + 2)
+    for idx in range(n - 1, -1, -1):
+        m[idx + 1] = dp[idx] - cp[idx] * m[idx + 2]
+    return np.array(m)

@@ -170,6 +170,13 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
         raise ValueError("series contains non-finite values")
     max_imfs = cfg.max_imfs if cfg.max_imfs is not None else default_max_imfs(x.shape[0])
     nbsym = cfg.boundary_mirror_extrema
+    # Sifting is positively homogeneous, so sift x / 2**exponent (max |x| in
+    # [0.5, 1)) and scale the results back: the squared sums below then
+    # neither overflow nor underflow, and power-of-two scaling is exact, so
+    # the output is the same bit for bit as sifting x itself where that
+    # works.
+    exponent = int(np.frexp(np.abs(x).max())[1])
+    x = np.ldexp(x, -exponent)
 
     residue = x.copy()
     imfs: list[np.ndarray] = []
@@ -224,5 +231,8 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
 
     stack = np.array(imfs) if imfs else np.empty((0, x.shape[0]), dtype=np.float64)
     return ImfDecomposition(
-        imfs=stack, residue=residue, sift_counts=sift_counts, stop_reasons=stop_reasons
+        imfs=np.ldexp(stack, exponent),
+        residue=np.ldexp(residue, exponent),
+        sift_counts=sift_counts,
+        stop_reasons=stop_reasons,
     )

@@ -198,7 +198,12 @@ def complexity(track: SpectralTrack, weight: str = "squared") -> ComplexityTrack
     """
     if weight not in ("squared", "linear"):
         raise ValueError("weight must be 'squared' or 'linear'")
-    w = track.amplitudes**2 if weight == "squared" else np.abs(track.amplitudes)
+    amplitudes = np.abs(track.amplitudes)
+    # Scale each sample's amplitudes by a power of two (largest in [0.5, 1))
+    # so the squares neither overflow nor underflow; the scaling is exact
+    # and cancels in the shares.
+    amplitudes = np.ldexp(amplitudes, -np.frexp(amplitudes.max(axis=0))[1])
+    w = amplitudes**2 if weight == "squared" else amplitudes
     total = w.sum(axis=0)
     defined = total > 0.0
     p = np.divide(w, total, out=np.zeros_like(w), where=defined)

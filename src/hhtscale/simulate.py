@@ -9,8 +9,8 @@ Four integrated processes with known scaling behaviour:
   drawn by the Chambers–Mallows–Stuck transform, integrated; its
   self-similarity index is 1/alpha.
 * ``arfima`` — ARFIMA(0, d, 0) noise built from the truncated MA(infinity)
-  expansion, then integrated; long-memory exponent d maps to an expected
-  scaling exponent of d + 1/2.
+  expansion (an FFT convolution), then integrated; long-memory exponent d
+  maps to an expected scaling exponent of d + 1/2.
 
 Randomness comes from numpy's counter-based Philox generator; path ``i`` of
 a run seeded ``s`` always uses ``SeedSequence(s, spawn_key=(i,))``, so
@@ -26,7 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .emd import EmdConfig, decompose
 from .measures import generalized_hurst_q1, scaling_exponent
@@ -54,14 +53,7 @@ PROCESSES = ("bm", "fbm", "slm", "arfima")
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation request: process name, length, seed, and shape parameters.
-
-    ``slm_m`` and ``slm_big_m`` are the classic stable-motion grid constants
-    (kept for interface parity with the established generator; the i.i.d.
-    increment construction does not consume them).  Their invariant
-    ``slm_m * (slm_big_m + length)`` being a power of two is enforced for
-    the slm process.
-    """
+    """Simulation request: process name, length, seed, and shape parameters."""
 
     process: str
     length: int
@@ -70,8 +62,6 @@ class SimConfig:
     hurst: float | None = None
     alpha: float | None = None
     d: float | None = None
-    slm_m: int = 128
-    slm_big_m: int = 6000
 
     def __post_init__(self):
         if self.process not in PROCESSES:
@@ -86,12 +76,6 @@ class SimConfig:
         if self.process == "slm":
             if self.alpha is None or not (1.0 < self.alpha <= 2.0):
                 raise ValueError("slm requires alpha in (1, 2]")
-            grid = self.slm_m * (self.slm_big_m + self.length)
-            if grid & (grid - 1) != 0:
-                raise ValueError(
-                    f"slm grid m*(M+length) = {grid} must be a power of two "
-                    f"(m={self.slm_m}, M={self.slm_big_m}, length={self.length})"
-                )
         if self.process == "arfima":
             if self.d is None or not (-0.5 < self.d < 0.5):
                 raise ValueError("arfima requires d in (-0.5, 0.5)")
@@ -172,16 +156,37 @@ def _arfima_psi(d: float, count: int) -> np.ndarray:
     return np.concatenate([[1.0], np.cumprod((j - 1.0 + d) / j)])
 
 
+def _fast_fft_length(n: int) -> int:
+    """Smallest 5-smooth integer (2**a * 3**b * 5**c) >= n: a length the FFT
+    handles at full speed, and the one SciPy's ``fftconvolve`` pads to, which
+    keeps ARFIMA paths the same bit for bit."""
+    best = 1 << (n - 1).bit_length()  # the power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the power of two that lifts p35 to >= n
+            candidate = p35 << ((n - 1) // p35).bit_length()
+            best = min(best, candidate)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def simulate_arfima(length: int, d: float, rng: np.random.Generator, burn_factor: int = 10) -> np.ndarray:
     """Integrated ARFIMA(0, d, 0) path.
 
     The fractional filter is truncated at ``burn_factor * length`` lags;
-    every output sample sees a fully populated filter window.
+    every output sample sees a fully populated filter window.  The full
+    linear convolution goes through one real FFT padded to a 5-smooth
+    length.
     """
     truncation = burn_factor * length
     psi = _arfima_psi(d, truncation + 1)
     innovations = rng.standard_normal(length + truncation)
-    noise = fftconvolve(innovations, psi, mode="full")[truncation : truncation + length]
+    size = _fast_fft_length(innovations.shape[0] + psi.shape[0] - 1)
+    spectrum = np.fft.rfft(innovations, size) * np.fft.rfft(psi, size)
+    noise = np.fft.irfft(spectrum, size)[truncation : truncation + length]
     return np.cumsum(noise)
 
 

@@ -9,10 +9,15 @@ checked byte for byte.
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hhtscale
 from hhtscale import RunManifest, ingest_prices
 from hhtscale.cli import run
 
@@ -107,6 +112,12 @@ class TestSimulate:
             exact = simulate(cfg, path_index=i).values
             parsed = np.array([float(r[1 + i]) for r in rows])
             assert np.array_equal(parsed, exact)  # repr round-trip is lossless
+
+    def test_slm_takes_any_length(self, tmp_path):
+        args = ["simulate", "--process", "slm", "--alpha", "1.5", "--length", "10000"]
+        assert run(args + ["--out-dir", str(tmp_path)]) == 0
+        _, _, rows = read_csv(tmp_path / "paths.csv")
+        assert len(rows) == 10_000
 
     def test_manifest_replay_reproduces_output(self, tmp_path):
         first = tmp_path / "first"
@@ -313,3 +324,28 @@ class TestArtifactHygiene:
         assert run(["decompose", str(price_csv), "--out-dir", str(out)]) == 0
         first = (out / "imfs.csv").read_text().splitlines()[0]
         assert first.startswith("# schema: imf-matrix v1")
+
+
+class TestImportFootprint:
+    def test_cli_runs_without_scipy(self, tmp_path, price_csv):
+        # SciPy is only a test oracle: importing the package and running
+        # subcommands in a fresh interpreter must not load it
+        script = f"""
+import sys
+import hhtscale
+from hhtscale import cli
+assert cli.run(["decompose", {str(price_csv)!r}, "--out-dir", {str(tmp_path / "dec")!r}]) == 0
+assert cli.run(["simulate", "--process", "arfima", "--d", "0.2", "--length", "256",
+                "--out-dir", {str(tmp_path / "sim")!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        package_root = str(Path(hhtscale.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": package_root},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

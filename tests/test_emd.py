@@ -174,9 +174,16 @@ class TestDecompose:
         rng = np.random.default_rng(12)
         x = np.cumsum(rng.standard_normal(2048))
         base = decompose(x)
-        scaled = decompose(3.0 * x)
-        assert base.n_imfs == scaled.n_imfs
-        assert np.allclose(scaled.imfs, 3.0 * base.imfs, atol=1e-9)
+        for factor in (3.0, 1e-300, 1e300):
+            scaled = decompose(factor * x)
+            assert base.n_imfs == scaled.n_imfs
+            # in the input's units, as 3.0 * x is held to atol 1e-9
+            assert np.allclose(scaled.imfs / factor, base.imfs, atol=1e-9 / 3.0)
+        # power-of-two factors scale every result exactly
+        for exponent in (1000, -1000):
+            scaled = decompose(np.ldexp(x, exponent))
+            assert np.array_equal(scaled.imfs, np.ldexp(base.imfs, exponent))
+            assert np.array_equal(scaled.residue, np.ldexp(base.residue, exponent))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

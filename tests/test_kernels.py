@@ -108,12 +108,21 @@ class TestBackendAgreement:
 class TestSplineEval:
     def test_matches_scipy_natural_spline(self, backend):
         rng = np.random.default_rng(3)
-        knots_x = np.sort(rng.uniform(-3.0, 30.0, size=9))
-        knots_y = rng.standard_normal(9)
-        n = 25
-        ours = backend.spline_eval(knots_x, knots_y, n)
-        ref = CubicSpline(knots_x, knots_y, bc_type="natural")(np.arange(n))
-        assert np.allclose(ours, ref, atol=1e-9)
+        cases = [
+            (np.sort(rng.uniform(-3.0, 30.0, size=9)), rng.standard_normal(9), 25),
+            # three knots: a single interior second derivative
+            (np.array([2.0, 5.0, 9.0]), np.array([1.0, -2.0, 0.5]), 12),
+            # uneven spacing, grid running past both end knots
+            (
+                np.array([3.5, 4.0, 7.25, 15.0, 16.0, 21.5]),
+                np.array([0.3, -1.2, 2.0, 0.1, -0.4, 1.1]),
+                26,
+            ),
+        ]
+        for knots_x, knots_y, n in cases:
+            ours = backend.spline_eval(knots_x, knots_y, n)
+            ref = CubicSpline(knots_x, knots_y, bc_type="natural")(np.arange(n))
+            assert np.allclose(ours, ref, atol=1e-9)
 
     def test_two_knots_is_a_line(self, backend):
         out = backend.spline_eval(

@@ -113,10 +113,11 @@ class TestScalingExponent:
         rng = np.random.default_rng(21)
         x = np.cumsum(rng.standard_normal(2048))
         base = scaling_exponent(spectral_track(decompose(x)))
-        scaled = scaling_exponent(spectral_track(decompose(3.0 * x)))
-        assert np.array_equal(base.defined, scaled.defined)
-        diff = np.abs(base.h_star[base.defined] - scaled.h_star[base.defined])
-        assert diff.max() < 1e-9
+        for factor in (3.0, 2.0**1000, 2.0**-1000, 1e-300, 1e300):
+            scaled = scaling_exponent(spectral_track(decompose(factor * x)))
+            assert np.array_equal(base.defined, scaled.defined), factor
+            diff = np.abs(base.h_star[base.defined] - scaled.h_star[base.defined])
+            assert diff.max() < 1e-9, factor
 
 
 class TestRollingScalingExponent:
@@ -203,10 +204,11 @@ class TestComplexity:
         rng = np.random.default_rng(22)
         x = np.cumsum(rng.standard_normal(1024))
         base = complexity(spectral_track(decompose(x)))
-        scaled = complexity(spectral_track(decompose(3.0 * x)))
-        assert np.array_equal(base.defined, scaled.defined)
-        diff = np.abs(base.c_star[base.defined] - scaled.c_star[base.defined])
-        assert diff.max() < 1e-9
+        for factor in (3.0, 2.0**1000, 2.0**-1000, 1e-300, 1e300):
+            scaled = complexity(spectral_track(decompose(factor * x)))
+            assert np.array_equal(base.defined, scaled.defined), factor
+            diff = np.abs(base.c_star[base.defined] - scaled.c_star[base.defined])
+            assert diff.max() < 1e-9, factor
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
+from scipy import signal as ssig
 from scipy import stats as sps
 
 from hhtscale import (
@@ -22,7 +24,9 @@ from hhtscale import (
 )
 from hhtscale.simulate import (
     _arfima_psi,
+    _fast_fft_length,
     rng_for_path,
+    simulate_arfima,
     simulate_bm,
     simulate_fbm,
     simulate_slm,
@@ -84,10 +88,7 @@ class TestSlm:
         assert p_value > 0.01
 
     def test_alpha_two_matches_brownian_scaling(self):
-        slm_cfg = SimConfig(
-            process="slm", length=2048, seed=5, paths=200, alpha=2.0,
-            slm_m=4, slm_big_m=2048,
-        )
+        slm_cfg = SimConfig(process="slm", length=2048, seed=5, paths=200, alpha=2.0)
         fbm_cfg = SimConfig(process="fbm", length=2048, seed=6, paths=200, hurst=0.5)
         diff = abs(
             monte_carlo_ensemble(slm_cfg).grand_mean
@@ -124,6 +125,22 @@ class TestArfima:
         assert psi[0] == 1.0 and psi[1] == -0.3
         assert np.all(psi[1:] < 0.0)  # antipersistent kernel stays negative
 
+    @pytest.mark.parametrize(
+        "length, d", [(16, 0.0), (100, -0.3), (1950, 0.2), (4096, 0.45)]
+    )
+    def test_noise_equals_scipy_fftconvolve(self, length, d):
+        path = simulate_arfima(length, d, rng_for_path(4, 1))
+        truncation = 10 * length
+        innovations = rng_for_path(4, 1).standard_normal(length + truncation)
+        psi = _arfima_psi(d, truncation + 1)
+        full = ssig.fftconvolve(innovations, psi, mode="full")
+        noise = full[truncation : truncation + length]
+        assert np.array_equal(path, np.cumsum(noise))
+
+    def test_fft_length_matches_scipy_next_fast_len(self):
+        for n in range(1, 3001):
+            assert _fast_fft_length(n) == sfft.next_fast_len(n, real=True), n
+
 
 class TestSimConfig:
     def test_rejects_unknown_process(self):
@@ -149,11 +166,9 @@ class TestSimConfig:
             SimConfig(process="slm", length=10_384, alpha=2.5)
         with pytest.raises(ValueError, match="slm"):
             SimConfig(process="slm", length=10_384, alpha=1.0)
-        # 128 * (6000 + 10384) = 2**21: accepted
         SimConfig(process="slm", length=10_384, alpha=1.5)
-        with pytest.raises(ValueError, match="power of two"):
-            SimConfig(process="slm", length=10_000, alpha=1.5)
-        SimConfig(process="slm", length=4, alpha=1.5, slm_m=4, slm_big_m=12)
+        # any length is accepted: the increments need no grid
+        SimConfig(process="slm", length=10_000, alpha=1.5)
 
     def test_arfima_requires_d_in_open_half_interval(self):
         with pytest.raises(ValueError, match="arfima"):
