@@ -25,6 +25,7 @@ from .intraday import (  # noqa: E402
     IntradayPanel,
     bm_reference_band,
     measure_day_means,
+    measure_track,
     outside_band_likelihood,
     panelize,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "log_returns",
     "measure_correlation",
     "measure_day_means",
+    "measure_track",
     "monte_carlo_ensemble",
     "outside_band_likelihood",
     "panelize",

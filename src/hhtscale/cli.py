@@ -15,6 +15,12 @@ defaults, writes CSV files with a ``# schema:`` header comment and
 full round-trip float precision, and drops a ``<file>.manifest`` sidecar
 next to each output so the run can be reproduced bit-identically.
 
+Each parameter is declared once in ``PARAMS``; each subcommand in
+``COMMANDS`` names the parameters it takes and the function computing its
+outputs.  The argparse flags, the config-file keys and the one runner that
+resolves, computes, writes and records every subcommand all come from
+these two tables.
+
 Exit codes: 0 success, 1 data/runtime error (message names the offending
 file or row), 2 usage error.
 """
@@ -25,13 +31,21 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .emd import EmdConfig, decompose
-from .intraday import bm_reference_band, outside_band_likelihood, panelize
+from .intraday import (
+    MEASURES,
+    bm_reference_band,
+    measure_track,
+    outside_band_likelihood,
+    panelize,
+)
 from .manifest import RunManifest, file_digest
 from .measures import (
     complexity,
@@ -45,19 +59,87 @@ from .spectral import spectral_track
 
 __all__ = ["main", "run"]
 
-SUBCOMMANDS = (
-    "simulate",
-    "decompose",
-    "spectral",
-    "scaling",
-    "complexity",
-    "intraday",
-    "table",
-)
-
 
 class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
+
+
+# ---------------------------------------------------------------------------
+# parameters
+
+
+class Param(NamedTuple):
+    """One parameter: flag ``--<name with dashes>`` and config key ``<name>``."""
+
+    kind: type
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+PARAMS = {
+    "values_col": Param(str, help="read this numeric column directly instead of prices"),
+    "date_col": Param(str, "date"),
+    "time_col": Param(str, "time"),
+    "price_col": Param(str, "price"),
+    "delimiter": Param(str, ","),
+    "session_gap": Param(
+        float, help="split days into two sessions at gaps >= this many seconds"
+    ),
+    "fill": Param(
+        str, "none", ("none", "ffill"),
+        "fill missing in-session samples by carrying prices forward",
+    ),
+    "process": Param(str, choices=PROCESSES),
+    "length": Param(int, 10000),
+    "paths": Param(int, 1),
+    "h": Param(float, help="Hurst exponent (fbm)"),
+    "alpha": Param(float, help="stability index (slm)"),
+    "d": Param(float, help="memory parameter (arfima)"),
+    "table": Param(bool, False, help="emit the ensemble summary table instead of raw paths"),
+    "h_grid": Param(str, help="start:stop:step or comma list of Hurst exponents"),
+    "alpha_grid": Param(str),
+    "d_grid": Param(str),
+    "sd_threshold": Param(float, EmdConfig.sd_threshold),
+    "max_imfs": Param(int),
+    "rolling_window": Param(int),
+    "tau_max": Param(int, 19),
+    "weight": Param(str, "squared", ("squared", "linear")),
+    "measure": Param(str, "hstar", MEASURES),
+    "band_sims": Param(int, 100),
+    "trim_fraction": Param(float, 0.0),
+    "seed": Param(int, 0, help="base RNG seed"),
+    "threads": Param(int, 1, help="worker processes"),
+    "out_dir": Param(str, ".", help="output directory"),
+}
+
+_INGEST = ("values_col", "date_col", "time_col", "price_col", "delimiter", "session_gap", "fill")
+_COMMON = ("seed", "threads", "out_dir")
+
+# process -> (its shape parameter, the SimConfig field taking it, the
+# nominal scaling exponent of a shape value); bm has no shape parameter
+_SHAPES = {
+    "bm": (None, None, lambda value: 0.5),
+    "fbm": ("h", "hurst", lambda value: value),
+    "slm": ("alpha", "alpha", lambda value: 1.0 / value),
+    "arfima": ("d", "d", lambda value: value + 0.5),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its own parameters and ``compute(params[, series,
+    calendar]) -> [(file name, schema, columns, rows, comments), ...]``."""
+
+    help: str
+    params: tuple[str, ...]
+    compute: Callable
+    reads_input: bool = False
+    defaults: dict = field(default_factory=dict)  # overrides of PARAMS defaults
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        return (_INGEST if self.reads_input else ()) + self.params + _COMMON
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +198,16 @@ def _convert(key: str, text: str, kind):
         raise UsageError(f"bad value for {key}: {text!r}") from exc
 
 
-def _resolve(args, config: dict[str, str], spec: dict) -> dict:
+def _resolve(args, config: dict[str, str], command: Command) -> dict:
     """Merge flag values, config-file values, and defaults.
 
-    ``spec`` maps parameter name -> (type, default).  Returns the resolved
-    parameter dictionary; a None default with no value provided stays None.
+    Returns the resolved parameter dictionary; a None default with no value
+    provided stays None.
     """
     resolved = {}
-    for key, (kind, default) in spec.items():
-        flag_value = getattr(args, key, None)
+    for key in command.flags:
+        kind, default = PARAMS[key].kind, command.defaults.get(key, PARAMS[key].default)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in config:
@@ -136,32 +219,41 @@ def _resolve(args, config: dict[str, str], spec: dict) -> dict:
 
 def _params_for_manifest(resolved: dict) -> dict[str, str]:
     # seed and threads live in dedicated manifest fields
-    params = {}
-    for key, value in resolved.items():
-        if value is None or key in ("config", "seed", "threads"):
-            continue
-        params[key] = _fmt(value)
-    return params
+    return {
+        key: _fmt(value)
+        for key, value in resolved.items()
+        if value is not None and key not in ("seed", "threads")
+    }
 
 
-def _finish_outputs(out_dir: Path, names, manifest: RunManifest, started: float):
+def _run_command(name: str, args, config: dict[str, str]) -> int:
+    """Resolve, compute, write the CSVs, then one manifest per CSV."""
+    command = COMMANDS[name]
+    params = _resolve(args, config, command)
+    if command.reads_input:
+        params["input"] = args.input
+    started = time.time()
+    out_dir = Path(params["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    data = _read_input(args.input, params) if command.reads_input else ()
+    outputs = command.compute(params, *data)
+    manifest = RunManifest(
+        subcommand=name,
+        params=_params_for_manifest(params),
+        inputs={"input": file_digest(args.input)} if command.reads_input else {},
+        seed=params["seed"],
+        threads=params["threads"],
+    )
+    for file_name, schema, columns, rows, comments in outputs:
+        _write_csv(out_dir / file_name, schema, columns, rows, comments)
     manifest.duration_s = time.time() - started
-    for name in names:
-        manifest.write(out_dir / (name + ".manifest"))
+    for file_name, *_ in outputs:
+        manifest.write(out_dir / (file_name + ".manifest"))
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # input handling
-
-_INGEST_SPEC = {
-    "values_col": (str, None),
-    "date_col": (str, "date"),
-    "time_col": (str, "time"),
-    "price_col": (str, "price"),
-    "delimiter": (str, ","),
-    "session_gap": (float, None),
-    "fill": (str, "none"),
-}
 
 
 def _read_input(path: str, params: dict):
@@ -204,45 +296,48 @@ def _read_input(path: str, params: dict):
     return series, calendar
 
 
-def _emd_config(params: dict) -> EmdConfig:
+def _components(series, params: dict):
+    """The decomposition of the input, with the sifting flags the command has."""
     try:
-        return EmdConfig(
-            sd_threshold=params.get("sd_threshold", 0.2),
-            max_imfs=params.get("max_imfs"),
+        config = EmdConfig(
+            **{key: params[key] for key in ("sd_threshold", "max_imfs") if key in params}
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return decompose(series, config)
+
+
+def _track(series, params: dict):
+    return spectral_track(_components(series, params), trim_fraction=params["trim_fraction"])
 
 
 # ---------------------------------------------------------------------------
 # simulate / table helpers
 
 
-def _sim_config(params: dict, paths: int) -> SimConfig:
-    process = params.get("process")
+def _shape(params: dict):
+    """(process, its _SHAPES entry), or a UsageError naming the problem."""
+    process = params["process"]
     if process is None:
         raise UsageError("--process is required")
-    if process not in PROCESSES:
+    if process not in _SHAPES:
         raise UsageError(f"unknown process {process!r}; choose from {PROCESSES}")
+    return process, _SHAPES[process]
+
+
+def _sim_config(params: dict) -> SimConfig:
+    process, (shape, field_name, _) = _shape(params)
     kwargs = {}
-    if process == "fbm":
-        if params.get("h") is None:
-            raise UsageError("fbm requires --h")
-        kwargs["hurst"] = params["h"]
-    elif process == "slm":
-        if params.get("alpha") is None:
-            raise UsageError("slm requires --alpha")
-        kwargs["alpha"] = params["alpha"]
-    elif process == "arfima":
-        if params.get("d") is None:
-            raise UsageError("arfima requires --d")
-        kwargs["d"] = params["d"]
+    if shape is not None:
+        if params.get(shape) is None:
+            raise UsageError(f"{process} requires --{shape}")
+        kwargs[field_name] = params[shape]
     try:
         return SimConfig(
             process=process,
             length=params["length"],
             seed=params["seed"],
-            paths=paths,
+            paths=params["paths"],
             **kwargs,
         )
     except ValueError as exc:
@@ -269,33 +364,25 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"non-numeric grid entry in {text!r}") from None
 
 
-def _table_rows(process, grid_values, params, threads):
-    """One ensemble per grid value -> (H, mean/std H*, mean R2, mean/std HG)."""
+_TABLE_COLUMNS = ("H", "mean_Hstar", "std_Hstar", "mean_R2", "mean_HG", "std_HG")
+
+
+def _ensemble_table(params: dict, grid_values, extra_comments=()):
+    """One ensemble per shape value -> (H, mean/std H*, mean R2, mean/std HG)."""
+    process, (shape, _, nominal) = _shape(params)
     rows = []
     for value in grid_values:
-        point = dict(params)
-        if process == "fbm":
-            point["h"] = value
-            nominal = value
-        elif process == "slm":
-            point["alpha"] = value
-            nominal = 1.0 / value
-        elif process == "arfima":
-            point["d"] = value
-            nominal = value + 0.5
-        else:  # bm
-            nominal = 0.5
-        config = _sim_config(point, paths=params["paths"])
+        point = params if shape is None else {**params, shape: value}
         stats = monte_carlo_ensemble(
-            config,
+            _sim_config(point),
             emd_config=None,
             tau_max=params["tau_max"],
             trim_fraction=params["trim_fraction"],
-            threads=threads,
+            threads=params["threads"],
         )
         rows.append(
             (
-                nominal,
+                nominal(value),
                 stats.grand_mean,
                 stats.grand_std,
                 stats.mean_r2,
@@ -303,115 +390,45 @@ def _table_rows(process, grid_values, params, threads):
                 stats.ghe_std,
             )
         )
-    return rows
+    comments = [
+        f"process={process}",
+        f"paths={params['paths']}",
+        f"length={params['length']}",
+        *extra_comments,
+    ]
+    return ("table.csv", "ensemble-table", _TABLE_COLUMNS, rows, comments)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
-
-_COMMON_SPEC = {"seed": (int, 0), "threads": (int, 1), "out_dir": (str, ".")}
-
-_TABLE_COLUMNS = ("H", "mean_Hstar", "std_Hstar", "mean_R2", "mean_HG", "std_HG")
+# subcommand outputs
 
 
-def _cmd_simulate(args, config) -> int:
-    spec = dict(_COMMON_SPEC)
-    spec.update(
-        {
-            "process": (str, None),
-            "length": (int, 10000),
-            "paths": (int, 1),
-            "h": (float, None),
-            "alpha": (float, None),
-            "d": (float, None),
-            "table": (bool, False),
-            "tau_max": (int, 19),
-            "trim_fraction": (float, 0.0),
-        }
-    )
-    params = _resolve(args, config, spec)
-    started = time.time()
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sim = _sim_config(params, paths=params["paths"])
-    manifest = RunManifest(
-        subcommand="simulate",
-        params=_params_for_manifest(params),
-        seed=params["seed"],
-        threads=params["threads"],
-    )
+def _simulate_outputs(params):
+    sim = _sim_config(params)
     if params["table"]:
-        rows = _table_rows(sim.process, [_nominal_value(sim)], params, params["threads"])
-        _write_csv(
-            out_dir / "table.csv",
-            "ensemble-table",
-            _TABLE_COLUMNS,
-            rows,
-            comments=[f"process={sim.process}", f"paths={sim.paths}", f"length={sim.length}"],
-        )
-        _finish_outputs(out_dir, ["table.csv"], manifest, started)
-        return 0
+        shape = _SHAPES[sim.process][0]
+        return [_ensemble_table(params, [params.get(shape)])]
     paths = [simulate(sim, path_index=i).values for i in range(sim.paths)]
     columns = ["t"] + [f"path_{i}" for i in range(sim.paths)]
     rows = ((t, *(p[t] for p in paths)) for t in range(sim.length))
-    _write_csv(
-        out_dir / "paths.csv",
-        "simulated-paths",
-        columns,
-        rows,
-        comments=[f"process={sim.process}", "rng=philox", f"seed={sim.seed}"],
-    )
-    _finish_outputs(out_dir, ["paths.csv"], manifest, started)
-    return 0
+    comments = [f"process={sim.process}", "rng=philox", f"seed={sim.seed}"]
+    return [("paths.csv", "simulated-paths", columns, rows, comments)]
 
 
-def _nominal_value(sim: SimConfig) -> float:
-    if sim.process == "fbm":
-        return sim.hurst
-    if sim.process == "slm":
-        return sim.alpha
-    if sim.process == "arfima":
-        return sim.d
-    return 0.5
+def _table_outputs(params):
+    process, (shape, _, _) = _shape(params)
+    if shape is None:
+        grid_values = [None]
+    else:
+        grid_key = shape + "_grid"
+        if params[grid_key] is None:
+            raise UsageError(f"{process} requires --{grid_key.replace('_', '-')}")
+        grid_values = _parse_grid(params[grid_key])
+    return [_ensemble_table(params, grid_values, ["rng=philox"])]
 
 
-def _series_handler(subcommand: str, extra_spec: dict, compute) -> "callable":
-    """Build a handler for subcommands that read one series and emit CSVs.
-
-    ``compute(series, calendar, params) -> list of (name, schema, columns,
-    rows, comments)`` describes the output files.
-    """
-
-    def handler(args, config) -> int:
-        spec = dict(_COMMON_SPEC)
-        spec.update(_INGEST_SPEC)
-        spec.update(extra_spec)
-        params = _resolve(args, config, spec)
-        params["input"] = args.input
-        started = time.time()
-        out_dir = Path(params["out_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        series, calendar = _read_input(args.input, params)
-        outputs = compute(series, calendar, params)
-        manifest = RunManifest(
-            subcommand=subcommand,
-            params=_params_for_manifest(params),
-            inputs={"input": file_digest(args.input)},
-            seed=params["seed"],
-            threads=params["threads"],
-        )
-        names = []
-        for name, schema, columns, rows, comments in outputs:
-            _write_csv(out_dir / name, schema, columns, rows, comments)
-            names.append(name)
-        _finish_outputs(out_dir, names, manifest, started)
-        return 0
-
-    return handler
-
-
-def _compute_decompose(series, calendar, params):
-    result = decompose(series, _emd_config(params))
+def _decompose_outputs(params, series, calendar):
+    result = _components(series, params)
     n = result.n_imfs
     columns = ["t"] + [f"imf_{k + 1}" for k in range(n)] + ["residue"]
     rows = (
@@ -426,9 +443,8 @@ def _compute_decompose(series, calendar, params):
     return [("imfs.csv", "imf-matrix", columns, rows, comments)]
 
 
-def _compute_spectral(series, calendar, params):
-    result = decompose(series, _emd_config(params))
-    track = spectral_track(result, trim_fraction=params["trim_fraction"])
+def _spectral_outputs(params, series, calendar):
+    track = _track(series, params)
     n = track.n_imfs
     columns = ["t"] + [f"imf_{k + 1}" for k in range(n)]
     comments = [f"dt={_fmt(series.dt)}", "frequency_units=radians_per_sample"]
@@ -444,9 +460,8 @@ def _compute_spectral(series, calendar, params):
     ]
 
 
-def _compute_scaling(series, calendar, params):
-    result = decompose(series, _emd_config(params))
-    track = spectral_track(result, trim_fraction=params["trim_fraction"])
+def _scaling_outputs(params, series, calendar):
+    track = _track(series, params)
     window = params["rolling_window"]
     if window is None:
         st = scaling_exponent(track)
@@ -469,45 +484,25 @@ def _compute_scaling(series, calendar, params):
     return [("scaling.csv", "scaling-track", columns, rows, comments)]
 
 
-def _compute_complexity(series, calendar, params):
-    result = decompose(series, _emd_config(params))
-    track = spectral_track(result, trim_fraction=params["trim_fraction"])
-    ct = complexity(track, weight=params["weight"])
+def _complexity_outputs(params, series, calendar):
+    ct = complexity(_track(series, params), weight=params["weight"])
     columns = ("t", "c_star")
     rows = ((t, ct.c_star[t]) for t in range(ct.length))
     comments = [f"weight={params['weight']}", f"n_imfs={ct.n_imfs}"]
     return [("complexity.csv", "complexity-track", columns, rows, comments)]
 
 
-def _cmd_intraday(args, config) -> int:
-    spec = dict(_COMMON_SPEC)
-    spec.update(_INGEST_SPEC)
-    spec.update(
-        {
-            "measure": (str, "hstar"),
-            "band_sims": (int, 100),
-            "trim_fraction": (float, 0.0),
-        }
-    )
-    params = _resolve(args, config, spec)
-    params["input"] = args.input
-    if params["measure"] not in ("hstar", "cstar"):
+def _intraday_outputs(params, series, calendar):
+    if params["measure"] not in MEASURES:
         raise UsageError("--measure must be hstar or cstar")
-    started = time.time()
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    series, calendar = _read_input(args.input, params)
     if calendar is None:
         raise DataError(
-            f"{args.input}: intraday analysis needs dated price rows "
+            f"{params['input']}: intraday analysis needs dated price rows "
             "(not --values-col)"
         )
-    dec = decompose(series)
-    track = spectral_track(dec, trim_fraction=params["trim_fraction"])
-    if params["measure"] == "hstar":
-        per_sample = scaling_exponent(track).h_star
-    else:
-        per_sample = complexity(track).c_star
+    per_sample = measure_track(
+        series, params["measure"], trim_fraction=params["trim_fraction"]
+    )
     panel = panelize(per_sample, calendar)
     band_lo, band_hi = bm_reference_band(
         day_length=panel.width,
@@ -519,19 +514,9 @@ def _cmd_intraday(args, config) -> int:
         threads=params["threads"],
     )
     likelihood = outside_band_likelihood(panel.matrix, band_lo, band_hi)
-
-    manifest = RunManifest(
-        subcommand="intraday",
-        params=_params_for_manifest(params),
-        inputs={"input": file_digest(args.input)},
-        seed=params["seed"],
-        threads=params["threads"],
-    )
-    gap_comment = (
-        [f"lunch_gap={panel.lunch_gap[0]}:{panel.lunch_gap[1]}"]
-        if panel.lunch_gap is not None
-        else []
-    )
+    comments = [f"measure={params['measure']}", f"band_sims={params['band_sims']}"]
+    if panel.lunch_gap is not None:
+        comments.append(f"lunch_gap={panel.lunch_gap[0]}:{panel.lunch_gap[1]}")
     panel_columns = ["day_id"] + [f"c_{j}" for j in range(panel.width)]
     panel_rows = (
         (calendar.day_ids[i], *(panel.matrix[i, j] for j in range(panel.width)))
@@ -542,103 +527,54 @@ def _cmd_intraday(args, config) -> int:
         (j, panel.day_mean[j], band_lo[j], band_hi[j], likelihood[j])
         for j in range(panel.width)
     )
-    comments = [f"measure={params['measure']}", f"band_sims={params['band_sims']}"]
-    _write_csv(
-        out_dir / "intraday_panel.csv",
-        "intraday-panel",
-        panel_columns,
-        panel_rows,
-        comments + gap_comment,
-    )
-    _write_csv(
-        out_dir / "intraday_profile.csv",
-        "intraday-profile",
-        profile_columns,
-        profile_rows,
-        comments + gap_comment,
-    )
-    _finish_outputs(
-        out_dir, ["intraday_panel.csv", "intraday_profile.csv"], manifest, started
-    )
-    return 0
+    return [
+        ("intraday_panel.csv", "intraday-panel", panel_columns, panel_rows, comments),
+        ("intraday_profile.csv", "intraday-profile", profile_columns, profile_rows, comments),
+    ]
 
 
-def _cmd_table(args, config) -> int:
-    spec = dict(_COMMON_SPEC)
-    spec.update(
-        {
-            "process": (str, None),
-            "h_grid": (str, None),
-            "alpha_grid": (str, None),
-            "d_grid": (str, None),
-            "paths": (int, 100),
-            "length": (int, 10000),
-            "tau_max": (int, 19),
-            "trim_fraction": (float, 0.0),
-        }
-    )
-    params = _resolve(args, config, spec)
-    process = params["process"]
-    if process is None:
-        raise UsageError("--process is required")
-    grid_flag = {"fbm": "h_grid", "slm": "alpha_grid", "arfima": "d_grid"}.get(process)
-    if grid_flag is None:
-        if process != "bm":
-            raise UsageError(f"unknown process {process!r}; choose from {PROCESSES}")
-        grid_values = [0.5]
-    else:
-        if params[grid_flag] is None:
-            raise UsageError(f"{process} requires --{grid_flag.replace('_', '-')}")
-        grid_values = _parse_grid(params[grid_flag])
-    started = time.time()
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _table_rows(process, grid_values, params, params["threads"])
-    manifest = RunManifest(
-        subcommand="table",
-        params=_params_for_manifest(params),
-        seed=params["seed"],
-        threads=params["threads"],
-    )
-    _write_csv(
-        out_dir / "table.csv",
-        "ensemble-table",
-        _TABLE_COLUMNS,
-        rows,
-        comments=[
-            f"process={process}",
-            f"paths={params['paths']}",
-            f"length={params['length']}",
-            "rng=philox",
-        ],
-    )
-    _finish_outputs(out_dir, ["table.csv"], manifest, started)
-    return 0
+COMMANDS = {
+    "simulate": Command(
+        "generate stochastic paths",
+        ("process", "length", "paths", "h", "alpha", "d", "table", "tau_max", "trim_fraction"),
+        _simulate_outputs,
+    ),
+    "decompose": Command(
+        "split a series into components",
+        ("sd_threshold", "max_imfs"),
+        _decompose_outputs,
+        reads_input=True,
+    ),
+    "spectral": Command(
+        "amplitude/frequency tracks", ("trim_fraction",), _spectral_outputs, reads_input=True
+    ),
+    "scaling": Command(
+        "local scaling exponent track",
+        ("rolling_window", "tau_max", "trim_fraction"),
+        _scaling_outputs,
+        reads_input=True,
+    ),
+    "complexity": Command(
+        "entropy complexity track", ("weight", "trim_fraction"), _complexity_outputs,
+        reads_input=True,
+    ),
+    "intraday": Command(
+        "day panels and reference bands",
+        ("measure", "band_sims", "trim_fraction"),
+        _intraday_outputs,
+        reads_input=True,
+    ),
+    "table": Command(
+        "ensemble tables over a parameter grid",
+        ("process", "h_grid", "alpha_grid", "d_grid", "paths", "length", "tau_max", "trim_fraction"),
+        _table_outputs,
+        defaults={"paths": 100},
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    sub.add_argument("--threads", type=int, default=None, help="worker processes")
-    sub.add_argument("--out-dir", dest="out_dir", default=None, help="output directory")
-    sub.add_argument("--config", default=None, help="key=value config file")
-
-
-def _add_ingest(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("input", help="input CSV file")
-    sub.add_argument("--values-col", dest="values_col", default=None,
-                     help="read this numeric column directly instead of prices")
-    sub.add_argument("--date-col", dest="date_col", default=None)
-    sub.add_argument("--time-col", dest="time_col", default=None)
-    sub.add_argument("--price-col", dest="price_col", default=None)
-    sub.add_argument("--delimiter", default=None)
-    sub.add_argument("--session-gap", dest="session_gap", type=float, default=None,
-                     help="split days into two sessions at gaps >= this many seconds")
-    sub.add_argument("--fill", choices=("none", "ffill"), default=None,
-                     help="fill missing in-session samples by carrying prices forward")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -648,92 +584,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hhtscale {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-
-    sim = subparsers.add_parser("simulate", help="generate stochastic paths")
-    sim.add_argument("--process", choices=PROCESSES, default=None)
-    sim.add_argument("--length", type=int, default=None)
-    sim.add_argument("--paths", type=int, default=None)
-    sim.add_argument("--h", type=float, default=None, help="Hurst exponent (fbm)")
-    sim.add_argument("--alpha", type=float, default=None, help="stability index (slm)")
-    sim.add_argument("--d", type=float, default=None, help="memory parameter (arfima)")
-    sim.add_argument("--table", action="store_const", const=True, default=None,
-                     help="emit the ensemble summary table instead of raw paths")
-    sim.add_argument("--tau-max", dest="tau_max", type=int, default=None)
-    sim.add_argument("--trim-fraction", dest="trim_fraction", type=float, default=None)
-    _add_common(sim)
-
-    dec = subparsers.add_parser("decompose", help="split a series into components")
-    _add_ingest(dec)
-    dec.add_argument("--sd-threshold", dest="sd_threshold", type=float, default=None)
-    dec.add_argument("--max-imfs", dest="max_imfs", type=int, default=None)
-    _add_common(dec)
-
-    spe = subparsers.add_parser("spectral", help="amplitude/frequency tracks")
-    _add_ingest(spe)
-    spe.add_argument("--trim-fraction", dest="trim_fraction", type=float, default=None)
-    _add_common(spe)
-
-    sca = subparsers.add_parser("scaling", help="local scaling exponent track")
-    _add_ingest(sca)
-    sca.add_argument("--rolling-window", dest="rolling_window", type=int, default=None)
-    sca.add_argument("--tau-max", dest="tau_max", type=int, default=None)
-    sca.add_argument("--trim-fraction", dest="trim_fraction", type=float, default=None)
-    _add_common(sca)
-
-    com = subparsers.add_parser("complexity", help="entropy complexity track")
-    _add_ingest(com)
-    com.add_argument("--weight", choices=("squared", "linear"), default=None)
-    com.add_argument("--trim-fraction", dest="trim_fraction", type=float, default=None)
-    _add_common(com)
-
-    intr = subparsers.add_parser("intraday", help="day panels and reference bands")
-    _add_ingest(intr)
-    intr.add_argument("--measure", choices=("hstar", "cstar"), default=None)
-    intr.add_argument("--band-sims", dest="band_sims", type=int, default=None)
-    intr.add_argument("--trim-fraction", dest="trim_fraction", type=float, default=None)
-    _add_common(intr)
-
-    tab = subparsers.add_parser("table", help="ensemble tables over a parameter grid")
-    tab.add_argument("--process", choices=PROCESSES, default=None)
-    tab.add_argument("--h-grid", dest="h_grid", default=None,
-                     help="start:stop:step or comma list of Hurst exponents")
-    tab.add_argument("--alpha-grid", dest="alpha_grid", default=None)
-    tab.add_argument("--d-grid", dest="d_grid", default=None)
-    tab.add_argument("--paths", type=int, default=None)
-    tab.add_argument("--length", type=int, default=None)
-    tab.add_argument("--tau-max", dest="tau_max", type=int, default=None)
-    tab.add_argument("--trim-fraction", dest="trim_fraction", type=float, default=None)
-    _add_common(tab)
-
+    for name, command in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
+        if command.reads_input:
+            sub.add_argument("input", help="input CSV file")
+        for key in command.flags:
+            param = PARAMS[key]
+            flag = "--" + key.replace("_", "-")
+            # flags default to None so that _resolve can tell "not given"
+            if param.kind is bool:
+                sub.add_argument(
+                    flag, action="store_const", const=True, default=None, help=param.help
+                )
+            else:
+                sub.add_argument(
+                    flag, type=param.kind, choices=param.choices, default=None, help=param.help
+                )
+        sub.add_argument("--config", default=None, help="key=value config file")
     return parser
-
-
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "decompose": _series_handler(
-        "decompose", {"sd_threshold": (float, 0.2), "max_imfs": (int, None)},
-        _compute_decompose,
-    ),
-    "spectral": _series_handler(
-        "spectral", {"trim_fraction": (float, 0.0)}, _compute_spectral
-    ),
-    "scaling": _series_handler(
-        "scaling",
-        {
-            "rolling_window": (int, None),
-            "tau_max": (int, 19),
-            "trim_fraction": (float, 0.0),
-        },
-        _compute_scaling,
-    ),
-    "complexity": _series_handler(
-        "complexity",
-        {"weight": (str, "squared"), "trim_fraction": (float, 0.0)},
-        _compute_complexity,
-    ),
-    "intraday": _cmd_intraday,
-    "table": _cmd_table,
-}
 
 
 def run(argv) -> int:
@@ -744,8 +612,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        config = _load_config(args.config) if getattr(args, "config", None) else {}
-        return _HANDLERS[args.subcommand](args, config)
+        config = _load_config(args.config) if args.config else {}
+        return _run_command(args.subcommand, args, config)
     except UsageError as exc:
         print(f"hhtscale {args.subcommand}: {exc}", file=sys.stderr)
         return 2

@@ -114,6 +114,33 @@ def _values(series) -> np.ndarray:
     return np.ascontiguousarray(getattr(series, "values", series), dtype=np.float64)
 
 
+def _sift_step(h: np.ndarray, kernel, nbsym: int):
+    """Envelope mean of ``h`` and what removing it does: (env, sd, oscillatory).
+
+    sd compares ``h`` with ``h - env``; their difference is exactly the
+    envelope mean.  ``oscillatory`` says whether ``h`` swings through zero
+    everywhere (every maximum positive, every minimum negative).
+
+    Raises
+    ------
+    InsufficientExtremaError
+        When ``h`` has fewer than two maxima or two minima.
+    """
+    max_pos, max_val, min_pos, min_val = kernel.find_extrema(h)
+    if len(max_pos) < 2 or len(min_pos) < 2:
+        raise InsufficientExtremaError(
+            f"need >= 2 maxima and >= 2 minima, found {len(max_pos)}/{len(min_pos)}"
+        )
+    oscillatory = bool(max_val.min() > 0.0 and min_val.max() < 0.0)
+    tmax, vmax, tmin, vmin = mirror_extrema(max_pos, max_val, min_pos, min_val, h, nbsym)
+    upper = kernel.spline_eval(tmax, vmax, h.shape[0])
+    lower = kernel.spline_eval(tmin, vmin, h.shape[0])
+    env = 0.5 * (upper + lower)
+    denom = float(np.dot(h, h))
+    sd = float(np.dot(env, env)) / denom if denom > 0.0 else 0.0
+    return env, sd, oscillatory
+
+
 def envelope_mean(x, nbsym: int = 2, backend=None) -> np.ndarray:
     """Mean of the upper/lower extrema envelopes of ``x``.
 
@@ -123,17 +150,7 @@ def envelope_mean(x, nbsym: int = 2, backend=None) -> np.ndarray:
         When ``x`` has fewer than two maxima or two minima.
     """
     kernel = backend if backend is not None else get_backend()
-    x = _values(x)
-    max_pos, max_val, min_pos, min_val = kernel.find_extrema(x)
-    if len(max_pos) < 2 or len(min_pos) < 2:
-        raise InsufficientExtremaError(
-            f"need >= 2 maxima and >= 2 minima, found {len(max_pos)}/{len(min_pos)}"
-        )
-    tmax, vmax, tmin, vmin = mirror_extrema(max_pos, max_val, min_pos, min_val, x, nbsym)
-    n = x.shape[0]
-    upper = kernel.spline_eval(tmax, vmax, n)
-    lower = kernel.spline_eval(tmin, vmin, n)
-    return 0.5 * (upper + lower)
+    return _sift_step(_values(x), kernel, nbsym)[0]
 
 
 def sift_once(h, config: EmdConfig | None = None, backend=None):
@@ -145,12 +162,14 @@ def sift_once(h, config: EmdConfig | None = None, backend=None):
         The sifted series and the normalized squared change.
     """
     cfg = config or EmdConfig()
+    kernel = backend if backend is not None else get_backend()
     h = _values(h)
-    env = envelope_mean(h, cfg.boundary_mirror_extrema, backend)
-    h_new = h - env
-    denom = float(np.dot(h, h))
-    sd = float(np.dot(env, env)) / denom if denom > 0.0 else 0.0
-    return h_new, sd
+    # the step on h / 2**exponent (see decompose): sd neither overflows nor
+    # underflows, and h_new scales back exactly
+    exponent = int(np.frexp(np.abs(h).max())[1])
+    h = np.ldexp(h, -exponent)
+    env, sd, _ = _sift_step(h, kernel, cfg.boundary_mirror_extrema)
+    return np.ldexp(h - env, exponent), sd
 
 
 def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecomposition:
@@ -189,40 +208,26 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
     while len(imfs) < max_imfs:
         if float(np.dot(residue, residue)) <= tiny:
             break
-        max_pos, max_val, min_pos, min_val = kernel.find_extrema(residue)
-        if len(max_pos) + len(min_pos) < 4 or len(max_pos) < 2 or len(min_pos) < 2:
-            break  # residue no longer oscillates (or envelopes are impossible)
-
-        h = residue.copy()
+        h = residue  # each step makes a new array; residue is never written
         count = 0
         reason = STOP_MAX_ITER
         for _ in range(cfg.max_sift_iterations):
-            max_pos, max_val, min_pos, min_val = kernel.find_extrema(h)
-            if len(max_pos) < 2 or len(min_pos) < 2:
+            try:
+                env, sd, oscillatory = _sift_step(h, kernel, nbsym)
+            except InsufficientExtremaError:
                 reason = STOP_EXTREMA
                 break
+            h = h - env
+            count += 1
             # A finished component swings through zero everywhere: maxima
             # above it, minima below.  Without this gate broadband noise
             # converges after a sift or two and collapses into too few
             # components.
-            oscillatory = bool(max_val.min() > 0.0 and min_val.max() < 0.0)
-            tmax, vmax, tmin, vmin = mirror_extrema(
-                max_pos, max_val, min_pos, min_val, h, nbsym
-            )
-            upper = kernel.spline_eval(tmax, vmax, h.shape[0])
-            lower = kernel.spline_eval(tmin, vmin, h.shape[0])
-            env = 0.5 * (upper + lower)
-            # sd compares the pre-step series with the post-step one; the
-            # difference is exactly the envelope mean just removed
-            denom = float(np.dot(h, h))
-            h = h - env
-            count += 1
-            sd = float(np.dot(env, env)) / denom if denom > 0.0 else 0.0
             if oscillatory and sd < cfg.sd_threshold:
                 reason = STOP_SD
                 break
         if count == 0:
-            break  # first envelope failed: leave the content in the residue
+            break  # the residue has too few extrema for envelopes: it stays whole
         h -= h.mean()  # the component's offset belongs to the residue
         imfs.append(h)
         sift_counts.append(count)

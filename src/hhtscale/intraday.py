@@ -28,6 +28,7 @@ __all__ = [
     "IntradayPanel",
     "bm_reference_band",
     "measure_day_means",
+    "measure_track",
     "outside_band_likelihood",
     "panelize",
 ]
@@ -108,6 +109,24 @@ def panelize(track, calendar: TradingCalendar) -> IntradayPanel:
     )
 
 
+def measure_track(
+    x,
+    measure: str,
+    emd_config: EmdConfig | None = None,
+    trim_fraction: float = 0.0,
+) -> np.ndarray:
+    """Per-sample ``H*`` ("hstar") or ``C*`` ("cstar") track of one series.
+
+    The whole analysis chain: decompose, spectral tracks, then the measure.
+    """
+    if measure not in MEASURES:
+        raise ValueError(f"measure must be one of {MEASURES}")
+    track = spectral_track(decompose(x, emd_config), trim_fraction=trim_fraction)
+    if measure == "hstar":
+        return scaling_exponent(track).h_star
+    return complexity(track).c_star
+
+
 def measure_day_means(
     values,
     n_days: int,
@@ -118,23 +137,15 @@ def measure_day_means(
 ) -> np.ndarray:
     """Day-mean measure profile of one path cut into equal windows.
 
-    Runs the full pipeline (decompose, spectral tracks, measure) on the
-    whole path, then windows the resulting track -- the windowing applies
-    to the measure, not to the data.
+    Runs the full pipeline (:func:`measure_track`) on the whole path, then
+    windows the resulting track -- the windowing applies to the measure,
+    not to the data.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"measure must be one of {MEASURES}")
     x = np.asarray(values, dtype=np.float64)
     if x.shape[0] != n_days * day_length:
         raise ValueError("path length must equal n_days * day_length")
-    dec = decompose(x, emd_config)
-    track = spectral_track(dec, trim_fraction=trim_fraction)
-    if measure == "hstar":
-        per_sample = scaling_exponent(track).h_star
-    else:
-        per_sample = complexity(track).c_star
-    matrix = per_sample.reshape(n_days, day_length)
-    return _nan_column_mean(matrix)
+    per_sample = measure_track(x, measure, emd_config, trim_fraction)
+    return _nan_column_mean(per_sample.reshape(n_days, day_length))
 
 
 def _band_worker(args) -> np.ndarray:

@@ -20,16 +20,9 @@ from .emd import ImfDecomposition
 __all__ = ["SpectralTrack", "analytic_signal", "hilbert_transform", "spectral_track"]
 
 
-def analytic_signal(x) -> np.ndarray:
-    """Analytic signal via the frequency-domain method.
-
-    Forward DFT, zero the negative-frequency bins, double the positive
-    bins (DC and Nyquist untouched), inverse DFT.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("analytic_signal expects a 1-D series")
-    n = x.shape[0]
+def _analytic(x: np.ndarray) -> np.ndarray:
+    """Analytic signal of each row of ``x`` (along the last axis)."""
+    n = x.shape[-1]
     if n < 4:
         raise ValueError("need at least 4 samples")
     if not np.all(np.isfinite(x)):
@@ -42,7 +35,20 @@ def analytic_signal(x) -> np.ndarray:
         gain[1 : n // 2] = 2.0
     else:
         gain[1 : (n + 1) // 2] = 2.0
-    return np.fft.ifft(spec * gain)
+    spec *= gain
+    return np.fft.ifft(spec)
+
+
+def analytic_signal(x) -> np.ndarray:
+    """Analytic signal via the frequency-domain method.
+
+    Forward DFT, zero the negative-frequency bins, double the positive
+    bins (DC and Nyquist untouched), inverse DFT.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("analytic_signal expects a 1-D series")
+    return _analytic(x)
 
 
 def hilbert_transform(x) -> np.ndarray:
@@ -89,12 +95,8 @@ def spectral_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) 
         raise ValueError("decomposition has no oscillatory components")
     if not (0.0 <= trim_fraction < 0.5):
         raise ValueError("trim_fraction must be in [0, 0.5)")
-    imfs = decomposition.imfs
-    n, length = imfs.shape
-
-    analytic = np.empty((n, length), dtype=np.complex128)
-    for k in range(n):
-        analytic[k] = analytic_signal(imfs[k])
+    length = decomposition.length
+    analytic = _analytic(np.asarray(decomposition.imfs, dtype=np.float64))  # one FFT for all rows
     amplitudes = np.abs(analytic)
     phases = np.unwrap(np.arctan2(analytic.imag, analytic.real), axis=1)
     frequencies = np.gradient(phases, axis=1)

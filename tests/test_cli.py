@@ -8,6 +8,7 @@ checked byte for byte.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import os
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 
 import hhtscale
 from hhtscale import RunManifest, ingest_prices
-from hhtscale.cli import run
+from hhtscale.cli import build_parser, run
 
 from conftest import build_price_csv
 
@@ -119,26 +120,37 @@ class TestSimulate:
         _, _, rows = read_csv(tmp_path / "paths.csv")
         assert len(rows) == 10_000
 
-    def test_manifest_replay_reproduces_output(self, tmp_path):
-        first = tmp_path / "first"
-        assert (
-            run(
-                [
-                    "simulate", "--process", "arfima", "--d=-0.2",
-                    "--length", "96", "--seed", "11", "--out-dir", str(first),
-                ]
-            )
-            == 0
-        )
-        manifest = RunManifest.load(first / "paths.csv.manifest")
-        assert manifest.subcommand == "simulate"
-        assert manifest.seed == 11
-        replay_dir = tmp_path / "replay"
-        # later --out-dir wins, steering the replay away from the original
-        assert run(manifest.to_argv() + ["--out-dir", str(replay_dir)]) == 0
-        assert (first / "paths.csv").read_bytes() == (
-            replay_dir / "paths.csv"
-        ).read_bytes()
+    def test_manifest_replay_reproduces_output(self, tmp_path, price_csv):
+        # every subcommand goes through one runner; each of its CSVs must
+        # come back byte for byte from the command line its manifest records
+        runs = [
+            ["simulate", "--process", "arfima", "--d=-0.2", "--length", "96", "--seed", "11"],
+            ["decompose", str(price_csv), "--max-imfs", "5"],
+            ["spectral", str(price_csv), "--trim-fraction", "0.02"],
+            ["scaling", str(price_csv), "--rolling-window", "50", "--trim-fraction", "0.1"],
+            ["complexity", str(price_csv), "--weight", "linear"],
+            ["intraday", str(price_csv), "--band-sims", "10", "--measure", "cstar"],
+            [
+                "simulate", "--process", "fbm", "--h", "0.6", "--table",
+                "--paths", "2", "--length", "256", "--seed", "4",
+            ],
+            [
+                "table", "--process", "arfima", "--d-grid=-0.2:0.2:0.2",
+                "--paths", "2", "--length", "256", "--seed", "3",
+            ],
+        ]
+        for i, argv in enumerate(runs):
+            first, replay_dir = tmp_path / f"first{i}", tmp_path / f"replay{i}"
+            assert run(argv + ["--out-dir", str(first)]) == 0, argv
+            outputs = sorted(p.name for p in first.glob("*.csv"))
+            assert outputs, argv
+            for name in outputs:
+                manifest = RunManifest.load(first / (name + ".manifest"))
+                assert manifest.subcommand == argv[0]
+                # later --out-dir wins, steering the replay away from the original
+                assert run(manifest.to_argv() + ["--out-dir", str(replay_dir)]) == 0
+                assert (first / name).read_bytes() == (replay_dir / name).read_bytes(), argv
+        assert RunManifest.load(tmp_path / "first0" / "paths.csv.manifest").seed == 11
 
 
 class TestConfigPrecedence:
@@ -297,6 +309,18 @@ class TestTable:
         manifest = RunManifest.load(out / "table.csv.manifest")
         assert manifest.params["d_grid"] == "-0.2,0.2"
 
+    def test_nominal_exponent_of_each_process(self, tmp_path):
+        # H = alpha^-1 for slm, 1/2 for bm (fbm and arfima are checked above)
+        for process, grid, nominal in (
+            ("slm", ["--alpha-grid", "1.6,2.0"], [0.625, 0.5]),
+            ("bm", [], [0.5]),
+        ):
+            out = tmp_path / process
+            argv = ["table", "--process", process, *grid, "--paths", "2", "--length", "256"]
+            assert run(argv + ["--out-dir", str(out)]) == 0
+            _, _, rows = read_csv(out / "table.csv")
+            assert [float(r[0]) for r in rows] == nominal
+
     def test_thread_count_is_immaterial(self, tmp_path):
         base = [
             "table", "--process", "fbm", "--h-grid", "0.5",
@@ -324,6 +348,76 @@ class TestArtifactHygiene:
         assert run(["decompose", str(price_csv), "--out-dir", str(out)]) == 0
         first = (out / "imfs.csv").read_text().splitlines()[0]
         assert first.startswith("# schema: imf-matrix v1")
+
+
+_INGEST_OPTIONS = {
+    "--values-col", "--date-col", "--time-col", "--price-col", "--delimiter",
+    "--session-gap", "--fill",
+}
+_COMMON_OPTIONS = {"-h", "--help", "--seed", "--threads", "--out-dir", "--config"}
+
+
+class TestCliSurface:
+    """The flags, positionals and exit codes every subcommand accepts."""
+
+    EXPECTED = {
+        "simulate": (
+            {"--process", "--length", "--paths", "--h", "--alpha", "--d", "--table",
+             "--tau-max", "--trim-fraction"},
+            [],
+        ),
+        "decompose": (_INGEST_OPTIONS | {"--sd-threshold", "--max-imfs"}, ["input"]),
+        "spectral": (_INGEST_OPTIONS | {"--trim-fraction"}, ["input"]),
+        "scaling": (
+            _INGEST_OPTIONS | {"--rolling-window", "--tau-max", "--trim-fraction"},
+            ["input"],
+        ),
+        "complexity": (_INGEST_OPTIONS | {"--weight", "--trim-fraction"}, ["input"]),
+        "intraday": (
+            _INGEST_OPTIONS | {"--measure", "--band-sims", "--trim-fraction"},
+            ["input"],
+        ),
+        "table": (
+            {"--process", "--h-grid", "--alpha-grid", "--d-grid", "--paths", "--length",
+             "--tau-max", "--trim-fraction"},
+            [],
+        ),
+    }
+
+    def test_option_strings_per_subcommand(self):
+        parser = build_parser()
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(subparsers.choices) == set(self.EXPECTED)
+        for name, sub in subparsers.choices.items():
+            options, positionals = self.EXPECTED[name]
+            got = {s for action in sub._actions for s in action.option_strings}
+            assert got == options | _COMMON_OPTIONS, name
+            assert [a.dest for a in sub._actions if not a.option_strings] == positionals
+
+    @pytest.mark.parametrize(
+        "argv, config, code",
+        [
+            (["intraday", "{csv}"], "measure=bogus", 2),
+            (["table", "--h-grid", "0.5"], None, 2),
+            (["simulate"], "process=bogus", 2),
+            (["simulate", "--process", "bm"], "length=ten", 2),
+            (["simulate", "--process", "bm"], "table=maybe", 2),
+            (["decompose", "{csv}", "--max-imfs", "0"], None, 2),
+            (["decompose", "{csv}"], "fill=bogus", 1),
+            (["complexity", "{csv}"], "weight=bogus", 1),
+            (["spectral", "{csv}", "--trim-fraction", "0.7"], None, 1),
+            (["intraday", "{csv}"], "band_sims=5", 1),
+        ],
+    )
+    def test_bad_values_exit_codes(self, tmp_path, price_csv, capsys, argv, config, code):
+        argv = [a.replace("{csv}", str(price_csv)) for a in argv]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config + "\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert run(argv + ["--out-dir", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err.startswith(f"hhtscale {argv[0]}: ")
 
 
 class TestImportFootprint:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,22 @@ class TestSiftOnce:
             sds.append(sd)
         tail = sds[3:]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
+
+    def test_scale_range(self):
+        # sd is scale-free, and h_new scales with the input, over the whole
+        # float range: no overflow or underflow in the squared sums
+        x = np.cumsum(np.random.default_rng(5).standard_normal(512))
+        h_base, sd_base = sift_once(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for exponent in (1000, -1000):
+                h_new, sd = sift_once(np.ldexp(x, exponent))
+                assert sd == sd_base
+                assert np.array_equal(h_new, np.ldexp(h_base, exponent))
+            for factor in (1e160, 1e-170):
+                h_new, sd = sift_once(factor * x)
+                assert sd == pytest.approx(sd_base, rel=1e-12)
+                assert np.allclose(h_new / factor, h_base, rtol=1e-9, atol=1e-9)
 
     def test_returned_sd_matches_definition(self):
         rng = np.random.default_rng(0)

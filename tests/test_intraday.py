@@ -8,8 +8,10 @@ import pytest
 from hhtscale import (
     TradingCalendar,
     bm_reference_band,
+    complexity,
     decompose,
     measure_day_means,
+    measure_track,
     outside_band_likelihood,
     panelize,
     scaling_exponent,
@@ -89,6 +91,18 @@ class TestNanColumnMean:
     def test_hand_case(self):
         m = np.array([[1.0, np.nan], [3.0, np.nan]])
         assert np.allclose(_nan_column_mean(m), [2.0, np.nan], equal_nan=True)
+
+
+class TestMeasureTrack:
+    def test_is_the_whole_chain(self):
+        x = np.cumsum(np.random.default_rng(14).standard_normal(600))
+        track = spectral_track(decompose(x), trim_fraction=0.05)
+        h = measure_track(x, "hstar", trim_fraction=0.05)
+        c = measure_track(x, "cstar", trim_fraction=0.05)
+        assert np.array_equal(h, scaling_exponent(track).h_star, equal_nan=True)
+        assert np.array_equal(c, complexity(track).c_star, equal_nan=True)
+        with pytest.raises(ValueError, match="measure"):
+            measure_track(x, "hurst")
 
 
 class TestMeasureDayMeans:

@@ -194,6 +194,16 @@ class TestSpectralTrack:
         ):
             assert field.shape == (dec.n_imfs, 300)
 
+    def test_stack_transform_matches_each_row(self):
+        # the whole component stack goes through one FFT; each row must be
+        # what analytic_signal gives for that component alone
+        for length in (777, 1950):
+            dec = decompose(np.cumsum(np.random.default_rng(length).standard_normal(length)))
+            track = spectral_track(dec)
+            for k in range(dec.n_imfs):
+                z = analytic_signal(dec.imfs[k])
+                assert np.array_equal(track.amplitudes[k], np.abs(z))
+
     def test_rejects_empty_decomposition(self):
         dec = decompose(np.full(64, 5.0))  # constant input: no components
         assert dec.n_imfs == 0
