@@ -448,12 +448,12 @@ def _spectral_outputs(params, series, calendar):
     n = track.n_imfs
     columns = ["t"] + [f"imf_{k + 1}" for k in range(n)]
     comments = [f"dt={_fmt(series.dt)}", "frequency_units=radians_per_sample"]
-    amp_rows = (
-        (t, *(track.amplitudes[k, t] for k in range(n))) for t in range(track.length)
-    )
-    freq_rows = (
-        (t, *(track.frequencies[k, t] for k in range(n))) for t in range(track.length)
-    )
+    # a sample with no valid component (inside the trimmed margin) is undefined
+    undefined = ~track.validity.any(axis=0)
+    amplitudes = np.where(undefined, np.nan, track.amplitudes)
+    frequencies = np.where(undefined, np.nan, track.frequencies)
+    amp_rows = ((t, *(amplitudes[k, t] for k in range(n))) for t in range(track.length))
+    freq_rows = ((t, *(frequencies[k, t] for k in range(n))) for t in range(track.length))
     return [
         ("spectral_amplitude.csv", "amplitude-matrix", columns, amp_rows, comments),
         ("spectral_frequency.csv", "frequency-matrix", columns, freq_rows, comments),

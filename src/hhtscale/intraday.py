@@ -11,7 +11,6 @@ index measures how unusual the observed behaviour is.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .emd import EmdConfig, decompose
 from .measures import complexity, scaling_exponent
 from .series import TradingCalendar
-from .simulate import SimConfig, simulate
+from .simulate import SimConfig, ordered_map, simulate
 from .spectral import spectral_track
 
 logger = logging.getLogger(__name__)
@@ -186,14 +185,7 @@ def bm_reference_band(
         (seed, i, n_days, day_length, measure, emd_config, trim_fraction)
         for i in range(n_sims)
     ]
-    if threads <= 1:
-        curves = [_band_worker(job) for job in jobs]
-    else:
-        # map() preserves job order, so the stacked array (and therefore the
-        # percentiles) is independent of the worker count
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            curves = list(pool.map(_band_worker, jobs, chunksize=max(1, n_sims // (4 * threads))))
-    stack = np.vstack(curves)
+    stack = np.vstack(ordered_map(_band_worker, jobs, threads))
     band_lo = np.nanpercentile(stack, 5.0, axis=0)
     band_hi = np.nanpercentile(stack, 95.0, axis=0)
     return band_lo, band_hi

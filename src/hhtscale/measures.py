@@ -193,8 +193,8 @@ def complexity(track: SpectralTrack, weight: str = "squared") -> ComplexityTrack
 
     ``weight="squared"`` (default) distributes by squared amplitude;
     ``weight="linear"`` by plain amplitude.  Terms with zero weight
-    contribute nothing (0*ln 0 = 0).  Samples with no energy at all are
-    undefined.
+    contribute nothing (0*ln 0 = 0).  Samples with no energy at all, or
+    where no component is valid (inside the trimmed margin), are undefined.
     """
     if weight not in ("squared", "linear"):
         raise ValueError("weight must be 'squared' or 'linear'")
@@ -205,7 +205,7 @@ def complexity(track: SpectralTrack, weight: str = "squared") -> ComplexityTrack
     amplitudes = np.ldexp(amplitudes, -np.frexp(amplitudes.max(axis=0))[1])
     w = amplitudes**2 if weight == "squared" else amplitudes
     total = w.sum(axis=0)
-    defined = total > 0.0
+    defined = (total > 0.0) & track.validity.any(axis=0)
     p = np.divide(w, total, out=np.zeros_like(w), where=defined)
     terms = np.zeros_like(p)
     positive = p > 0.0

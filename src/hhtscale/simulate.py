@@ -8,8 +8,8 @@ Four integrated processes with known scaling behaviour:
 * ``slm`` — stable Lévy motion: i.i.d. symmetric alpha-stable increments
   drawn by the Chambers–Mallows–Stuck transform, integrated; its
   self-similarity index is 1/alpha.
-* ``arfima`` — ARFIMA(0, d, 0) noise built from the truncated MA(infinity)
-  expansion (an FFT convolution), then integrated; long-memory exponent d
+* ``arfima`` — ARFIMA(0, d, 0) noise, exact by the same circulant
+  embedding of its autocovariance, then integrated; long-memory exponent d
   maps to an expected scaling exponent of d + 1/2.
 
 Randomness comes from numpy's counter-based Philox generator; path ``i`` of
@@ -91,19 +91,16 @@ def simulate_bm(length: int, rng: np.random.Generator) -> np.ndarray:
     return np.cumsum(rng.standard_normal(length))
 
 
-def _fgn_circulant(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """Exact fractional Gaussian noise by circulant embedding.
+def _circulant_noise(gamma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Exact stationary Gaussian noise by circulant embedding (Davies & Harte 1987).
 
-    The autocovariance gamma(k) = 0.5*(|k+1|^2H - 2|k|^2H + |k-1|^2H) is
-    embedded in a circulant of size 2*length whose FFT eigenvalues are
-    non-negative for this covariance; complex Gaussian weights with the
-    right symmetry then give two independent noise panels, of which the
+    ``gamma[0..n]`` is the autocovariance at lags 0..n.  It is embedded in a
+    circulant of size 2n whose FFT eigenvalues are non-negative for the fGn
+    and ARFIMA(0, d, 0) covariances used here; complex Gaussian weights with
+    the right symmetry then give two independent noise panels, of which the
     real part is kept.
     """
-    n = length
-    k = np.arange(n + 1, dtype=np.float64)
-    two_h = 2.0 * hurst
-    gamma = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
+    n = gamma.shape[0] - 1
     circ = np.concatenate([gamma, gamma[-2:0:-1]])  # size 2n, fold at lag n
     lam = np.fft.fft(circ).real
     floor = -1e-8 * lam.max()
@@ -126,8 +123,12 @@ def _fgn_circulant(length: int, hurst: float, rng: np.random.Generator) -> np.nd
 
 
 def simulate_fbm(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """Fractional Brownian motion: integrated exact fractional Gaussian noise."""
-    return np.cumsum(_fgn_circulant(length, hurst, rng))
+    """Fractional Brownian motion: integrated exact fractional Gaussian noise,
+    whose autocovariance is gamma(k) = 0.5*(|k+1|^2H - 2|k|^2H + |k-1|^2H)."""
+    k = np.arange(length + 1, dtype=np.float64)
+    two_h = 2.0 * hurst
+    gamma = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
+    return np.cumsum(_circulant_noise(gamma, rng))
 
 
 def simulate_slm(length: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
@@ -150,44 +151,17 @@ def simulate_slm(length: int, alpha: float, rng: np.random.Generator) -> np.ndar
     return np.cumsum(increments)
 
 
-def _arfima_psi(d: float, count: int) -> np.ndarray:
-    """MA(infinity) weights psi_j = psi_{j-1} * (j - 1 + d) / j, psi_0 = 1."""
-    j = np.arange(1, count, dtype=np.float64)
-    return np.concatenate([[1.0], np.cumprod((j - 1.0 + d) / j)])
+def _arfima_autocovariance(d: float, n: int) -> np.ndarray:
+    """ARFIMA(0, d, 0) autocovariance at lags 0..n for unit innovation variance:
+    gamma(0) = Gamma(1-2d) / Gamma(1-d)^2, gamma(k) = gamma(k-1) * (k-1+d) / (k-d)."""
+    gamma0 = math.exp(math.lgamma(1.0 - 2.0 * d) - 2.0 * math.lgamma(1.0 - d))
+    k = np.arange(1, n + 1, dtype=np.float64)
+    return gamma0 * np.concatenate([[1.0], np.cumprod((k - 1.0 + d) / (k - d))])
 
 
-def _fast_fft_length(n: int) -> int:
-    """Smallest 5-smooth integer (2**a * 3**b * 5**c) >= n: a length the FFT
-    handles at full speed, and the one SciPy's ``fftconvolve`` pads to, which
-    keeps ARFIMA paths the same bit for bit."""
-    best = 1 << (n - 1).bit_length()  # the power of two >= n
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the power of two that lifts p35 to >= n
-            candidate = p35 << ((n - 1) // p35).bit_length()
-            best = min(best, candidate)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def simulate_arfima(length: int, d: float, rng: np.random.Generator, burn_factor: int = 10) -> np.ndarray:
-    """Integrated ARFIMA(0, d, 0) path.
-
-    The fractional filter is truncated at ``burn_factor * length`` lags;
-    every output sample sees a fully populated filter window.  The full
-    linear convolution goes through one real FFT padded to a 5-smooth
-    length.
-    """
-    truncation = burn_factor * length
-    psi = _arfima_psi(d, truncation + 1)
-    innovations = rng.standard_normal(length + truncation)
-    size = _fast_fft_length(innovations.shape[0] + psi.shape[0] - 1)
-    spectrum = np.fft.rfft(innovations, size) * np.fft.rfft(psi, size)
-    noise = np.fft.irfft(spectrum, size)[truncation : truncation + length]
-    return np.cumsum(noise)
+def simulate_arfima(length: int, d: float, rng: np.random.Generator) -> np.ndarray:
+    """Integrated ARFIMA(0, d, 0) path: exact fractionally differenced noise."""
+    return np.cumsum(_circulant_noise(_arfima_autocovariance(d, length), rng))
 
 
 def simulate(config: SimConfig, path_index: int = 0) -> TimeSeries:
@@ -209,9 +183,12 @@ class EnsembleStats:
     """Aggregates of the scaling measure over a simulated ensemble.
 
     mean_hstar_t : per-sample ensemble mean of the local scaling exponent.
-    grand_mean / grand_std : time-and-ensemble mean and standard deviation
-        over every defined sample (ddof=1).
-    mean_r2 : same double average of the regression R^2.
+    grand_mean : mean over samples of ``mean_hstar_t`` (the time average of
+        the per-sample ensemble mean), not a mean over every defined sample:
+        a sample defined on few paths weighs as much as one defined on all.
+    grand_std : standard deviation about ``grand_mean`` pooled over every
+        defined sample of every path (ddof=1).
+    mean_r2 : same double average of the regression R^2 as ``grand_mean``.
     ghe_mean / ghe_std : ensemble mean/std of the whole-path q=1
         structure-function exponent.
     """
@@ -225,6 +202,16 @@ class EnsembleStats:
     ghe_mean: float
     ghe_std: float
     rng_name: str = RNG_NAME
+
+
+def ordered_map(worker, jobs: list, threads: int) -> list:
+    """``[worker(job) for job in jobs]``, on ``threads`` processes when more
+    than one is asked for.  Results keep the order of ``jobs``, so anything
+    reduced from them is independent of the thread count."""
+    if threads <= 1 or len(jobs) <= 1:
+        return [worker(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
 
 
 def _ensemble_worker(args):
@@ -256,12 +243,7 @@ def monte_carlo_ensemble(
         (config, emd_config, tau_max, trim_fraction, index)
         for index in range(config.paths)
     ]
-    if threads == 1 or config.paths == 1:
-        results = [_ensemble_worker(job) for job in jobs]
-    else:
-        chunk = max(1, config.paths // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_ensemble_worker, jobs, chunksize=chunk))
+    results = ordered_map(_ensemble_worker, jobs, threads)
 
     hstar = np.stack([r[0] for r in results])  # (paths, T), NaN where undefined
     r2 = np.stack([r[1] for r in results])

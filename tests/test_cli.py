@@ -231,6 +231,33 @@ class TestSeriesSubcommands:
         assert vals and min(vals) >= 0.0
 
 
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            (["spectral"], ["spectral_amplitude.csv", "spectral_frequency.csv"]),
+            (["complexity"], ["complexity.csv"]),
+            (["intraday", "--measure", "cstar", "--band-sims", "10"], ["intraday_panel.csv"]),
+        ],
+        ids=["spectral", "complexity", "intraday-cstar"],
+    )
+    def test_trim_fraction_blanks_only_the_margin(self, tmp_path, price_csv, argv, outputs):
+        # 3 days x 40 bars: trim 0.2 leaves samples 24..95 inside the margin
+        def cells(trim):
+            out = tmp_path / f"trim{trim}"
+            cmd = [argv[0], str(price_csv), *argv[1:], "--trim-fraction", str(trim)]
+            assert run([*cmd, "--out-dir", str(out)]) == 0
+            return [np.array(read_csv(out / name)[2])[:, 1:].reshape(-1) for name in outputs]
+
+        margin = np.ones(120, dtype=bool)
+        margin[24:96] = False
+        for full, trimmed in zip(cells(0.0), cells(0.2)):
+            per_sample = full.size // 120
+            in_margin = np.repeat(margin, per_sample)
+            assert not (full == "nan").any()
+            assert (trimmed[in_margin] == "nan").all()
+            assert np.array_equal(trimmed[~in_margin], full[~in_margin])
+
+
 class TestIntraday:
     def test_panel_and_profile(self, tmp_path):
         src = tmp_path / "prices.csv"

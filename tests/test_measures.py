@@ -196,6 +196,17 @@ class TestComplexity:
         assert not result.defined[2] and np.isnan(result.c_star[2])
         assert result.defined[[0, 1, 3, 4]].all()
 
+    def test_sample_with_no_valid_component_is_undefined(self):
+        amplitudes = np.array([[1.0, 1.0, 2.0], [2.0, 3.0, 1.0], [4.0, 1.0, 3.0]])
+        track = synthetic_track(amplitudes, np.ones((3, 3)))
+        plain = complexity(track)
+        track.validity[:, 0] = False  # e.g. inside the trimmed margin
+        track.validity[1:, 2] = False  # one valid component is enough
+        result = complexity(track)
+        assert not result.defined[0] and np.isnan(result.c_star[0])
+        assert result.defined[1:].all()
+        assert np.array_equal(result.c_star[1:], plain.c_star[1:])
+
     def test_rejects_unknown_weight(self):
         with pytest.raises(ValueError, match="weight"):
             complexity(power_law_track(0.5), weight="cubic")

@@ -1,16 +1,17 @@
 """Tests for the path simulators and the Monte-Carlo ensemble driver.
 
-Oracles: exact autocovariance of fractional Gaussian noise, the Gaussian
-limit of the stable-increment transform at alpha=2, hand-computed
-fractional-filter weights, and determinism/thread-independence contracts.
+Oracles: exact autocovariances of fractional Gaussian noise and of
+ARFIMA(0, d, 0) noise (hand values from the Gamma-function form), the
+Gaussian limit of the stable-increment transform at alpha=2, and
+determinism/thread-independence contracts.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from scipy import fft as sfft
-from scipy import signal as ssig
 from scipy import stats as sps
 
 from hhtscale import (
@@ -23,8 +24,8 @@ from hhtscale import (
     spectral_track,
 )
 from hhtscale.simulate import (
-    _arfima_psi,
-    _fast_fft_length,
+    _arfima_autocovariance,
+    ordered_map,
     rng_for_path,
     simulate_arfima,
     simulate_bm,
@@ -105,41 +106,61 @@ class TestSlm:
         assert ratio > 10.0
 
 
-class TestArfima:
-    def test_filter_weights_hand_values(self):
-        psi = _arfima_psi(0.3, 4)
-        assert np.allclose(psi, [1.0, 0.3, 0.195, 0.1495], atol=1e-15)
+def arfima_autocovariance(d: float, lags) -> np.ndarray:
+    """gamma(k) = Gamma(1-2d) Gamma(k+d) / (Gamma(1-d) Gamma(d) Gamma(k+1-d)),
+    through its ratio form rho(k) = prod_{j<=k} (j-1+d)/(j-d)."""
+    gamma0 = math.gamma(1 - 2 * d) / math.gamma(1 - d) ** 2
+    return np.array(
+        [gamma0 * math.prod((j - 1 + d) / (j - d) for j in range(1, k + 1)) for k in lags]
+    )
 
-    def test_zero_d_is_identity_filter(self):
-        psi = _arfima_psi(0.0, 5)
-        assert np.array_equal(psi, [1.0, 0.0, 0.0, 0.0, 0.0])
+
+class TestArfima:
+    @pytest.mark.parametrize("d", [-0.3, 0.3, 0.45])
+    def test_autocovariance_matches_theory(self, d):
+        n, n_paths = 512, 200
+        lags = np.arange(6)
+        estimates = np.empty((n_paths, lags.size))
+        for i in range(n_paths):
+            g = np.diff(simulate_arfima(n, d, rng_for_path(321, i)))
+            for j, k in enumerate(lags):
+                m = g.shape[0] - k
+                estimates[i, j] = float(np.dot(g[:m], g[k : k + m]) / m)
+        mean = estimates.mean(axis=0)
+        se = estimates.std(axis=0, ddof=1) / np.sqrt(n_paths)
+        target = arfima_autocovariance(d, lags)
+        assert np.all(np.abs(mean - target) < 4.0 * se)
+
+    def test_autocovariance_hand_values(self):
+        for d in (-0.45, -0.3, 0.2, 0.3, 0.45):
+            gamma = _arfima_autocovariance(d, 4)
+            assert np.allclose(gamma, arfima_autocovariance(d, range(5)), rtol=1e-13, atol=0)
+            assert gamma[1] / gamma[0] == pytest.approx(d / (1 - d), rel=1e-13)
+        # d = 0.3: gamma(0) = Gamma(0.4) / Gamma(0.7)^2, rho(1..3) = 3/7, 39/119, 299/1071
+        gamma = _arfima_autocovariance(0.3, 3)
+        assert gamma[0] == pytest.approx(1.31645606213, rel=1e-11)
+        assert np.allclose(gamma / gamma[0], [1, 3 / 7, 39 / 119, 299 / 1071], rtol=1e-14, atol=0)
+
+    def test_zero_d_autocovariance_is_white(self):
+        assert np.array_equal(_arfima_autocovariance(0.0, 4), [1.0, 0.0, 0.0, 0.0, 0.0])
+
+    def test_negative_d_autocovariance_is_negative_at_every_lag(self):
+        gamma = _arfima_autocovariance(-0.3, 50)
+        assert gamma[0] > 0.0
+        assert np.all(gamma[1:] < 0.0)  # antipersistent noise
+
+    @pytest.mark.parametrize("d", [-0.499, -0.45, -0.3, -0.1, 0.0, 0.1, 0.3, 0.45, 0.499])
+    def test_embedding_is_non_negative_definite(self, d):
+        # the eigenvalue floor of the circulant embedding never trips
+        for length in (2, 3, 16, 1950, 10_000, 10_384, 20_000):
+            path = simulate_arfima(length, d, rng_for_path(6, length))
+            assert path.shape == (length,) and np.all(np.isfinite(path))
 
     def test_zero_d_path_is_brownian(self):
         cfg = SimConfig(process="arfima", length=4096, seed=2, paths=1, d=0.0)
         ts = simulate(cfg)
         inc = np.diff(np.concatenate([[0.0], ts.values]))
         assert abs(float(inc.var(ddof=1)) - 1.0) < 0.1
-
-    def test_weights_alternate_sign_for_negative_d(self):
-        psi = _arfima_psi(-0.3, 6)
-        assert psi[0] == 1.0 and psi[1] == -0.3
-        assert np.all(psi[1:] < 0.0)  # antipersistent kernel stays negative
-
-    @pytest.mark.parametrize(
-        "length, d", [(16, 0.0), (100, -0.3), (1950, 0.2), (4096, 0.45)]
-    )
-    def test_noise_equals_scipy_fftconvolve(self, length, d):
-        path = simulate_arfima(length, d, rng_for_path(4, 1))
-        truncation = 10 * length
-        innovations = rng_for_path(4, 1).standard_normal(length + truncation)
-        psi = _arfima_psi(d, truncation + 1)
-        full = ssig.fftconvolve(innovations, psi, mode="full")
-        noise = full[truncation : truncation + length]
-        assert np.array_equal(path, np.cumsum(noise))
-
-    def test_fft_length_matches_scipy_next_fast_len(self):
-        for n in range(1, 3001):
-            assert _fast_fft_length(n) == sfft.next_fast_len(n, real=True), n
 
 
 class TestSimConfig:
@@ -198,6 +219,14 @@ class TestDeterminism:
         rng_for_path(7, 4).standard_normal(1000)  # unrelated consumption
         again = simulate_bm(64, rng_for_path(7, 5))
         assert np.array_equal(direct, again)
+
+
+class TestOrderedMap:
+    def test_keeps_job_order_for_any_thread_count(self):
+        jobs = list(range(-9, 0))
+        expected = [abs(j) for j in jobs]
+        for threads in (0, 1, 2):
+            assert ordered_map(abs, jobs, threads) == expected
 
 
 class TestMonteCarloEnsemble:
