@@ -3,18 +3,21 @@
 Envelope splines need knots beyond both ends of the data, otherwise the
 envelopes sag toward the first/last extremum and the decomposition leaks
 low-frequency error into every component.  The classic cure is to mirror a
-few extrema past each end.  The rules below follow the widely used scheme
-from Rilling's reference implementation:
+few extrema past each end.  The rule below follows the widely used scheme
+from Rilling's reference implementation, stated once for the left end:
 
-* normally extrema are reflected about the first (last) extremum;
-* when the boundary sample pokes beyond the first (last) opposite extremum,
-  the reflection axis moves to the boundary sample itself, which then also
+* normally extrema are reflected about the first extremum;
+* when the boundary sample pokes beyond the first opposite extremum, the
+  reflection axis moves to the boundary sample itself, which then also
   enters as an envelope knot;
 * if the mirrored knots still fail to reach past the boundary, the axis is
   moved to the boundary and the reflection is redone.
 
-All arrays here are small (O(mirror count)), so this stays in plain numpy
-for both backends.
+The right end is the same rule applied to the extrema reflected by
+t -> end - t, with its knots reflected back.  Positions are integers held
+in floats, far below 2**53, so every reflection is exact and both ends obey
+one rule bit for bit.  Only the ``nbsym + 1`` extrema nearest an end take
+part, so the rule runs on short Python lists for both backends.
 """
 
 import numpy as np
@@ -22,11 +25,37 @@ import numpy as np
 __all__ = ["mirror_extrema"]
 
 
-def _tail(arr, count):
-    """Last `count` elements (empty when count <= 0)."""
-    if count <= 0:
-        return arr[:0]
-    return arr[-count:]
+def _mirror_left(max_p, max_v, min_p, min_v, x0, nbsym):
+    """Knots mirrored past t = 0.
+
+    Takes lists of the first ``nbsym + 1`` maxima and minima (ascending
+    positions) and the boundary sample ``x0``; returns the lists
+    ``(tmax, vmax, tmin, vmin)`` of mirrored knots, positions ascending.
+    """
+    first_is_max = max_p[0] < min_p[0]
+    # `a` is the kind of the first extremum, `b` the other kind
+    if first_is_max:
+        a_p, a_v, b_p, b_v = max_p, max_v, min_p, min_v
+        inside = x0 > b_v[0]
+    else:
+        a_p, a_v, b_p, b_v = min_p, min_v, max_p, max_v
+        inside = x0 < b_v[0]
+    if inside:
+        # reflect about the first extremum
+        sym, ka_p, ka_v = a_p[0], a_p[1 : nbsym + 1], a_v[1 : nbsym + 1]
+        kb_p, kb_v = b_p[:nbsym], b_v[:nbsym]
+        if 2.0 * sym - ka_p[-1] > 0.0 or 2.0 * sym - kb_p[-1] > 0.0:
+            # mirrored knots do not reach the boundary; redo about the boundary
+            sym, ka_p, ka_v = 0.0, a_p[:nbsym], a_v[:nbsym]
+    else:
+        # boundary sample acts as an extremum of kind b; reflect about it
+        sym, ka_p, ka_v = 0.0, a_p[:nbsym], a_v[:nbsym]
+        kb_p, kb_v = [0.0] + b_p[: nbsym - 1], [x0] + b_v[: nbsym - 1]
+    ta = [2.0 * sym - p for p in reversed(ka_p)]
+    tb = [2.0 * sym - p for p in reversed(kb_p)]
+    if first_is_max:
+        return ta, ka_v[::-1], tb, kb_v[::-1]
+    return tb, kb_v[::-1], ta, ka_v[::-1]
 
 
 def mirror_extrema(max_pos, max_val, min_pos, min_val, x, nbsym):
@@ -59,87 +88,26 @@ def mirror_extrema(max_pos, max_val, min_pos, min_val, x, nbsym):
     max_val = np.asarray(max_val, dtype=np.float64)
     min_val = np.asarray(min_val, dtype=np.float64)
     end = float(len(x) - 1)
+    k = nbsym + 1
 
-    # --- left end ------------------------------------------------------
-    if max_pos[0] < min_pos[0]:
-        if x[0] > min_val[0]:
-            # reflect about the first maximum
-            lmax_p, lmax_v = max_pos[1:nbsym + 1][::-1], max_val[1:nbsym + 1][::-1]
-            lmin_p, lmin_v = min_pos[:nbsym][::-1], min_val[:nbsym][::-1]
-            lsym = max_pos[0]
-        else:
-            # boundary sample acts as a minimum; reflect about the boundary
-            lmax_p, lmax_v = max_pos[:nbsym][::-1], max_val[:nbsym][::-1]
-            lmin_p = np.append(min_pos[:nbsym - 1][::-1], 0.0)
-            lmin_v = np.append(min_val[:nbsym - 1][::-1], x[0])
-            lsym = 0.0
-    else:
-        if x[0] < max_val[0]:
-            # reflect about the first minimum
-            lmax_p, lmax_v = max_pos[:nbsym][::-1], max_val[:nbsym][::-1]
-            lmin_p, lmin_v = min_pos[1:nbsym + 1][::-1], min_val[1:nbsym + 1][::-1]
-            lsym = min_pos[0]
-        else:
-            # boundary sample acts as a maximum
-            lmax_p = np.append(max_pos[:nbsym - 1][::-1], 0.0)
-            lmax_v = np.append(max_val[:nbsym - 1][::-1], x[0])
-            lmin_p, lmin_v = min_pos[:nbsym][::-1], min_val[:nbsym][::-1]
-            lsym = 0.0
+    lt_max, lv_max, lt_min, lv_min = _mirror_left(
+        max_pos[:k].tolist(), max_val[:k].tolist(),
+        min_pos[:k].tolist(), min_val[:k].tolist(), float(x[0]), nbsym,
+    )
+    # the right end: the left rule on the extrema reflected by t -> end - t
+    rt_max, rv_max, rt_min, rv_min = _mirror_left(
+        [end - p for p in max_pos[-k:].tolist()[::-1]], max_val[-k:].tolist()[::-1],
+        [end - p for p in min_pos[-k:].tolist()[::-1]], min_val[-k:].tolist()[::-1],
+        float(x[-1]), nbsym,
+    )
 
-    tl_max = 2.0 * lsym - lmax_p
-    tl_min = 2.0 * lsym - lmin_p
-    if tl_min[0] > 0.0 or tl_max[0] > 0.0:
-        # mirrored knots do not reach the boundary; redo about the boundary
-        if lsym == max_pos[0]:
-            lmax_p, lmax_v = max_pos[:nbsym][::-1], max_val[:nbsym][::-1]
-        else:
-            lmin_p, lmin_v = min_pos[:nbsym][::-1], min_val[:nbsym][::-1]
-        tl_max = -lmax_p
-        tl_min = -lmin_p
-
-    # --- right end -----------------------------------------------------
-    if max_pos[-1] < min_pos[-1]:
-        if x[-1] < max_val[-1]:
-            # reflect about the last minimum
-            rmax_p, rmax_v = _tail(max_pos, nbsym)[::-1], _tail(max_val, nbsym)[::-1]
-            rmin_p, rmin_v = _tail(min_pos[:-1], nbsym)[::-1], _tail(min_val[:-1], nbsym)[::-1]
-            rsym = min_pos[-1]
-        else:
-            # boundary sample acts as a maximum
-            rmax_p = np.append(end, _tail(max_pos, nbsym - 1)[::-1])
-            rmax_v = np.append(x[-1], _tail(max_val, nbsym - 1)[::-1])
-            rmin_p, rmin_v = _tail(min_pos, nbsym)[::-1], _tail(min_val, nbsym)[::-1]
-            rsym = end
-    else:
-        if x[-1] > min_val[-1]:
-            # reflect about the last maximum
-            rmax_p, rmax_v = _tail(max_pos[:-1], nbsym)[::-1], _tail(max_val[:-1], nbsym)[::-1]
-            rmin_p, rmin_v = _tail(min_pos, nbsym)[::-1], _tail(min_val, nbsym)[::-1]
-            rsym = max_pos[-1]
-        else:
-            # boundary sample acts as a minimum
-            rmax_p, rmax_v = _tail(max_pos, nbsym)[::-1], _tail(max_val, nbsym)[::-1]
-            rmin_p = np.append(end, _tail(min_pos, nbsym - 1)[::-1])
-            rmin_v = np.append(x[-1], _tail(min_val, nbsym - 1)[::-1])
-            rsym = end
-
-    tr_max = 2.0 * rsym - rmax_p
-    tr_min = 2.0 * rsym - rmin_p
-    if tr_min[-1] < end or tr_max[-1] < end:
-        if rsym == max_pos[-1]:
-            rmax_p, rmax_v = _tail(max_pos, nbsym)[::-1], _tail(max_val, nbsym)[::-1]
-        else:
-            rmin_p, rmin_v = _tail(min_pos, nbsym)[::-1], _tail(min_val, nbsym)[::-1]
-        tr_max = 2.0 * end - rmax_p
-        tr_min = 2.0 * end - rmin_p
-
-    tmax = np.concatenate([tl_max, max_pos, tr_max])
-    vmax = np.concatenate([lmax_v, max_val, rmax_v])
-    tmin = np.concatenate([tl_min, min_pos, tr_min])
-    vmin = np.concatenate([lmin_v, min_val, rmin_v])
+    tmax = np.concatenate((lt_max, max_pos, [end - t for t in reversed(rt_max)]))
+    vmax = np.concatenate((lv_max, max_val, rv_max[::-1]))
+    tmin = np.concatenate((lt_min, min_pos, [end - t for t in reversed(rt_min)]))
+    vmin = np.concatenate((lv_min, min_val, rv_min[::-1]))
 
     if tmax[0] > 0.0 or tmax[-1] < end or tmin[0] > 0.0 or tmin[-1] < end:
         raise RuntimeError("mirror padding failed to cover the series")
-    if np.any(np.diff(tmax) <= 0.0) or np.any(np.diff(tmin) <= 0.0):
+    if (tmax[1:] <= tmax[:-1]).any() or (tmin[1:] <= tmin[:-1]).any():
         raise RuntimeError("mirror padding produced non-increasing knots")
     return tmax, vmax, tmin, vmin

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shlex
 import shutil
@@ -9,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.interpolate import CubicSpline
 
 import hhtscale
@@ -175,6 +179,57 @@ class TestMirrorExtrema:
         max_pos, max_val, min_pos, min_val = self._extrema(x)
         with pytest.raises(Exception):
             mirror_extrema(max_pos[:1], max_val[:1], min_pos, min_val, x, 2)
+
+    def test_knots_pinned(self):
+        # SHA-256 of every knot byte over seeded walks and tick-quantized
+        # walks (plateaus), for nbsym 1-3; a rewrite of the rules must
+        # reproduce the knots bit for bit
+        rng = np.random.default_rng(20261018)
+        digest = hashlib.sha256()
+        for _ in range(150):
+            walk = np.cumsum(rng.standard_normal(int(rng.integers(16, 600))))
+            for x in (walk, np.round(2.0 * walk) / 2.0):
+                extrema = self._extrema(x)
+                if len(extrema[0]) < 2 or len(extrema[2]) < 2:
+                    continue
+                for nbsym in (1, 2, 3):
+                    for arr in mirror_extrema(*extrema, x, nbsym):
+                        assert arr.dtype == np.float64
+                        digest.update(len(arr).to_bytes(4, "little") + arr.tobytes())
+        assert digest.hexdigest() == (
+            "524a25053df9961e4da981eedd0998c3ec99e5143e5991fbfd0b1abdeeefe2d1"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(min_value=8, max_value=120),
+            elements=st.one_of(
+                st.integers(-4, 4).map(float),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+        ),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_reflection_commutes(self, x, nbsym):
+        # mirroring the extrema reflected by t -> end - t gives the knots
+        # reflected the same way
+        max_pos, max_val, min_pos, min_val = self._extrema(x)
+        assume(len(max_pos) >= 2 and len(min_pos) >= 2)
+        end = len(x) - 1
+        reflected = (end - max_pos[::-1], max_val[::-1], end - min_pos[::-1], min_val[::-1])
+        try:
+            tmax, vmax, tmin, vmin = mirror_extrema(max_pos, max_val, min_pos, min_val, x, nbsym)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                mirror_extrema(*reflected, x[::-1], nbsym)
+            return
+        rmax, rvmax, rmin, rvmin = mirror_extrema(*reflected, x[::-1], nbsym)
+        assert np.array_equal(rmax, end - tmax[::-1])
+        assert np.array_equal(rvmax, vmax[::-1])
+        assert np.array_equal(rmin, end - tmin[::-1])
+        assert np.array_equal(rvmin, vmin[::-1])
 
 
 def _have_compiler():
