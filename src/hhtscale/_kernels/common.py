@@ -33,7 +33,8 @@ def _mirror_left(max_p, max_v, min_p, min_v, x0, nbsym):
     ``(tmax, vmax, tmin, vmin)`` of mirrored knots, positions ascending.
     """
     first_is_max = max_p[0] < min_p[0]
-    # `a` is the kind of the first extremum, `b` the other kind
+    # `a` is the kind of the first extremum, `b` the other kind; `inside`
+    # says the boundary sample stays short of the first `b` extremum
     if first_is_max:
         a_p, a_v, b_p, b_v = max_p, max_v, min_p, min_v
         inside = x0 > b_v[0]

@@ -625,7 +625,8 @@ def run(argv) -> int:
         where = f" ({name})" if name and str(name) not in str(exc) else ""
         print(f"hhtscale {args.subcommand}: {exc}{where}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        # RuntimeError from mirror padding, MemoryError from the spline scratch
         print(f"hhtscale {args.subcommand}: {exc}", file=sys.stderr)
         return 1
 

@@ -42,19 +42,16 @@ class IntradayPanel:
     matrix : (n_days, width) array, NaN where a day is shorter than the
         widest one or where the measure itself is undefined.
     day_mean : per-index mean over days, skipping NaN.
-    band_lo, band_hi : optional per-index reference band (5th/95th
-        percentiles of a Brownian ensemble's day-mean curves).
-    likelihood : optional per-index fraction of days outside the band.
     lunch_gap : optional (start, stop) column range marking where the
         between-session break falls; samples are contiguous across it, so
         the range is zero-width and only drives plot annotations.
+
+    Reference bands come from :func:`bm_reference_band` and outside-band
+    rates from :func:`outside_band_likelihood`.
     """
 
     matrix: np.ndarray
     day_mean: np.ndarray
-    band_lo: np.ndarray | None = None
-    band_hi: np.ndarray | None = None
-    likelihood: np.ndarray | None = None
     lunch_gap: tuple[int, int] | None = None
 
     @property

@@ -143,8 +143,6 @@ def scaling_exponent(track: SpectralTrack) -> ScalingTrack:
     ln_a = np.log(np.where(valid, track.amplitudes, 1.0))
     ln_tau = np.log(np.where(valid, track.periods, 1.0))
     slope, r2, count, defined = _column_regression(ln_a, ln_tau, valid)
-    slope[~defined] = np.nan
-    r2[~defined] = np.nan
     return ScalingTrack(h_star=slope, r_squared=r2, points_used=count, defined=defined)
 
 
@@ -153,7 +151,8 @@ def rolling_scaling_exponent(track: SpectralTrack, window: int) -> ScalingTrack:
 
     Each component's amplitude and period are averaged over the valid
     samples among the last ``window`` ones; the regression then proceeds as
-    in :func:`scaling_exponent`.  Samples before the first full window are
+    in :func:`scaling_exponent`.  Samples before the first full window, and
+    samples where no component is valid (inside the trimmed margin), are
     undefined.
     """
     length = track.length
@@ -178,11 +177,10 @@ def rolling_scaling_exponent(track: SpectralTrack, window: int) -> ScalingTrack:
 
     usable = have & (amp_bar > 0.0)
     usable[:, : window - 1] = False  # incomplete trailing windows
+    usable[:, ~track.validity.any(axis=0)] = False
     ln_a = np.log(np.where(usable, amp_bar, 1.0))
     ln_tau = np.log(np.where(usable, per_bar, 1.0))
     slope, r2, count, defined = _column_regression(ln_a, ln_tau, usable)
-    slope[~defined] = np.nan
-    r2[~defined] = np.nan
     return ScalingTrack(
         h_star=slope, r_squared=r2, points_used=count, defined=defined, window=window
     )

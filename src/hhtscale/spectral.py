@@ -1,12 +1,15 @@
 """Instantaneous amplitude/frequency tracks of decomposed components.
 
 Each component is paired with its Hilbert transform to form an analytic
-signal; the modulus gives the instantaneous amplitude, the unwrapped phase
-angle differentiates into an instantaneous frequency (radians/sample), and
-oscillation periods follow as 2*pi/frequency (samples).  Samples where the
-estimated frequency is non-positive — phase briefly running backwards, a
-known artifact of the discrete transform — are flagged invalid, as is an
-optional margin at both ends where boundary distortion dominates.
+signal z; the modulus gives the instantaneous amplitude.  The phase advance
+from one sample to the next is the angle of z[t+1]*conj(z[t]), which lies in
+(-pi, pi] by construction; the mean of the two steps around a sample is
+its instantaneous frequency (radians/sample), so no running phase is ever
+built.  Oscillation periods follow as 2*pi/frequency (samples).  Samples
+where the estimated frequency is non-positive — phase briefly running
+backwards, a known artifact of the discrete transform — are flagged
+invalid, as is an optional margin at both ends where boundary distortion
+dominates.
 """
 
 from __future__ import annotations
@@ -61,9 +64,9 @@ class SpectralTrack:
     """Per-component instantaneous quantities, shape (n_imfs, length).
 
     amplitudes : analytic-signal modulus, >= 0.
-    phases : unwrapped phase angle (radians).
-    frequencies : phase derivative (central differences, one-sided at the
-        ends), radians per sample.
+    frequencies : phase advance per sample, radians: the mean of the two
+        one-step phase changes around each sample, the one-sided step at
+        the ends.
     periods : 2*pi/frequency in samples where the frequency is positive,
         NaN elsewhere.
     validity : False where the frequency is non-positive or inside the
@@ -71,7 +74,6 @@ class SpectralTrack:
     """
 
     amplitudes: np.ndarray
-    phases: np.ndarray
     frequencies: np.ndarray
     periods: np.ndarray
     validity: np.ndarray
@@ -98,8 +100,18 @@ def spectral_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) 
     length = decomposition.length
     analytic = _analytic(np.asarray(decomposition.imfs, dtype=np.float64))  # one FFT for all rows
     amplitudes = np.abs(analytic)
-    phases = np.unwrap(np.arctan2(analytic.imag, analytic.real), axis=1)
-    frequencies = np.gradient(phases, axis=1)
+    # Scale each row by a power of two (largest amplitude in [0.5, 1), at most
+    # 2**1023 for subnormal rows) so the products of neighbours below neither
+    # overflow nor underflow; the scaling is exact and leaves angles alone.
+    exponent = np.frexp(amplitudes.max(axis=1))[1]
+    z = analytic * np.ldexp(1.0, np.minimum(-exponent, 1023))[:, None]
+    # one-step phase change, wrapped into (-pi, pi]
+    step = np.angle(z[:, 1:] * z[:, :-1].conj())
+    # central differences of the phase inside, one-sided at the ends
+    frequencies = np.empty_like(amplitudes)
+    frequencies[:, 1:-1] = 0.5 * (step[:, :-1] + step[:, 1:])
+    frequencies[:, 0] = step[:, 0]
+    frequencies[:, -1] = step[:, -1]
 
     positive = frequencies > 0.0
     periods = np.full_like(frequencies, np.nan)
@@ -112,7 +124,6 @@ def spectral_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) 
         validity[:, length - margin :] = False
     return SpectralTrack(
         amplitudes=amplitudes,
-        phases=phases,
         frequencies=frequencies,
         periods=periods,
         validity=validity,

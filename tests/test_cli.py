@@ -79,6 +79,30 @@ class TestExitCodes:
         assert code == 1
         assert "row 7" in capsys.readouterr().err
 
+    def _assert_one_line_exit_1(self, argv, capsys, message):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"hhtscale {argv[0]}: {message}"]
+        assert "Traceback" not in err
+
+    def test_mirror_padding_failure_is_a_data_error(self, tmp_path, price_csv, capsys, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("mirror padding failed to cover the series")
+
+        monkeypatch.setattr(hhtscale.emd, "mirror_extrema", fail)
+        argv = ["decompose", str(price_csv), "--out-dir", str(tmp_path / "out")]
+        self._assert_one_line_exit_1(argv, capsys, "mirror padding failed to cover the series")
+
+    def test_spline_allocation_failure_is_a_data_error(self, tmp_path, price_csv, capsys, monkeypatch):
+        def fail(*args):
+            raise MemoryError("spline_eval could not allocate its scratch space")
+
+        monkeypatch.setattr(hhtscale.emd.get_backend(), "spline_eval", fail)
+        argv = ["scaling", str(price_csv), "--out-dir", str(tmp_path / "out")]
+        self._assert_one_line_exit_1(
+            argv, capsys, "spline_eval could not allocate its scratch space"
+        )
+
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0
         assert "hhtscale" in capsys.readouterr().out
@@ -256,6 +280,18 @@ class TestSeriesSubcommands:
             assert not (full == "nan").any()
             assert (trimmed[in_margin] == "nan").all()
             assert np.array_equal(trimmed[~in_margin], full[~in_margin])
+
+    def test_rolling_trim_blanks_both_margins(self, tmp_path, price_csv):
+        # 3 days x 40 bars, trim 0.2: no component is valid in samples 0..23
+        # and 96..119, so no trailing window may define H* there
+        out = tmp_path / "roll"
+        cmd = ["scaling", str(price_csv), "--rolling-window", "10", "--trim-fraction", "0.2"]
+        assert run([*cmd, "--out-dir", str(out)]) == 0
+        h_star = np.array(read_csv(out / "scaling.csv")[2])[:, 1]
+        assert h_star.size == 120
+        assert (h_star[:24] == "nan").all()
+        assert (h_star[96:] == "nan").all()
+        assert (h_star[33:96] != "nan").any()
 
 
 class TestIntraday:

@@ -51,7 +51,6 @@ class TestPanelize:
         assert panel.n_days == 2 and panel.width == 3
         assert np.array_equal(panel.matrix, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert np.allclose(panel.day_mean, [2.5, 3.5, 4.5])
-        assert panel.band_lo is None and panel.likelihood is None
         assert panel.lunch_gap is None
 
     def test_ragged_days_are_nan_padded(self):

@@ -34,7 +34,6 @@ def synthetic_track(amplitudes: np.ndarray, periods: np.ndarray) -> SpectralTrac
     frequencies = 2.0 * np.pi / periods
     return SpectralTrack(
         amplitudes=amplitudes,
-        phases=np.zeros_like(amplitudes),
         frequencies=frequencies,
         periods=periods,
         validity=np.ones(amplitudes.shape, dtype=bool),
@@ -147,6 +146,16 @@ class TestRollingScalingExponent:
         expected = float(np.dot(dx, np.log(amplitudes.mean(axis=1)) - ln_a.mean())
                          / np.dot(dx, dx))
         assert abs(rolled.h_star[-1] - expected) < 1e-12
+
+    def test_samples_with_no_valid_component_stay_undefined(self):
+        # a trimmed end margin: the trailing windows there still hold valid
+        # samples from before it, but the margin itself must stay undefined
+        track = power_law_track(0.7, n_comp=5, length=40)
+        track.validity[:, 30:] = False
+        rolled = rolling_scaling_exponent(track, window=8)
+        assert rolled.defined[7:30].all()
+        assert not rolled.defined[30:].any()
+        assert np.isnan(rolled.h_star[30:]).all()
 
     def test_window_bounds(self):
         track = power_law_track(0.5, n_comp=4, length=16)

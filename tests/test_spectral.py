@@ -123,6 +123,14 @@ class TestSpectralTrack:
         interior = slice(100, 2048 - 100)
         assert np.allclose(track.frequencies[0, interior], omega, rtol=1e-3)
 
+    def test_period_three_tone(self):
+        # the phase advances 2*pi/3 per sample: two steps together pass pi,
+        # so only one-step changes give the frequency back
+        track = spectral_track(tone_decomposition(3000, 3.0), trim_fraction=0.1)
+        inside = track.validity[0]
+        assert inside.sum() == 2400
+        assert np.abs(track.frequencies[0, inside] - 2.0 * np.pi / 3.0).max() <= 1e-12
+
     def test_tone_mean_square_amplitude(self):
         # the analytic-signal envelope of A*cos is constant A, so the mean
         # squared amplitude is A^2 (not the time-average power A^2/2)
@@ -187,7 +195,6 @@ class TestSpectralTrack:
         assert track.length == 300
         for field in (
             track.amplitudes,
-            track.phases,
             track.frequencies,
             track.periods,
             track.validity,
