@@ -375,7 +375,6 @@ def _ensemble_table(params: dict, grid_values, extra_comments=()):
         point = params if shape is None else {**params, shape: value}
         stats = monte_carlo_ensemble(
             _sim_config(point),
-            emd_config=None,
             tau_max=params["tau_max"],
             trim_fraction=params["trim_fraction"],
             threads=params["threads"],

@@ -9,8 +9,10 @@ normalized step-to-step change
     sd = sum((h_prev - h_new)**2) / sum(h_prev**2)
 
 drops below a threshold *and* the candidate is properly oscillatory (every
-local maximum positive, every local minimum negative), or after a fixed
-iteration budget.  Each accepted component is then centered: its arithmetic
+local maximum positive, every local minimum negative), or after
+``MAX_SIFT_ITERATIONS`` steps (Huang et al. 1998).  Each envelope is padded
+at both ends with ``MIRRORED_EXTREMA`` mirrored extrema (Rilling, Flandrin &
+Gonçalvès 2003).  Each accepted component is then centered: its arithmetic
 mean is moved into the residue, so components oscillate around zero exactly.
 Extraction stops when the residue has fewer than four extrema, when
 envelopes can no longer be built, or at the component cap.
@@ -47,6 +49,8 @@ STOP_MAX_ITER = "max-iterations"
 STOP_EXTREMA = "extrema-exhausted"
 
 MIN_LENGTH = 16
+MAX_SIFT_ITERATIONS = 100  # sift steps per component before it is taken as is
+MIRRORED_EXTREMA = 2  # extrema mirrored past each end of the envelopes
 
 
 class InsufficientExtremaError(ValueError):
@@ -63,22 +67,18 @@ class EmdConfig:
     """Sifting parameters.
 
     max_imfs=None resolves to ``default_max_imfs(len(series))`` at call time.
+    The iteration cap and the envelope padding are the fixed
+    ``MAX_SIFT_ITERATIONS`` and ``MIRRORED_EXTREMA``.
     """
 
     sd_threshold: float = 0.2
-    max_sift_iterations: int = 100
     max_imfs: int | None = None
-    boundary_mirror_extrema: int = 2
 
     def __post_init__(self):
         if not (self.sd_threshold > 0.0):
             raise ValueError("sd_threshold must be positive")
-        if self.max_sift_iterations < 1:
-            raise ValueError("max_sift_iterations must be >= 1")
         if self.max_imfs is not None and self.max_imfs < 1:
             raise ValueError("max_imfs must be >= 1 when given")
-        if self.boundary_mirror_extrema < 1:
-            raise ValueError("boundary_mirror_extrema must be >= 1")
 
 
 @dataclass
@@ -114,7 +114,7 @@ def _values(series) -> np.ndarray:
     return np.ascontiguousarray(getattr(series, "values", series), dtype=np.float64)
 
 
-def _sift_step(h: np.ndarray, kernel, nbsym: int):
+def _sift_step(h: np.ndarray, kernel):
     """Envelope mean of ``h`` and what removing it does: (env, sd, oscillatory).
 
     sd compares ``h`` with ``h - env``; their difference is exactly the
@@ -132,7 +132,7 @@ def _sift_step(h: np.ndarray, kernel, nbsym: int):
             f"need >= 2 maxima and >= 2 minima, found {len(max_pos)}/{len(min_pos)}"
         )
     oscillatory = bool(max_val.min() > 0.0 and min_val.max() < 0.0)
-    tmax, vmax, tmin, vmin = mirror_extrema(max_pos, max_val, min_pos, min_val, h, nbsym)
+    tmax, vmax, tmin, vmin = mirror_extrema(max_pos, max_val, min_pos, min_val, h, MIRRORED_EXTREMA)
     upper = kernel.spline_eval(tmax, vmax, h.shape[0])
     lower = kernel.spline_eval(tmin, vmin, h.shape[0])
     env = 0.5 * (upper + lower)
@@ -141,34 +141,32 @@ def _sift_step(h: np.ndarray, kernel, nbsym: int):
     return env, sd, oscillatory
 
 
-def envelope_mean(x, nbsym: int = 2, backend=None) -> np.ndarray:
-    """Mean of the upper/lower extrema envelopes of ``x``.
+def envelope_mean(x) -> np.ndarray:
+    """Mean of the upper/lower extrema envelopes of ``x``, as one sift step
+    of :func:`decompose` builds them, on the ``get_backend()`` kernels.
 
     Raises
     ------
     InsufficientExtremaError
         When ``x`` has fewer than two maxima or two minima.
     """
-    kernel = backend if backend is not None else get_backend()
-    return _sift_step(_values(x), kernel, nbsym)[0]
+    return _sift_step(_values(x), get_backend())[0]
 
 
-def sift_once(h, config: EmdConfig | None = None, backend=None):
-    """One sift step: subtract the mean envelope.
+def sift_once(h):
+    """One sift step of :func:`decompose`: subtract the mean envelope.
 
     Returns
     -------
     (h_new, sd) : (ndarray, float)
         The sifted series and the normalized squared change.
     """
-    cfg = config or EmdConfig()
-    kernel = backend if backend is not None else get_backend()
     h = _values(h)
     # the step on h / 2**exponent (see decompose): sd neither overflows nor
     # underflows, and h_new scales back exactly
     exponent = int(np.frexp(np.abs(h).max())[1])
     h = np.ldexp(h, -exponent)
-    env, sd, _ = _sift_step(h, kernel, cfg.boundary_mirror_extrema)
+    env, sd, _ = _sift_step(h, get_backend())
     return np.ldexp(h - env, exponent), sd
 
 
@@ -188,7 +186,6 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
     max_imfs = cfg.max_imfs if cfg.max_imfs is not None else default_max_imfs(x.shape[0])
-    nbsym = cfg.boundary_mirror_extrema
     # Sifting is positively homogeneous, so sift x / 2**exponent (max |x| in
     # [0.5, 1)) and scale the results back: the squared sums below then
     # neither overflow nor underflow, and power-of-two scaling is exact, so
@@ -211,9 +208,9 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
         h = residue  # each step makes a new array; residue is never written
         count = 0
         reason = STOP_MAX_ITER
-        for _ in range(cfg.max_sift_iterations):
+        for _ in range(MAX_SIFT_ITERATIONS):
             try:
-                env, sd, oscillatory = _sift_step(h, kernel, nbsym)
+                env, sd, oscillatory = _sift_step(h, kernel)
             except InsufficientExtremaError:
                 reason = STOP_EXTREMA
                 break

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import EmdConfig, decompose
+from .emd import decompose
 from .measures import complexity, scaling_exponent
 from .series import TradingCalendar
-from .simulate import SimConfig, ordered_map, simulate
+from .simulate import SimConfig, _nanmean_quiet, ordered_map, simulate
 from .spectral import spectral_track
 
 logger = logging.getLogger(__name__)
@@ -63,17 +63,6 @@ class IntradayPanel:
         return self.matrix.shape[1]
 
 
-def _nan_column_mean(matrix: np.ndarray) -> np.ndarray:
-    """Column means over defined entries; NaN for all-undefined columns."""
-    defined = ~np.isnan(matrix)
-    counts = defined.sum(axis=0)
-    sums = np.where(defined, matrix, 0.0).sum(axis=0)
-    out = np.full(matrix.shape[1], np.nan)
-    has = counts > 0
-    out[has] = sums[has] / counts[has]
-    return out
-
-
 def panelize(track, calendar: TradingCalendar) -> IntradayPanel:
     """Cut a per-sample track into one row per trading day.
 
@@ -101,23 +90,18 @@ def panelize(track, calendar: TradingCalendar) -> IntradayPanel:
         lunch_gap = (first_stop - first_start, first_stop - first_start)
 
     return IntradayPanel(
-        matrix=matrix, day_mean=_nan_column_mean(matrix), lunch_gap=lunch_gap
+        matrix=matrix, day_mean=_nanmean_quiet(matrix, axis=0), lunch_gap=lunch_gap
     )
 
 
-def measure_track(
-    x,
-    measure: str,
-    emd_config: EmdConfig | None = None,
-    trim_fraction: float = 0.0,
-) -> np.ndarray:
+def measure_track(x, measure: str, trim_fraction: float = 0.0) -> np.ndarray:
     """Per-sample ``H*`` ("hstar") or ``C*`` ("cstar") track of one series.
 
     The whole analysis chain: decompose, spectral tracks, then the measure.
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}")
-    track = spectral_track(decompose(x, emd_config), trim_fraction=trim_fraction)
+    track = spectral_track(decompose(x), trim_fraction=trim_fraction)
     if measure == "hstar":
         return scaling_exponent(track).h_star
     return complexity(track).c_star
@@ -128,7 +112,6 @@ def measure_day_means(
     n_days: int,
     day_length: int,
     measure: str = "hstar",
-    emd_config: EmdConfig | None = None,
     trim_fraction: float = 0.0,
 ) -> np.ndarray:
     """Day-mean measure profile of one path cut into equal windows.
@@ -140,22 +123,15 @@ def measure_day_means(
     x = np.asarray(values, dtype=np.float64)
     if x.shape[0] != n_days * day_length:
         raise ValueError("path length must equal n_days * day_length")
-    per_sample = measure_track(x, measure, emd_config, trim_fraction)
-    return _nan_column_mean(per_sample.reshape(n_days, day_length))
+    per_sample = measure_track(x, measure, trim_fraction)
+    return _nanmean_quiet(per_sample.reshape(n_days, day_length), axis=0)
 
 
 def _band_worker(args) -> np.ndarray:
-    seed, path_index, n_days, day_length, measure, emd_config, trim = args
+    seed, path_index, n_days, day_length, measure, trim = args
     cfg = SimConfig(process="bm", length=n_days * day_length, seed=seed)
     path = simulate(cfg, path_index=path_index)
-    return measure_day_means(
-        path.values,
-        n_days,
-        day_length,
-        measure=measure,
-        emd_config=emd_config,
-        trim_fraction=trim,
-    )
+    return measure_day_means(path.values, n_days, day_length, measure, trim)
 
 
 def bm_reference_band(
@@ -163,7 +139,6 @@ def bm_reference_band(
     n_days: int,
     n_sims: int = 100,
     seed: int = 0,
-    emd_config: EmdConfig | None = None,
     measure: str = "hstar",
     trim_fraction: float = 0.0,
     threads: int = 1,
@@ -178,10 +153,7 @@ def bm_reference_band(
         raise ValueError("n_sims must be >= 10")
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}")
-    jobs = [
-        (seed, i, n_days, day_length, measure, emd_config, trim_fraction)
-        for i in range(n_sims)
-    ]
+    jobs = [(seed, i, n_days, day_length, measure, trim_fraction) for i in range(n_sims)]
     stack = np.vstack(ordered_map(_band_worker, jobs, threads))
     band_lo = np.nanpercentile(stack, 5.0, axis=0)
     band_hi = np.nanpercentile(stack, 95.0, axis=0)

@@ -133,8 +133,7 @@ def _open_source(source):
     raise TypeError("source must be a path, CSV text, or a text stream")
 
 
-def _parse_timestamp(date_text: str, time_text: str | None, row: int) -> datetime:
-    raw = date_text if time_text is None else f"{date_text} {time_text}"
+def _parse_timestamp(raw: str, row: int) -> datetime:
     try:
         return datetime.fromisoformat(raw.strip())
     except ValueError as exc:
@@ -195,6 +194,11 @@ def ingest_prices(
         prices: list[float] = []
         prev_stamp = None
         for row_num, row in enumerate(reader, start=1):
+            if None in row:  # DictReader files cells past the header under None
+                raise DataError(
+                    f"row {row_num}: {len(fields) + len(row[None])} fields, "
+                    f"header has {len(fields)}"
+                )
             clean = {k.strip(): (v.strip() if isinstance(v, str) else v) for k, v in row.items()}
             raw_price = clean.get(price_col)
             if raw_price in (None, ""):
@@ -205,7 +209,10 @@ def ingest_prices(
                 raise DataError(f"row {row_num}: unparseable price {raw_price!r}") from exc
             if not math.isfinite(price) or price <= 0.0:
                 raise DataError(f"row {row_num}: non-positive price {raw_price!r}")
-            stamp = _parse_timestamp(clean[date_col], clean[time_col] if time_col else None, row_num)
+            stamp_parts = [clean[date_col]] + ([clean[time_col]] if time_col else [])
+            if None in stamp_parts:  # DictReader fills a short row with None
+                raise DataError(f"row {row_num}: fewer fields than the header")
+            stamp = _parse_timestamp(" ".join(stamp_parts), row_num)
             if prev_stamp is not None:
                 ordered = stamp > prev_stamp if time_col else stamp >= prev_stamp
                 if not ordered:
@@ -257,10 +264,12 @@ def ingest_prices(
                 raise DataError(f"day {day_ids[day_idx]}: no session gap >= {session_gap}s found")
             if len(candidates) > 1:
                 best = max(candidates, key=lambda i: gaps[i])
-                warnings.append(
+                note = (
                     f"day {day_ids[day_idx]}: {len(candidates)} session-size gaps; "
-                    f"splitting at the largest"
+                    "splitting at the largest"
                 )
+                warnings.append(note)
+                logger.warning("ingest: %s", note)
                 candidates = [best]
             split_row = candidates[0]  # gap between rows[split_row] and rows[split_row+1]
         else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import EmdConfig, decompose
+from .emd import decompose
 from .measures import generalized_hurst_q1, scaling_exponent
 from .series import TimeSeries
 from .spectral import spectral_track
@@ -215,9 +215,9 @@ def ordered_map(worker, jobs: list, threads: int) -> list:
 
 
 def _ensemble_worker(args):
-    config, emd_config, tau_max, trim_fraction, path_index = args
+    config, tau_max, trim_fraction, path_index = args
     ts = simulate(config, path_index)
-    dec = decompose(ts.values, emd_config)
+    dec = decompose(ts.values)
     track = spectral_track(dec, trim_fraction)
     scaling = scaling_exponent(track)
     ghe = generalized_hurst_q1(ts.values, tau_max)
@@ -226,7 +226,6 @@ def _ensemble_worker(args):
 
 def monte_carlo_ensemble(
     config: SimConfig,
-    emd_config: EmdConfig | None = None,
     tau_max: int = 19,
     trim_fraction: float = 0.0,
     threads: int = 1,
@@ -238,11 +237,7 @@ def monte_carlo_ensemble(
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    emd_config = emd_config or EmdConfig()
-    jobs = [
-        (config, emd_config, tau_max, trim_fraction, index)
-        for index in range(config.paths)
-    ]
+    jobs = [(config, tau_max, trim_fraction, index) for index in range(config.paths)]
     results = ordered_map(_ensemble_worker, jobs, threads)
 
     hstar = np.stack([r[0] for r in results])  # (paths, T), NaN where undefined

@@ -9,14 +9,19 @@ checked byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hhtscale
 from hhtscale import RunManifest, ingest_prices
@@ -102,6 +107,18 @@ class TestExitCodes:
         self._assert_one_line_exit_1(
             argv, capsys, "spline_eval could not allocate its scratch space"
         )
+
+    def test_cell_past_the_header_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "extra.csv"
+        path.write_text("date,time,price\n2024-01-02,09:30:30,100.4\n2024-01-02,09:31:00,100.5,\n")
+        argv = ["decompose", str(path), "--out-dir", str(tmp_path / "out")]
+        self._assert_one_line_exit_1(argv, capsys, "row 2: 4 fields, header has 3")
+
+    def test_row_short_of_its_date_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("price,date\n100.4,2024-01-02\n100.5\n")
+        argv = ["decompose", str(path), "--time-col", "", "--out-dir", str(tmp_path / "out")]
+        self._assert_one_line_exit_1(argv, capsys, "row 2: fewer fields than the header")
 
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0
@@ -481,6 +498,78 @@ class TestCliSurface:
             argv += ["--config", str(tmp_path / "run.cfg")]
         assert run(argv + ["--out-dir", str(tmp_path / "out")]) == code
         assert capsys.readouterr().err.startswith(f"hhtscale {argv[0]}: ")
+
+
+_MUTATIONS = ("trailing comma", "truncated row", "blank line", "zero price",
+              "extra header column", "wrong delimiter")
+
+
+@st.composite
+def price_files(draw):
+    """Small tick-quantized price files (with plateaus), then a few damaged rows."""
+    rows = []
+    ticks = 0
+    for day in range(draw(st.integers(1, 3))):
+        bars = draw(st.integers(1, 40))
+        steps = draw(st.lists(st.sampled_from((0, 0, 1, -1, 2, -2)), min_size=bars, max_size=bars))
+        lunch = draw(st.integers(0, len(steps)))  # the bar a 2 h break precedes; 0: no break
+        seconds = 9 * 3600
+        for k, step in enumerate(steps):
+            seconds += 7200 if k == lunch else 30
+            ticks += step
+            hh, mm, ss = seconds // 3600, seconds // 60 % 60, seconds % 60
+            rows.append(f"2024-01-{2 + day:02d},{hh:02d}:{mm:02d}:{ss:02d},{100 + 0.01 * ticks:.2f}")
+    header, delimiter = "date,time,price", ","
+    for mutation, where in draw(
+        st.lists(st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 10**6)), max_size=3)
+    ):
+        i = where % len(rows)
+        if mutation == "trailing comma":
+            rows[i] += ","
+        elif mutation == "truncated row":
+            rows[i] = rows[i][: where % (len(rows[i]) + 1)]
+        elif mutation == "blank line":
+            rows.insert(i, "")
+        elif mutation == "zero price":
+            rows[i] = rows[i].rsplit(",", 1)[0] + ",0"
+        elif mutation == "extra header column":
+            header += ",volume"
+        else:
+            delimiter = ";"
+    return "\n".join([header, *rows]).replace(",", delimiter) + "\n"
+
+
+class TestCliContract:
+    """Any price file gives exit 0, 1 or 2, never a traceback, and on 1 or 2
+    one line of the CLI's own on stderr."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=price_files(),
+        subcommand=st.sampled_from(("decompose", "spectral", "scaling", "complexity", "intraday")),
+        flags=st.sampled_from(
+            ((), ("--time-col", ""), ("--fill", "ffill"), ("--session-gap", "600"),
+             ("--values-col", "price"))
+        ),
+    )
+    def test_exit_code_and_message(self, text, subcommand, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "prices.csv"
+            path.write_text(text)
+            argv = [subcommand, str(path), *flags, "--out-dir", tmp]
+            if subcommand == "intraday":
+                argv += ["--band-sims", "10"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(argv)
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        own = [line for line in lines if not line.startswith("ingest:")]
+        if code == 0:
+            assert own == []
+        else:
+            assert own == lines[-1:]
+            assert lines[-1].startswith(f"hhtscale {subcommand}: ")
 
 
 class TestImportFootprint:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hhtscale import SimConfig, emd, simulate
 from hhtscale.emd import (
     STOP_EXTREMA,
     STOP_MAX_ITER,
@@ -28,15 +29,13 @@ class TestConfig:
     def test_defaults(self):
         cfg = EmdConfig()
         assert cfg.sd_threshold == 0.2
-        assert cfg.max_sift_iterations == 100
         assert cfg.max_imfs is None
-        assert cfg.boundary_mirror_extrema == 2
+        assert emd.MAX_SIFT_ITERATIONS == 100
+        assert emd.MIRRORED_EXTREMA == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EmdConfig(sd_threshold=0.0)
-        with pytest.raises(ValueError):
-            EmdConfig(max_sift_iterations=0)
         with pytest.raises(ValueError):
             EmdConfig(max_imfs=0)
 
@@ -187,6 +186,17 @@ class TestDecompose:
         result = decompose(rng.standard_normal(2048))
         assert set(result.stop_reasons) <= {STOP_SD, STOP_MAX_ITER, STOP_EXTREMA}
         assert all(c <= 100 for c in result.sift_counts)
+
+    def test_iteration_cap_stops_heavy_tailed_sifts(self):
+        # stable Levy motion at 1/alpha = 0.7 sifts its first components up
+        # to the cap (sift_counts [100, 100, 100, 8, 9, 6, 7, 2, 2])
+        cfg = SimConfig(process="slm", length=4096, seed=1, alpha=1.0 / 0.7)
+        result = decompose(simulate(cfg, 0).values)
+        assert STOP_MAX_ITER in result.stop_reasons
+        for count, reason in zip(result.sift_counts, result.stop_reasons):
+            assert count <= emd.MAX_SIFT_ITERATIONS
+            if reason == STOP_MAX_ITER:
+                assert count == emd.MAX_SIFT_ITERATIONS
 
     def test_scaling_equivariance(self):
         rng = np.random.default_rng(12)

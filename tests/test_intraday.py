@@ -17,7 +17,7 @@ from hhtscale import (
     scaling_exponent,
     spectral_track,
 )
-from hhtscale.intraday import _nan_column_mean
+from hhtscale.simulate import _nanmean_quiet
 
 
 def make_calendar(lengths, split=None) -> TradingCalendar:
@@ -89,7 +89,7 @@ class TestPanelize:
 class TestNanColumnMean:
     def test_hand_case(self):
         m = np.array([[1.0, np.nan], [3.0, np.nan]])
-        assert np.allclose(_nan_column_mean(m), [2.0, np.nan], equal_nan=True)
+        assert np.allclose(_nanmean_quiet(m, axis=0), [2.0, np.nan], equal_nan=True)
 
 
 class TestMeasureTrack:
@@ -113,7 +113,7 @@ class TestMeasureDayMeans:
         x = np.cumsum(rng.standard_normal(n_days * day_length))
         profile = measure_day_means(x, n_days, day_length)
         h = scaling_exponent(spectral_track(decompose(x))).h_star
-        expected = _nan_column_mean(h.reshape(n_days, day_length))
+        expected = _nanmean_quiet(h.reshape(n_days, day_length), axis=0)
         assert np.array_equal(profile, expected, equal_nan=True)
 
     def test_entropy_measure_produces_finite_profile(self):

@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 
 import numpy as np
@@ -130,6 +131,16 @@ class TestIngest:
             assert len(day_sessions) == 2
             assert day_sessions[0][0] == start
             assert day_sessions[-1][1] == stop
+
+    def test_several_session_gaps_warn_in_the_log(self, caplog):
+        rows = ["date,time,price"]
+        for t in ("09:00:00", "09:00:30", "11:00:00", "11:00:30", "13:00:00", "13:00:30"):
+            rows.append(f"2026-01-05,{t},100")
+        with caplog.at_level(logging.WARNING, logger="hhtscale.series"):
+            _, cal = ingest_prices(io.StringIO("\n".join(rows)), session_gap=3600.0)
+        note = "day 2026-01-05: 2 session-size gaps; splitting at the largest"
+        assert cal.metadata["warnings"] == [note]
+        assert [r.getMessage() for r in caplog.records] == [f"ingest: {note}"]
 
     def test_ffill_inserts_missing_in_session_samples(self):
         rows = ["date,time,price"]
