@@ -28,7 +28,6 @@ file or row), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from dataclasses import dataclass, field
@@ -53,7 +52,7 @@ from .measures import (
     rolling_scaling_exponent,
     scaling_exponent,
 )
-from .series import DataError, TimeSeries, ingest_prices
+from .series import DataError, ingest_prices, read_values
 from .simulate import PROCESSES, SimConfig, monte_carlo_ensemble, simulate
 from .spectral import spectral_track
 
@@ -262,29 +261,8 @@ def _read_input(path: str, params: dict):
     Returns (TimeSeries, calendar-or-None).
     """
     if params.get("values_col"):
-        column = params["values_col"]
-        values = []
-        try:
-            with open(path, newline="") as fh:
-                reader = csv.DictReader(
-                    (line for line in fh if not line.startswith("#")),
-                    delimiter=params["delimiter"],
-                )
-                if reader.fieldnames is None or column not in reader.fieldnames:
-                    raise DataError(f"{path}: no column named {column!r}")
-                for row_number, row in enumerate(reader, start=2):
-                    text = row.get(column)
-                    try:
-                        values.append(float(text))
-                    except (TypeError, ValueError):
-                        raise DataError(
-                            f"{path}: row {row_number}: bad value {text!r} "
-                            f"in column {column!r}"
-                        ) from None
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        return TimeSeries(np.array(values), label=Path(path).stem), None
-    series, calendar = ingest_prices(
+        return read_values(path, params["values_col"], params["delimiter"]), None
+    return ingest_prices(
         path,
         date_col=params["date_col"],
         time_col=params["time_col"] or None,
@@ -293,7 +271,6 @@ def _read_input(path: str, params: dict):
         session_gap=params["session_gap"],
         fill=params["fill"],
     )
-    return series, calendar
 
 
 def _components(series, params: dict):

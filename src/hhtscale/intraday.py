@@ -85,9 +85,9 @@ def panelize(track, calendar: TradingCalendar) -> IntradayPanel:
         matrix[row, : stop - start] = values[start:stop]
 
     lunch_gap = None
-    if calendar.sessions_per_day == 2 and calendar.sessions:
-        first_start, first_stop = calendar.sessions[0][0]
-        lunch_gap = (first_stop - first_start, first_stop - first_start)
+    if calendar.splits:
+        offset = calendar.splits[0] - calendar.day_slices[0][0]
+        lunch_gap = (offset, offset)
 
     return IntradayPanel(
         matrix=matrix, day_mean=_nanmean_quiet(matrix, axis=0), lunch_gap=lunch_gap

@@ -5,7 +5,8 @@ spacing metadata.  :func:`ingest_prices` reads delimited price files (date /
 time / price columns), converts to log prices, and returns a
 :class:`TradingCalendar` describing how samples group into days and trading
 sessions — the geometry later used to fold a measure track into an intraday
-panel.
+panel.  :func:`read_values` reads one numeric column instead; both go
+through one row reader.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import io
 import logging
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,6 +31,7 @@ __all__ = [
     "TradingCalendar",
     "ingest_prices",
     "log_returns",
+    "read_values",
 ]
 
 
@@ -79,38 +83,31 @@ class TradingCalendar:
     """Day/session layout of an ingested series.
 
     ``day_slices`` holds ``(start, stop)`` half-open index ranges, one per
-    day, ascending and non-overlapping.  ``sessions`` holds the same kind of
-    ranges nested per day (two per day when a lunch break was split out).
+    day, ascending and non-overlapping.  ``splits`` holds, per day, the
+    index where its second session begins when a lunch break was split
+    out, and is ``None`` for one-session days.
     """
 
     day_ids: list[str]
     day_slices: list[tuple[int, int]]
-    sessions: list[list[tuple[int, int]]]
-    sessions_per_day: int
+    splits: list[int] | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (len(self.day_ids) == len(self.day_slices) == len(self.sessions)):
+        n_days = len(self.day_ids)
+        if len(self.day_slices) != n_days or (
+            self.splits is not None and len(self.splits) != n_days
+        ):
             raise ValueError("calendar arrays must have one entry per day")
-        if self.sessions_per_day not in (1, 2):
-            raise ValueError("sessions_per_day must be 1 or 2")
         prev_stop = 0
         for day, (start, stop) in enumerate(self.day_slices):
             if not (0 <= start < stop):
                 raise ValueError(f"day {day}: bad slice ({start}, {stop})")
             if start < prev_stop:
                 raise ValueError(f"day {day}: slices overlap or are unordered")
+            if self.splits is not None and not start <= self.splits[day] <= stop:
+                raise ValueError(f"day {day}: split {self.splits[day]} outside the day")
             prev_stop = stop
-            sess = self.sessions[day]
-            if len(sess) != self.sessions_per_day:
-                raise ValueError(f"day {day}: expected {self.sessions_per_day} sessions")
-            cursor = start
-            for s_start, s_stop in sess:
-                if s_start != cursor or s_stop > stop:
-                    raise ValueError(f"day {day}: sessions do not tile the day")
-                cursor = s_stop
-            if cursor != stop:
-                raise ValueError(f"day {day}: sessions do not cover the day")
 
     @property
     def n_days(self) -> int:
@@ -120,24 +117,77 @@ class TradingCalendar:
         return np.array([stop - start for start, stop in self.day_slices], dtype=np.intp)
 
 
-def _open_source(source):
-    """Accept a path, raw CSV text, or an open text stream."""
+@contextmanager
+def _opened(source):
+    """``(text stream, label)`` of a path, raw CSV text, or an open text stream."""
     if hasattr(source, "read"):
-        return source, ""
-    if isinstance(source, (str, os.PathLike)):
+        yield source, ""
+    elif isinstance(source, (str, os.PathLike)):
         text = os.fspath(source)
         if "\n" in text or "\r" in text:
-            return io.StringIO(text), ""
-        label = os.path.splitext(os.path.basename(text))[0]
-        return open(text, "r", newline=""), label
-    raise TypeError("source must be a path, CSV text, or a text stream")
+            yield io.StringIO(text), ""
+        else:
+            with open(text, "r", newline="") as stream:
+                yield stream, os.path.splitext(os.path.basename(text))[0]
+    else:
+        raise TypeError("source must be a path, CSV text, or a text stream")
 
 
-def _parse_timestamp(raw: str, row: int) -> datetime:
+def _shown(cell: str) -> str:
+    """``repr`` of a cell quoted in an error, cut to at most 40 characters."""
+    return repr(cell if len(cell) <= 40 else cell[:37] + "...")
+
+
+def _read_rows(stream, columns, delimiter: str):
+    """Yield ``(data row number, stripped cells of columns)`` per data row.
+
+    The first line is the header and must name every column.  Lines that
+    start with ``#`` and blank lines are skipped; data rows count from 1.
+    A row with cells past the header, or one that ends before a column it
+    is read for, raises :class:`DataError`, as does a malformed line.
+    """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
+    lines = (line for line in stream if not line.startswith("#"))
+    reader = csv.reader(lines, delimiter=delimiter)
+    header, row_num = None, 0
     try:
-        return datetime.fromisoformat(raw.strip())
-    except ValueError as exc:
-        raise DataError(f"row {row}: unparseable timestamp {raw!r}") from exc
+        header = next(reader, None)
+        if header is None:
+            raise DataError("empty input: no header row")
+        fields = [name.strip() for name in header]
+        index = {name: i for i, name in enumerate(fields)}  # a repeated name: the last
+        for col in columns:
+            if col not in index:
+                shown = ", ".join(_shown(name) for name in fields)
+                raise DataError(f"missing column {col!r} (header has [{shown}])")
+        wanted = [index[col] for col in columns]
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            row_num += 1
+            if len(row) > len(fields):
+                raise DataError(f"row {row_num}: {len(row)} fields, header has {len(fields)}")
+            if len(row) <= max(wanted):
+                raise DataError(f"row {row_num}: fewer fields than the header")
+            yield row_num, [row[i].strip() for i in wanted]
+    except csv.Error as exc:
+        where = "header" if header is None else f"row {row_num + 1}"
+        raise DataError(f"{where}: {exc}") from None
+
+
+def read_values(source, column: str, delimiter: str = ",") -> TimeSeries:
+    """Read one numeric column of a delimited file as a series (``dt`` 1.0)."""
+    values = []
+    with _opened(source) as (stream, label):
+        for row_num, (text,) in _read_rows(stream, [column], delimiter):
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise DataError(
+                    f"row {row_num}: bad value {_shown(text)} in column {column!r}"
+                ) from None
+    return TimeSeries(np.array(values), label=label)
 
 
 def ingest_prices(
@@ -155,13 +205,16 @@ def ingest_prices(
     ----------
     source : path, CSV text, or open text stream
     date_col, time_col, price_col : str
-        Header names.  ``time_col=None`` groups rows by date only.
+        Header names.  ``time_col=None`` groups rows by date only; the
+        sample spacing is then 1.0.
     delimiter : str
-        Field separator.
+        Field separator, one character.  Lines starting with ``#`` are
+        skipped.
     session_gap : float or None
-        When given (seconds), a within-day gap of at least this size splits
-        the day into two sessions (the lunch break).  Every day must then
-        contain exactly one such gap.  ``None`` keeps one session per day.
+        When given (seconds, positive), a within-day gap of at least this
+        size splits the day into two sessions (the lunch break).  Every
+        day must then contain such a gap; of several, the largest splits.
+        ``None`` keeps one session per day.
     fill : {"none", "ffill"}
         ``"ffill"`` re-inserts samples missing from the regular grid inside
         a session by carrying the last price forward (counts are logged in
@@ -175,143 +228,96 @@ def ingest_prices(
     """
     if fill not in ("none", "ffill"):
         raise ValueError("fill must be 'none' or 'ffill'")
-    if session_gap is not None and time_col is None:
-        raise ValueError("session_gap requires a time column")
-    stream, label = _open_source(source)
-    close = not hasattr(source, "read") and stream is not source
-    try:
-        reader = csv.DictReader(stream, delimiter=delimiter)
-        if reader.fieldnames is None:
-            raise DataError("empty input: no header row")
-        fields = [name.strip() for name in reader.fieldnames]
-        needed = [date_col, price_col] + ([time_col] if time_col else [])
-        for col in needed:
-            if col not in fields:
-                raise DataError(f"missing column {col!r} (header has {fields})")
-
-        dates: list[str] = []
-        stamps: list[datetime] = []
-        prices: list[float] = []
-        prev_stamp = None
-        for row_num, row in enumerate(reader, start=1):
-            if None in row:  # DictReader files cells past the header under None
-                raise DataError(
-                    f"row {row_num}: {len(fields) + len(row[None])} fields, "
-                    f"header has {len(fields)}"
-                )
-            clean = {k.strip(): (v.strip() if isinstance(v, str) else v) for k, v in row.items()}
-            raw_price = clean.get(price_col)
-            if raw_price in (None, ""):
+    if session_gap is not None:
+        if time_col is None:
+            raise ValueError("session_gap requires a time column")
+        if not 0 < session_gap < math.inf:
+            raise ValueError(
+                f"session_gap must be a positive number of seconds, got {session_gap!r}"
+            )
+    columns = [date_col, price_col] + ([time_col] if time_col else [])
+    dates: list[str] = []
+    stamps: list[datetime] = []
+    prices: list[float] = []
+    with _opened(source) as (stream, label):
+        for row_num, (date_text, raw_price, *time_text) in _read_rows(stream, columns, delimiter):
+            if not raw_price:
                 raise DataError(f"row {row_num}: missing price")
             try:
                 price = float(raw_price)
-            except ValueError as exc:
-                raise DataError(f"row {row_num}: unparseable price {raw_price!r}") from exc
+            except ValueError:
+                raise DataError(f"row {row_num}: unparseable price {_shown(raw_price)}") from None
             if not math.isfinite(price) or price <= 0.0:
-                raise DataError(f"row {row_num}: non-positive price {raw_price!r}")
-            stamp_parts = [clean[date_col]] + ([clean[time_col]] if time_col else [])
-            if None in stamp_parts:  # DictReader fills a short row with None
-                raise DataError(f"row {row_num}: fewer fields than the header")
-            stamp = _parse_timestamp(" ".join(stamp_parts), row_num)
-            if prev_stamp is not None:
-                ordered = stamp > prev_stamp if time_col else stamp >= prev_stamp
-                if not ordered:
-                    raise DataError(f"row {row_num}: timestamps not sorted ascending")
-            prev_stamp = stamp
+                raise DataError(f"row {row_num}: non-positive price {_shown(raw_price)}")
+            raw_stamp = " ".join([date_text, *time_text])
+            try:
+                stamp = datetime.fromisoformat(raw_stamp.strip())
+            except ValueError:
+                shown = _shown(raw_stamp)
+                raise DataError(f"row {row_num}: unparseable timestamp {shown}") from None
+            if stamps and not (stamp > stamps[-1] if time_col else stamp >= stamps[-1]):
+                raise DataError(f"row {row_num}: timestamps not sorted ascending")
             dates.append(stamp.date().isoformat())
             stamps.append(stamp)
             prices.append(price)
-    finally:
-        if close:
-            stream.close()
-
     if not prices:
         raise DataError("no data rows")
 
-    # group rows by calendar date
-    day_ids: list[str] = []
-    day_rows: list[list[int]] = []
-    for idx, date_text in enumerate(dates):
-        if not day_ids or date_text != day_ids[-1]:
-            day_ids.append(date_text)
-            day_rows.append([])
-        day_rows[-1].append(idx)
+    # the layout pass: gap i joins rows i and i + 1, within a day or across one
+    n_rows = len(prices)
+    gaps = [(b - a).total_seconds() for a, b in zip(stamps, stamps[1:])]
+    firsts = [0] + [i + 1 for i in range(n_rows - 1) if dates[i + 1] != dates[i]]
+    days = list(zip(firsts, firsts[1:] + [n_rows]))
+    steps = [
+        gaps[i]
+        for first, stop in days
+        for i in range(first, stop - 1)
+        if 0 < gaps[i] and (session_gap is None or gaps[i] < session_gap)
+    ]
+    dt_seconds = float(np.median(steps)) if steps else 1.0
 
     warnings: list[str] = []
-    # infer the regular sample spacing from within-day deltas
-    deltas = []
-    for rows in day_rows:
-        for a, b in zip(rows[:-1], rows[1:]):
-            deltas.append((stamps[b] - stamps[a]).total_seconds())
-    if session_gap is not None:
-        deltas = [d for d in deltas if d < session_gap]
-    dt_seconds = float(np.median(deltas)) if deltas else 1.0
-
-    out_values: list[float] = []
-    day_slices: list[tuple[int, int]] = []
-    sessions: list[list[tuple[int, int]]] = []
-    filled_total = 0
-    for day_idx, rows in enumerate(day_rows):
-        day_start = len(out_values)
-        split_at = None  # position within the day's output where session 2 begins
+    split_rows: list[int] = []
+    counts = [1] * n_rows  # samples each row fills: itself plus the ones it carries forward
+    for first, stop in days:
+        split = None  # the gap between sessions
         if session_gap is not None:
-            gaps = [
-                (stamps[b] - stamps[a]).total_seconds()
-                for a, b in zip(rows[:-1], rows[1:])
-            ]
-            candidates = [i for i, g in enumerate(gaps) if g >= session_gap]
+            candidates = [i for i in range(first, stop - 1) if gaps[i] >= session_gap]
             if not candidates:
-                raise DataError(f"day {day_ids[day_idx]}: no session gap >= {session_gap}s found")
+                raise DataError(f"day {dates[first]}: no session gap >= {session_gap}s found")
             if len(candidates) > 1:
-                best = max(candidates, key=lambda i: gaps[i])
                 note = (
-                    f"day {day_ids[day_idx]}: {len(candidates)} session-size gaps; "
+                    f"day {dates[first]}: {len(candidates)} session-size gaps; "
                     "splitting at the largest"
                 )
                 warnings.append(note)
                 logger.warning("ingest: %s", note)
-                candidates = [best]
-            split_row = candidates[0]  # gap between rows[split_row] and rows[split_row+1]
-        else:
-            split_row = None
+            split = max(candidates, key=gaps.__getitem__)
+            split_rows.append(split + 1)
+        if fill == "ffill":
+            for i in range(first, stop - 1):
+                if i != split and gaps[i] > dt_seconds:
+                    counts[i] += int(gaps[i] / dt_seconds + 0.5) - 1
 
-        for pos, row_idx in enumerate(rows):
-            if pos > 0 and fill == "ffill":
-                gap = (stamps[row_idx] - stamps[rows[pos - 1]]).total_seconds()
-                crosses_split = split_row is not None and pos - 1 == split_row
-                if not crosses_split and gap > dt_seconds:
-                    missing = int(gap / dt_seconds + 0.5) - 1
-                    if missing > 0:
-                        out_values.extend([out_values[-1]] * missing)
-                        filled_total += missing
-            if split_row is not None and pos == split_row + 1:
-                split_at = len(out_values) - day_start
-            out_values.append(math.log(prices[row_idx]))
-        day_stop = len(out_values)
-        day_slices.append((day_start, day_stop))
-        if split_at is None:
-            sessions.append([(day_start, day_stop)])
-        else:
-            sessions.append([(day_start, day_start + split_at), (day_start + split_at, day_stop)])
-
-    lengths = {stop - start for start, stop in day_slices}
+    offsets = list(accumulate(counts, initial=0))  # output index of each row
+    day_slices = [(offsets[first], offsets[stop]) for first, stop in days]
+    lengths = sorted({stop - start for start, stop in day_slices})
     if len(lengths) > 1:
-        warnings.append(f"ragged day lengths: {sorted(lengths)}")
-        logger.warning("ingest: ragged day lengths %s", sorted(lengths))
+        warnings.append(f"ragged day lengths: {lengths}")
+        logger.warning("ingest: ragged day lengths %s", lengths)
+    filled_total = offsets[-1] - n_rows
     if filled_total:
         logger.info("ingest: carried %d missing samples forward", filled_total)
 
-    metadata = {
-        "inferred_dt_seconds": dt_seconds,
-        "filled_samples": filled_total,
-        "warnings": warnings,
-    }
     calendar = TradingCalendar(
-        day_ids=day_ids,
+        day_ids=[dates[first] for first, _ in days],
         day_slices=day_slices,
-        sessions=sessions,
-        sessions_per_day=2 if session_gap is not None else 1,
-        metadata=metadata,
+        splits=[offsets[row] for row in split_rows] if session_gap is not None else None,
+        metadata={
+            "inferred_dt_seconds": dt_seconds,
+            "filled_samples": filled_total,
+            "warnings": warnings,
+        },
     )
-    series = TimeSeries(np.array(out_values, dtype=np.float64), dt=dt_seconds, label=label)
-    return series, calendar
+    values = np.repeat(np.array([math.log(price) for price in prices]), counts)
+    return TimeSeries(values, dt=dt_seconds, label=label), calendar

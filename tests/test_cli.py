@@ -120,6 +120,32 @@ class TestExitCodes:
         argv = ["decompose", str(path), "--time-col", "", "--out-dir", str(tmp_path / "out")]
         self._assert_one_line_exit_1(argv, capsys, "row 2: fewer fields than the header")
 
+    @pytest.mark.parametrize(
+        "rows, argv, message",
+        [
+            (8000, [], "row 1: field larger than field limit (131072)"),
+            (8000, ["--values-col", "price"], "row 1: field larger than field limit (131072)"),
+            (98, [], "row 1: unparseable price '100.00\\n2024-01-02,09:00:00,100.00\\n202...'"),
+            (
+                98, ["--values-col", "price"],
+                "row 1: bad value '100.00\\n2024-01-02,09:00:00,100.00\\n202...' in column 'price'",
+            ),
+            (0, ["--delimiter", ";;"], "delimiter must be one character, got ';;'"),
+            (0, ["--values-col", "price", "--delimiter", ";;"], "delimiter must be one character, got ';;'"),
+            (0, ["--session-gap", "0"], "session_gap must be a positive number of seconds, got 0.0"),
+            (0, ["--session-gap", "-5"], "session_gap must be a positive number of seconds, got -5.0"),
+            (0, ["--session-gap", "nan"], "session_gap must be a positive number of seconds, got nan"),
+        ],
+    )
+    def test_reader_faults_are_data_errors(self, tmp_path, capsys, rows, argv, message):
+        # an unterminated quote in the first row's price swallows the rows after it
+        lines = ["date,time,price", '2024-01-02,09:00:30,"100.00']
+        lines += [f"2024-01-02,09:{k // 60 % 60:02d}:{k % 60:02d},100.00" for k in range(rows)]
+        path = tmp_path / "quote.csv"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["decompose", str(path), *argv, "--out-dir", str(tmp_path / "out")]
+        self._assert_one_line_exit_1(argv, capsys, message)
+
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0
         assert "hhtscale" in capsys.readouterr().out
@@ -235,6 +261,13 @@ class TestSeriesSubcommands:
         scale = float(np.abs(series.values).max())
         assert len(rows) == series.values.shape[0]
         assert np.abs(total - series.values).max() <= 1e-10 * max(scale, 1.0)
+
+    def test_dates_only_input_loads(self, tmp_path, price_csv):
+        argv = ["decompose", str(price_csv), "--time-col", "", "--out-dir", str(tmp_path)]
+        assert run(argv) == 0
+        comments, _, rows = read_csv(tmp_path / "imfs.csv")
+        assert len(rows) == 120
+        assert "# dt=1.0" in comments
 
     def test_spectral_writes_two_matrices(self, tmp_path, price_csv):
         out = tmp_path / "spe"
@@ -506,7 +539,8 @@ _MUTATIONS = ("trailing comma", "truncated row", "blank line", "zero price",
 
 @st.composite
 def price_files(draw):
-    """Small tick-quantized price files (with plateaus), then a few damaged rows."""
+    """Small tick-quantized price files (with plateaus), then a few damaged
+    rows: ``(text, damaged)``."""
     rows = []
     ticks = 0
     for day in range(draw(st.integers(1, 3))):
@@ -520,9 +554,10 @@ def price_files(draw):
             hh, mm, ss = seconds // 3600, seconds // 60 % 60, seconds % 60
             rows.append(f"2024-01-{2 + day:02d},{hh:02d}:{mm:02d}:{ss:02d},{100 + 0.01 * ticks:.2f}")
     header, delimiter = "date,time,price", ","
-    for mutation, where in draw(
+    mutations = draw(
         st.lists(st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 10**6)), max_size=3)
-    ):
+    )
+    for mutation, where in mutations:
         i = where % len(rows)
         if mutation == "trailing comma":
             rows[i] += ","
@@ -536,23 +571,15 @@ def price_files(draw):
             header += ",volume"
         else:
             delimiter = ";"
-    return "\n".join([header, *rows]).replace(",", delimiter) + "\n"
+    return "\n".join([header, *rows]).replace(",", delimiter) + "\n", bool(mutations)
 
 
 class TestCliContract:
     """Any price file gives exit 0, 1 or 2, never a traceback, and on 1 or 2
     one line of the CLI's own on stderr."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        text=price_files(),
-        subcommand=st.sampled_from(("decompose", "spectral", "scaling", "complexity", "intraday")),
-        flags=st.sampled_from(
-            ((), ("--time-col", ""), ("--fill", "ffill"), ("--session-gap", "600"),
-             ("--values-col", "price"))
-        ),
-    )
-    def test_exit_code_and_message(self, text, subcommand, flags):
+    @staticmethod
+    def _run(text, subcommand, flags):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "prices.csv"
             path.write_text(text)
@@ -562,14 +589,32 @@ class TestCliContract:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = run(argv)
+        return code, err.getvalue()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        file=price_files(),
+        subcommand=st.sampled_from(("decompose", "spectral", "scaling", "complexity", "intraday")),
+        flags=st.sampled_from(
+            ((), ("--time-col", ""), ("--fill", "ffill"), ("--session-gap", "600"),
+             ("--values-col", "price"))
+        ),
+    )
+    def test_exit_code_and_message(self, file, subcommand, flags):
+        text, damaged = file
+        code, err = self._run(text, subcommand, flags)
         assert code in (0, 1, 2)
-        lines = err.getvalue().splitlines()
+        lines = err.splitlines()
         own = [line for line in lines if not line.startswith("ingest:")]
         if code == 0:
             assert own == []
         else:
             assert own == lines[-1:]
             assert lines[-1].startswith(f"hhtscale {subcommand}: ")
+        if not damaged and flags == ("--time-col", "") and code != 0:
+            # an intact file read by date alone gives the same samples as
+            # with its times, so it fails only where that read fails too
+            assert self._run(text, subcommand, ())[0] != 0, err
 
 
 class TestImportFootprint:

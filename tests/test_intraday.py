@@ -25,22 +25,11 @@ def make_calendar(lengths, split=None) -> TradingCalendar:
 
     ``split`` cuts every day into two sessions at that offset.
     """
-    day_ids, day_slices, sessions = [], [], []
-    cursor = 0
-    for i, n in enumerate(lengths):
-        start, stop = cursor, cursor + n
-        day_ids.append(f"2024-01-{i + 1:02d}")
-        day_slices.append((start, stop))
-        if split is None:
-            sessions.append([(start, stop)])
-        else:
-            sessions.append([(start, start + split), (start + split, stop)])
-        cursor = stop
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).tolist()
     return TradingCalendar(
-        day_ids=day_ids,
-        day_slices=day_slices,
-        sessions=sessions,
-        sessions_per_day=1 if split is None else 2,
+        day_ids=[f"2024-01-{i + 1:02d}" for i in range(len(lengths))],
+        day_slices=[(start, start + n) for start, n in zip(starts, lengths)],
+        splits=None if split is None else [start + split for start in starts],
     )
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import logging
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hhtscale.series import (
     TradingCalendar,
     ingest_prices,
     log_returns,
+    read_values,
 )
 
 from conftest import build_price_csv
@@ -126,11 +129,8 @@ class TestIngest:
 
     def test_two_sessions_split_on_gap(self, two_session_csv):
         ts, cal = ingest_prices(two_session_csv, session_gap=3600.0)
-        assert cal.sessions_per_day == 2
-        for day_sessions, (start, stop) in zip(cal.sessions, cal.day_slices):
-            assert len(day_sessions) == 2
-            assert day_sessions[0][0] == start
-            assert day_sessions[-1][1] == stop
+        # 30 bars, then the 13:00 session
+        assert cal.splits == [start + 30 for start, _ in cal.day_slices]
 
     def test_several_session_gaps_warn_in_the_log(self, caplog):
         rows = ["date,time,price"]
@@ -151,6 +151,26 @@ class TestIngest:
         assert len(ts) == 5
         assert cal.metadata["filled_samples"] == 1
 
+    def test_dates_only_group_by_date_with_unit_spacing(self, price_csv):
+        ts, cal = ingest_prices(price_csv, time_col=None)
+        assert cal.n_days == 3
+        assert list(cal.day_lengths()) == [40, 40, 40]
+        assert ts.dt == 1.0
+
+    @pytest.mark.parametrize("gap", [0, -5.0, float("nan")])
+    def test_bad_session_gap_refused_before_reading(self, tmp_path, gap):
+        # the file does not exist, so reading a row would raise OSError
+        with pytest.raises(ValueError, match="session_gap must be a positive number"):
+            ingest_prices(tmp_path / "absent.csv", session_gap=gap)
+
+    def test_comment_lines_skipped(self):
+        text = (
+            "# schema: prices v1\ndate,time,price\n2026-01-05,09:00:00,100\n"
+            "# a note\n2026-01-05,09:00:30,0\n"
+        )
+        with pytest.raises(DataError, match="^row 2: non-positive price '0'$"):
+            ingest_prices(io.StringIO(text))
+
     def test_no_fill_by_default(self):
         rows = ["date,time,price"]
         times = ["09:00:00", "09:00:30", "09:01:30", "09:02:00"]
@@ -160,22 +180,77 @@ class TestIngest:
         assert len(ts) == 4
 
 
+class TestReadValues:
+    def test_column_and_label(self, tmp_path):
+        path = tmp_path / "walk.csv"
+        path.write_text("# schema: walk v1\nt, v\n0, 1.5\n\n1,-2e3\n")
+        ts = read_values(path, "v")
+        assert ts.values.tolist() == [1.5, -2000.0]
+        assert (ts.dt, ts.label) == (1.0, "walk")
+
+    def test_errors_number_data_rows_like_ingest(self):
+        text = "t;v\n0;1\n1;x\n"
+        with pytest.raises(DataError, match="^row 2: bad value 'x' in column 'v'$"):
+            read_values(io.StringIO(text), "v", delimiter=";")
+        with pytest.raises(DataError, match="^row 2: 3 fields, header has 2$"):
+            read_values(io.StringIO("t,v\n0,1\n1,2,3\n"), "v")
+        with pytest.raises(DataError, match="^row 1: fewer fields than the header$"):
+            read_values(io.StringIO("t,v\n0\n"), "v")
+        with pytest.raises(DataError, match="missing column 'w'"):
+            read_values(io.StringIO(text), "w", delimiter=";")
+
+
+def _pinned_file(rng) -> str:
+    """Tick-quantized prices in 30.5 s steps: ragged days, each with a 2 h
+    lunch break, some missed bars and now and then a second long gap."""
+    rows = ["date,time,price"]
+    ticks = 0
+    for day in range(int(rng.integers(1, 4))):
+        stamp = datetime(2024, 1, 2 + day, 9)
+        bars = int(rng.integers(2, 60))
+        lunch = int(rng.integers(1, bars))
+        for k in range(bars):
+            if k == lunch:
+                step = 7200.0
+            elif k and rng.random() < 0.05:
+                step = 4000.0
+            else:
+                step = 30.5 * int(rng.choice([1, 1, 1, 1, 1, 2, 3]))
+            stamp += timedelta(seconds=step)
+            ticks += int(rng.choice([0, 0, 1, -1, 2, -2]))
+            rows.append(f"{stamp.date()},{stamp.time()},{100 + 0.01 * ticks:.2f}")
+    return "\n".join(rows) + "\n"
+
+
+def test_ingest_pinned():
+    # values, dt and the whole calendar of 100 seeded files under each
+    # option set, as one digest
+    digest = hashlib.sha256()
+    for seed in range(100):
+        text = _pinned_file(np.random.default_rng(seed))
+        for options in ({}, {"fill": "ffill"}, {"session_gap": 3600.0},
+                        {"session_gap": 3600.0, "fill": "ffill"}):
+            ts, cal = ingest_prices(io.StringIO(text), **options)
+            digest.update(ts.values.tobytes())
+            digest.update(
+                repr((ts.dt, cal.day_ids, cal.day_slices, cal.splits, cal.metadata)).encode()
+            )
+    assert digest.hexdigest() == "1c8d7a6db5ec423e5e8e2140e93cfbb91302c4727d9ad3780377a6c848f1683c"
+
+
 class TestTradingCalendar:
     def test_validation_rejects_overlap(self):
         with pytest.raises(ValueError):
-            TradingCalendar(
-                day_ids=["a", "b"],
-                day_slices=[(0, 5), (3, 8)],
-                sessions=[[(0, 5)], [(3, 8)]],
-                sessions_per_day=1,
-            )
+            TradingCalendar(day_ids=["a", "b"], day_slices=[(0, 5), (3, 8)])
+
+    def test_validation_rejects_a_split_outside_its_day(self):
+        with pytest.raises(ValueError, match="outside"):
+            TradingCalendar(day_ids=["a", "b"], day_slices=[(0, 5), (5, 8)], splits=[3, 9])
+        with pytest.raises(ValueError, match="one entry per day"):
+            TradingCalendar(day_ids=["a", "b"], day_slices=[(0, 5), (5, 8)], splits=[3])
 
     def test_day_lengths(self):
-        cal = TradingCalendar(
-            day_ids=["a", "b"],
-            day_slices=[(0, 5), (5, 8)],
-            sessions=[[(0, 5)], [(5, 8)]],
-            sessions_per_day=1,
-        )
+        cal = TradingCalendar(day_ids=["a", "b"], day_slices=[(0, 5), (5, 8)])
         assert list(cal.day_lengths()) == [5, 3]
         assert cal.n_days == 2
+        assert cal.splits is None
