@@ -12,6 +12,10 @@ directory under the system temporary directory, where later imports find
 it.  If that fails, one warning gives the reason and the numpy backend is
 used.  The ``HHTSCALE_BACKEND`` environment variable (``compiled`` or
 ``python``) forces a choice.
+
+``mirror_extrema`` is the envelope mirror padding that every backend
+shares: the compiled library's when it loads, else ``common``'s, which
+stays the tests' oracle.  Both give the same knots bit for bit.
 """
 
 import logging
@@ -19,8 +23,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from . import build, numpy_backend
-from .common import mirror_extrema
+from . import build, common, numpy_backend
 from .compiled import Kernels
 
 logger = logging.getLogger(__name__)
@@ -62,6 +65,9 @@ def _load_compiled():
 compiled_backend, _unavailable = _load_compiled()
 if compiled_backend is None:
     logger.warning("compiled sift kernels unavailable, using the numpy backend: %s", _unavailable)
+    mirror_extrema = common.mirror_extrema
+else:
+    mirror_extrema = compiled_backend.mirror_extrema
 
 
 def available_backends():

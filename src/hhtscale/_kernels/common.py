@@ -17,7 +17,11 @@ The right end is the same rule applied to the extrema reflected by
 t -> end - t, with its knots reflected back.  Positions are integers held
 in floats, far below 2**53, so every reflection is exact and both ends obey
 one rule bit for bit.  Only the ``nbsym + 1`` extrema nearest an end take
-part, so the rule runs on short Python lists for both backends.
+part, so the rule runs on short Python lists.
+
+``sift.c`` states the same rule in C (``hht_mirror_extrema``), which the
+package uses when the compiled library loads; this module is the fallback
+without it and the oracle the tests hold the C rule to.
 """
 
 import numpy as np

@@ -1,8 +1,10 @@
 """Compiled sift kernels: ``sift.c`` called through ``ctypes``.
 
-Same contract, signatures and return dtypes as ``numpy_backend`` (see that
-module for the semantics).  Every array is made contiguous float64, checked
-for shape, or allocated here before its pointer reaches C.
+Same contract, signatures and return dtypes as ``numpy_backend`` and
+``common.mirror_extrema`` (see those modules for the semantics).  Every
+array is made contiguous float64, checked for shape, or allocated here
+before its pointer reaches C.  A kernel with several outputs writes them
+into one buffer per dtype, and the arrays returned are views of it.
 """
 
 import ctypes
@@ -14,7 +16,19 @@ __all__ = ["Kernels"]
 
 _PTR = ctypes.c_void_p
 _SIZE = ctypes.c_ssize_t  # ptrdiff_t in sift.c
-_SIZE_PTR = ctypes.POINTER(ctypes.c_ssize_t)
+_DOUBLE = ctypes.c_double
+_COUNTS = _SIZE * 2
+
+
+def _address(a):
+    """Address of a contiguous array's data.  ``a.ctypes.data`` takes a few
+    microseconds a call, several times what a writable buffer's address
+    costs, and a sift step passes about fifteen arrays; read-only and empty
+    arrays, which export no writable buffer, take the slow way."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):  # read-only or empty
+        return a.ctypes.data
 
 
 class Kernels:
@@ -25,11 +39,17 @@ class Kernels:
     def __init__(self, path):
         lib = ctypes.CDLL(os.fspath(path))
         self._find = lib.hht_find_extrema
-        self._find.argtypes = [_PTR, _SIZE, _PTR, _SIZE_PTR, _PTR, _SIZE_PTR]
+        self._find.argtypes = [_PTR, _SIZE, _SIZE, _PTR, _PTR, _COUNTS]
         self._find.restype = None
         self._spline = lib.hht_spline_eval
         self._spline.argtypes = [_PTR, _PTR, _SIZE, _PTR, _SIZE]
         self._spline.restype = ctypes.c_int
+        self._mirror = lib.hht_mirror_extrema
+        self._mirror.argtypes = [
+            _PTR, _PTR, _SIZE, _PTR, _PTR, _SIZE, _DOUBLE, _DOUBLE, _SIZE, _SIZE,
+            _PTR, _PTR, _PTR, _PTR, _COUNTS,
+        ]
+        self._mirror.restype = ctypes.c_int
 
     def find_extrema(self, x):
         """Locate local maxima/minima of a 1-D array (plateaus count once).
@@ -43,16 +63,14 @@ class Kernels:
         if x.ndim != 1:
             raise ValueError("find_extrema expects a one-dimensional array")
         n = x.shape[0]
-        max_buf = np.empty(n // 2 + 1, dtype=np.intp)
-        min_buf = np.empty(n // 2 + 1, dtype=np.intp)
-        nmax, nmin = _SIZE(), _SIZE()
-        self._find(
-            x.ctypes.data, n, max_buf.ctypes.data, ctypes.byref(nmax),
-            min_buf.ctypes.data, ctypes.byref(nmin),
-        )
-        max_pos = max_buf[:nmax.value].copy()
-        min_pos = min_buf[:nmin.value].copy()
-        return max_pos, x[max_pos], min_pos, x[min_pos]
+        cap = n // 2 + 1
+        # the maxima in the first cap entries, the minima in the rest
+        pos = np.empty(2 * cap, dtype=np.intp)
+        val = np.empty(2 * cap, dtype=np.float64)
+        counts = _COUNTS()
+        self._find(_address(x), n, cap, _address(pos), _address(val), counts)
+        nmax, nmin = counts
+        return pos[:nmax], val[:nmax], pos[cap:cap + nmin], val[cap:cap + nmin]
 
     def spline_eval(self, knot_t, knot_v, n_out):
         """Natural cubic spline through (knot_t, knot_v) sampled at 0..n_out-1."""
@@ -63,6 +81,47 @@ class Kernels:
         if t.ndim != 1 or t.shape != v.shape:
             raise ValueError("spline_eval needs one-dimensional knot arrays of equal length")
         out = np.empty(n_out, dtype=np.float64)
-        if self._spline(t.ctypes.data, v.ctypes.data, t.shape[0], out.ctypes.data, out.shape[0]):
+        if self._spline(_address(t), _address(v), t.shape[0], _address(out), out.shape[0]):
             raise MemoryError("spline_eval could not allocate its scratch space")
         return out
+
+    def mirror_extrema(self, max_pos, max_val, min_pos, min_val, x, nbsym):
+        """Extend extrema past both series ends by mirror reflection.
+
+        ``common.mirror_extrema`` in C: the same knots bit for bit, and the
+        same ValueError and RuntimeError.  Positions and values of one kind
+        must be one-dimensional and of equal length.
+        """
+        if len(max_pos) < 2 or len(min_pos) < 2:
+            raise ValueError("mirror_extrema needs at least two maxima and two minima")
+        if nbsym < 1:
+            raise ValueError("nbsym must be >= 1")
+        max_pos = np.ascontiguousarray(max_pos, dtype=np.float64)
+        max_val = np.ascontiguousarray(max_val, dtype=np.float64)
+        min_pos = np.ascontiguousarray(min_pos, dtype=np.float64)
+        min_val = np.ascontiguousarray(min_val, dtype=np.float64)
+        if (max_pos.ndim, min_pos.ndim) != (1, 1) or (max_pos.shape, min_pos.shape) != (
+            max_val.shape, min_val.shape
+        ):
+            raise ValueError("mirror_extrema needs 1-D positions and values of equal length")
+        nmax, nmin = max_pos.shape[0], min_pos.shape[0]
+        # the rule reads at most nbsym + 1 extrema of a kind from each end,
+        # so a larger nbsym mirrors the same knots; capping it bounds out
+        nbsym = min(nbsym, max(nmax, nmin) + 1)
+        cap = max(nmax, nmin) + 2 * nbsym
+        # rows: tmax, vmax, tmin, vmin
+        out = np.empty((4, cap), dtype=np.float64)
+        counts = _COUNTS()
+        ptr, row = _address(out), cap * out.itemsize
+        status = self._mirror(
+            _address(max_pos), _address(max_val), nmax,
+            _address(min_pos), _address(min_val), nmin,
+            float(x[0]), float(x[-1]), len(x), nbsym,
+            ptr, ptr + row, ptr + 2 * row, ptr + 3 * row, counts,
+        )
+        if status == -1:
+            raise RuntimeError("mirror padding failed to cover the series")
+        if status == -2:
+            raise RuntimeError("mirror padding produced non-increasing knots")
+        ntmax, ntmin = counts
+        return out[0, :ntmax], out[1, :ntmax], out[2, :ntmin], out[3, :ntmin]

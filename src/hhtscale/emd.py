@@ -133,9 +133,11 @@ def _sift_step(h: np.ndarray, kernel):
         )
     oscillatory = bool(max_val.min() > 0.0 and min_val.max() < 0.0)
     tmax, vmax, tmin, vmin = mirror_extrema(max_pos, max_val, min_pos, min_val, h, MIRRORED_EXTREMA)
-    upper = kernel.spline_eval(tmax, vmax, h.shape[0])
-    lower = kernel.spline_eval(tmin, vmin, h.shape[0])
-    env = 0.5 * (upper + lower)
+    # the mean built in the upper envelope's array: the bits of
+    # 0.5 * (upper + lower) without its two temporaries
+    env = kernel.spline_eval(tmax, vmax, h.shape[0])
+    env += kernel.spline_eval(tmin, vmin, h.shape[0])
+    env *= 0.5
     denom = float(np.dot(h, h))
     sd = float(np.dot(env, env)) / denom if denom > 0.0 else 0.0
     return env, sd, oscillatory

@@ -214,7 +214,9 @@ def ingest_prices(
         When given (seconds, positive), a within-day gap of at least this
         size splits the day into two sessions (the lunch break).  Every
         day must then contain such a gap; of several, the largest splits.
-        ``None`` keeps one session per day.
+        It must exceed the bar step: a day with two or more gaps, none of
+        them below it, raises :class:`DataError`.  ``None`` keeps one
+        session per day.
     fill : {"none", "ffill"}
         ``"ffill"`` re-inserts samples missing from the regular grid inside
         a session by carrying the last price forward (counts are logged in
@@ -255,6 +257,11 @@ def ingest_prices(
             except ValueError:
                 shown = _shown(raw_stamp)
                 raise DataError(f"row {row_num}: unparseable timestamp {shown}") from None
+            if stamps and (stamp.tzinfo is None) != (stamps[-1].tzinfo is None):
+                which = "has a UTC offset" if stamp.tzinfo else "has no UTC offset"
+                raise DataError(
+                    f"row {row_num}: timestamp {_shown(raw_stamp)} {which}, unlike the row before"
+                )
             if stamps and not (stamp > stamps[-1] if time_col else stamp >= stamps[-1]):
                 raise DataError(f"row {row_num}: timestamps not sorted ascending")
             dates.append(stamp.date().isoformat())
@@ -268,12 +275,17 @@ def ingest_prices(
     gaps = [(b - a).total_seconds() for a, b in zip(stamps, stamps[1:])]
     firsts = [0] + [i + 1 for i in range(n_rows - 1) if dates[i + 1] != dates[i]]
     days = list(zip(firsts, firsts[1:] + [n_rows]))
-    steps = [
-        gaps[i]
-        for first, stop in days
-        for i in range(first, stop - 1)
-        if 0 < gaps[i] and (session_gap is None or gaps[i] < session_gap)
-    ]
+    steps = []  # within-day gaps between bars of one session
+    for first, stop in days:
+        within = [gap for gap in gaps[first : stop - 1] if gap > 0]
+        day_steps = [gap for gap in within if session_gap is None or gap < session_gap]
+        if len(within) > 1 and not day_steps:
+            # every gap would split a session: the session gap is below the bar step
+            raise DataError(
+                f"day {dates[first]}: all {len(within)} within-day gaps are >= the session "
+                f"gap of {session_gap:g}s; it must exceed the bar step"
+            )
+        steps += day_steps
     dt_seconds = float(np.median(steps)) if steps else 1.0
 
     warnings: list[str] = []

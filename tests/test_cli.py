@@ -108,6 +108,28 @@ class TestExitCodes:
             argv, capsys, "spline_eval could not allocate its scratch space"
         )
 
+    def test_session_gap_below_the_bar_step_is_a_data_error(self, tmp_path, price_csv, capsys):
+        # 3 days of 40 bars 30 s apart: a 10 s session gap would split every
+        # bar from the next, and ffill used to make 3,426 samples of 120 rows
+        argv = [
+            "decompose", str(price_csv), "--session-gap", "10", "--fill", "ffill",
+            "--out-dir", str(tmp_path / "out"),
+        ]
+        self._assert_one_line_exit_1(
+            argv, capsys,
+            "day 2026-01-05: all 39 within-day gaps are >= the session gap of 10s; "
+            "it must exceed the bar step",
+        )
+
+    def test_timestamps_mixing_utc_offsets_are_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "tz.csv"
+        path.write_text("date,time,price\n2024-01-02,09:00:00+01:00,100\n2024-01-02,09:00:30,101\n")
+        argv = ["decompose", str(path), "--out-dir", str(tmp_path / "out")]
+        self._assert_one_line_exit_1(
+            argv, capsys,
+            "row 2: timestamp '2024-01-02 09:00:30' has no UTC offset, unlike the row before",
+        )
+
     def test_cell_past_the_header_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "extra.csv"
         path.write_text("date,time,price\n2024-01-02,09:30:30,100.4\n2024-01-02,09:31:00,100.5,\n")
@@ -534,7 +556,7 @@ class TestCliSurface:
 
 
 _MUTATIONS = ("trailing comma", "truncated row", "blank line", "zero price",
-              "extra header column", "wrong delimiter")
+              "extra header column", "wrong delimiter", "utc offset")
 
 
 @st.composite
@@ -569,6 +591,10 @@ def price_files(draw):
             rows[i] = rows[i].rsplit(",", 1)[0] + ",0"
         elif mutation == "extra header column":
             header += ",volume"
+        elif mutation == "utc offset":  # on one row's time, none on the others
+            date, *rest = rows[i].split(",", 2)
+            if rest:
+                rows[i] = ",".join([date, rest[0] + "+01:00", *rest[1:]])
         else:
             delimiter = ";"
     return "\n".join([header, *rows]).replace(",", delimiter) + "\n", bool(mutations)

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -249,3 +250,20 @@ class TestDecompose:
         result = decompose(x)
         scale = max(np.abs(x).max(), 1.0)
         assert np.abs(result.reconstruct() - x).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("name", available_backends())
+def test_decompose_outputs_pinned(name):
+    # SHA-256 of every output bit of decompose on seeded paths of each
+    # process; a faster sift must reproduce them exactly
+    digest = hashlib.sha256()
+    shapes = {"bm": {}, "fbm": {"hurst": 0.7}, "slm": {"alpha": 1.0 / 0.7}, "arfima": {"d": 0.2}}
+    for process, shape in shapes.items():
+        config = SimConfig(process=process, length=3000, seed=5, **shape)
+        for path in range(2):
+            result = decompose(simulate(config, path).values, backend=get_backend(name))
+            digest.update(result.imfs.tobytes() + result.residue.tobytes())
+            digest.update(repr((result.sift_counts, result.stop_reasons)).encode())
+    assert digest.hexdigest() == (
+        "ea3b6b35baaa716b06b54563383064ae236986ef3dcd1492bcda91d1c6a23b69"
+    )

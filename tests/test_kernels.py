@@ -10,13 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.interpolate import CubicSpline
 
 import hhtscale
-from hhtscale._kernels import available_backends, build, get_backend, mirror_extrema
+from hhtscale._kernels import (
+    available_backends, build, common, get_backend, mirror_extrema, numpy_backend,
+)
 
 
 def backends():
@@ -232,6 +234,82 @@ class TestMirrorExtrema:
         assert np.array_equal(rvmin, vmin[::-1])
 
 
+@st.composite
+def _mirror_cases(draw):
+    """Extrema, series and nbsym for mirror_extrema, invalid ones included:
+    one extremum of a kind, nbsym 0, and positions out of range or repeated
+    (the padding's RuntimeError)."""
+    n = draw(st.integers(min_value=5, max_value=30))
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6, allow_nan=False))
+    kinds = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            pos = st.lists(st.integers(1, n - 2), min_size=2, max_size=5, unique=True)
+        else:
+            pos = st.lists(st.integers(-2, n + 1), min_size=1, max_size=5)
+        pos = np.array(sorted(draw(pos)), dtype=np.intp)
+        vals = draw(hnp.arrays(np.float64, len(pos), elements=value))
+        kinds += [pos, vals]
+    x = draw(hnp.arrays(np.float64, n, elements=value))
+    return (*kinds, x, draw(st.integers(min_value=0, max_value=3)))
+
+
+def _mirror_case(max_pos, max_val, min_pos, min_val, x, nbsym):
+    positions = [np.array(p, dtype=np.intp) for p in (max_pos, min_pos)]
+    values = [np.array(v, dtype=np.float64) for v in (max_val, min_val, x)]
+    return positions[0], values[0], positions[1], values[1], values[2], nbsym
+
+
+@pytest.mark.skipif("compiled" not in available_backends(), reason="no compiled kernels")
+class TestCompiledMirror:
+    # the examples reach every branch of the rule at both ends
+    @settings(max_examples=400, deadline=None)
+    @given(_mirror_cases())
+    # left end inside (about the first extremum), right end redone about the boundary
+    @example(_mirror_case([3, 5], [2, 3], [1, 2, 4], [2, 2, -3], [0, 2, 3, 0, -2, -1, 0, 2, -2], 1))
+    # left end redone, right end outside (the boundary sample is a knot)
+    @example(_mirror_case(
+        [3, 8, 9], [-2, 2, -3], [4, 5, 6], [-3, 3, 3], [-2, 2, -3, 0, 3, 0, 1, 3, 2, -3, 0], 2
+    ))
+    # left end outside, right end inside
+    @example(_mirror_case(
+        [4, 5, 7, 9], [3, 2, -2, -1], [1, 3, 8], [2, 0, -2], [3, 1, 2, 3, 1, 2, 3, 3, 0, 1, 1], 3
+    ))
+    # a maximum past the end: the knots fail to cover the series
+    @example(_mirror_case([7, 8], [2, 2], [1, 6, 7], [-2, -1, -1], [1, -1, -1, 0, 1, -3, 3, -1], 1))
+    # a maximum at the boundary: non-increasing knots
+    @example(_mirror_case([0, 1], [3, -2], [1, 2], [0, 2], [-1, -2, -2, 2, -1, 2, -3], 2))
+    def test_matches_common_bit_for_bit(self, case):
+        def outcome(mirror):
+            try:
+                return mirror(*case)
+            except (ValueError, RuntimeError) as exc:
+                return type(exc), str(exc)
+
+        expected = outcome(common.mirror_extrema)
+        got = outcome(get_backend("compiled").mirror_extrema)
+        if isinstance(expected[0], type):
+            assert got == expected
+            return
+        assert not isinstance(got[0], type), got
+        for ours, reference in zip(got, expected):
+            assert ours.dtype == reference.dtype == np.float64
+            assert ours.tobytes() == reference.tobytes()
+
+    def test_nbsym_past_the_extrema_count(self):
+        # the C wrapper caps nbsym at one past the larger extrema count
+        rng = np.random.default_rng(4)
+        x = np.cumsum(rng.standard_normal(40))
+        extrema = numpy_backend.find_extrema(x)
+        for nbsym in (len(extrema[0]), len(extrema[0]) + 2, 10**6):
+            ours = get_backend("compiled").mirror_extrema(*extrema, x, nbsym)
+            for got, want in zip(ours, common.mirror_extrema(*extrema, x, nbsym)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_is_the_package_mirror(self):
+        assert mirror_extrema == get_backend("compiled").mirror_extrema
+
+
 def _have_compiler():
     try:
         build.find_compiler()
@@ -276,6 +354,19 @@ class TestLoader:
         assert "compiled sift kernels unavailable" in warning
         assert "no C compiler found" in warning
         assert list((tmp_path / "hhtscale" / "_kernels").glob("*.so")) == []
+
+    def test_flags_keep_results_independent_of_the_host(self):
+        assert "-ffp-contract=off" in build.OPT_FLAGS
+        assert not {"-ffast-math", "-march=native"} & set(build.OPT_FLAGS)
+
+    @pytest.mark.skipif(not _have_compiler(), reason="no C compiler found")
+    def test_source_compiles_without_warnings(self, tmp_path):
+        cmd = [
+            *build.find_compiler(), *build.OPT_FLAGS, "-Wall", "-Wextra", "-Werror",
+            "-fPIC", "-shared", str(build.SOURCE), "-o", str(tmp_path / "sift.so"),
+        ]
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
     def test_compile_error_is_reported_and_cleaned_up(self, tmp_path):
         failing_cc = [sys.executable, "-c", "import sys; sys.exit('sift.c:9: error: boom')"]
@@ -349,3 +440,47 @@ class TestLoader:
         assert again is not None and reason is None
         assert library.stat().st_mtime_ns == built_at
         assert list(package.iterdir()) == []
+
+
+def _kernel_inputs():
+    """Seeded series for the extrema scan and knot sets for the spline."""
+    rng = np.random.default_rng(20261019)
+    series = []
+    for length in [*range(17), 10_000]:
+        walk = np.cumsum(rng.standard_normal(length))
+        series += [walk, np.round(4.0 * walk) / 4.0, np.cumsum(rng.standard_cauchy(length))]
+    knots = []
+    for k in (2, 3, 4, 7, 40):
+        for _ in range(6):
+            # non-integer, negative and past both grid ends
+            t = np.cumsum(rng.uniform(0.05, 9.0, size=k)) - rng.uniform(-3.0, 12.0)
+            v = rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3)
+            knots.append((t, v, int(rng.integers(0, 60))))
+    walk = np.cumsum(rng.standard_normal(10_000))
+    max_pos, max_val, _, _ = numpy_backend.find_extrema(walk)
+    knots.append((max_pos.astype(np.float64), max_val, 10_000))
+    return series, knots
+
+
+def _update(digest, *arrays):
+    for arr in arrays:
+        arr = np.asarray(arr)
+        arr = arr.astype(np.int64) if arr.dtype.kind == "i" else arr.astype(np.float64)
+        digest.update(len(arr).to_bytes(4, "little") + arr.tobytes())
+
+
+class TestPinnedBits:
+    """SHA-256 of every output bit of the kernels on seeded inputs; a faster
+    rewrite must reproduce them exactly."""
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=IDS)
+    def test_kernel_outputs_pinned(self, backend):
+        series, knots = _kernel_inputs()
+        digest = hashlib.sha256()
+        for x in series:
+            _update(digest, *backend.find_extrema(x))
+        for t, v, n_out in knots:
+            _update(digest, backend.spline_eval(t, v, n_out))
+        assert digest.hexdigest() == (
+            "a9f7f64e6fd292b0eb75d60a94a1fdf97ecfab54ff128b0b81214a14660fa404"
+        )

@@ -116,6 +116,29 @@ class TestIngest:
         with pytest.raises(DataError, match="row 1"):
             ingest_prices(io.StringIO(text))
 
+    @pytest.mark.parametrize("offsets", [("+01:00", ""), ("", "Z")])
+    def test_mixed_utc_offsets_rejected(self, offsets):
+        first, second = offsets
+        text = f"date,time,price\n2026-01-05,09:00:00{first},100\n2026-01-05,09:00:30{second},101\n"
+        message = "^row 2: timestamp .* UTC offset, unlike the row before$"
+        with pytest.raises(DataError, match=message):
+            ingest_prices(io.StringIO(text))
+
+    def test_one_utc_offset_throughout_loads(self):
+        text = "date,time,price\n2026-01-05,09:00:00+01:00,100\n2026-01-05,09:00:30+01:00,101\n"
+        ts, _ = ingest_prices(io.StringIO(text))
+        assert ts.dt == 30.0
+
+    def test_session_gap_below_the_bar_step_rejected(self, price_csv):
+        with pytest.raises(DataError, match="^day 2026-01-05: all 39 within-day gaps are >="):
+            ingest_prices(price_csv, session_gap=10.0, fill="ffill")
+
+    def test_one_gap_day_splits_without_a_bar_step(self):
+        # a day of one bar per session has no gap but the split to refuse
+        text = "date,time,price\n2026-01-05,09:00:00,100\n2026-01-05,13:00:00,101\n"
+        _, cal = ingest_prices(io.StringIO(text), session_gap=3600.0)
+        assert cal.splits == [1]
+
     def test_ragged_days_warn_but_load(self):
         rows = ["date,time,price"]
         for k in range(10):
