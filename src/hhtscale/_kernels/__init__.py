@@ -15,7 +15,11 @@ used.  The ``HHTSCALE_BACKEND`` environment variable (``compiled`` or
 
 ``mirror_extrema`` is the envelope mirror padding that every backend
 shares: the compiled library's when it loads, else ``common``'s, which
-stays the tests' oracle.  Both give the same knots bit for bit.
+stays the tests' oracle.  Both give the same knots bit for bit.  The
+compiled backend also runs a whole sift step (scan, padding, both
+envelopes, their mean) in one call, ``Kernels.envelope_step``; the numpy
+backend, and any backend with only ``find_extrema`` and ``spline_eval``,
+sifts through the same step composed in ``emd``, with the same bits.
 """
 
 import logging
@@ -24,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 from . import build, common, numpy_backend
+from .common import InsufficientExtremaError
 from .compiled import Kernels
 
 logger = logging.getLogger(__name__)
@@ -31,7 +36,7 @@ logger = logging.getLogger(__name__)
 _ENV_VAR = "HHTSCALE_BACKEND"
 _HERE = Path(__file__).resolve().parent
 
-__all__ = ["get_backend", "available_backends", "mirror_extrema"]
+__all__ = ["InsufficientExtremaError", "get_backend", "available_backends", "mirror_extrema"]
 
 
 def _private_dir() -> Path:

@@ -26,7 +26,16 @@ without it and the oracle the tests hold the C rule to.
 
 import numpy as np
 
-__all__ = ["mirror_extrema"]
+__all__ = ["InsufficientExtremaError", "mirror_extrema"]
+
+
+class InsufficientExtremaError(ValueError):
+    """The series lacks the two maxima and two minima envelopes need."""
+
+    @classmethod
+    def found(cls, n_maxima, n_minima):
+        """The error for a series with these counts of extrema."""
+        return cls(f"need >= 2 maxima and >= 2 minima, found {n_maxima}/{n_minima}")
 
 
 def _mirror_left(max_p, max_v, min_p, min_v, x0, nbsym):

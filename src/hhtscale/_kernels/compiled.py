@@ -1,10 +1,12 @@
 """Compiled sift kernels: ``sift.c`` called through ``ctypes``.
 
 Same contract, signatures and return dtypes as ``numpy_backend`` and
-``common.mirror_extrema`` (see those modules for the semantics).  Every
-array is made contiguous float64, checked for shape, or allocated here
-before its pointer reaches C.  A kernel with several outputs writes them
-into one buffer per dtype, and the arrays returned are views of it.
+``common.mirror_extrema`` (see those modules for the semantics), plus
+``envelope_step``: one sift step's envelope mean in one call, which
+``emd`` uses where a backend has it.  Every array is made contiguous
+float64, checked for shape, or allocated here before its pointer reaches C.
+A kernel with several outputs writes them into one buffer per dtype, and
+the arrays returned are views of it.
 """
 
 import ctypes
@@ -12,12 +14,20 @@ import os
 
 import numpy as np
 
+from .common import InsufficientExtremaError
+
 __all__ = ["Kernels"]
 
 _PTR = ctypes.c_void_p
 _SIZE = ctypes.c_ssize_t  # ptrdiff_t in sift.c
 _DOUBLE = ctypes.c_double
 _COUNTS = _SIZE * 2
+_STEP_INFO = _SIZE * 3  # maxima, minima, oscillatory
+_MIRROR_ERRORS = {
+    -1: "mirror padding failed to cover the series",
+    -2: "mirror padding produced non-increasing knots",
+}
+_SCRATCH_ERROR = "spline_eval could not allocate its scratch space"
 
 
 def _address(a):
@@ -50,6 +60,9 @@ class Kernels:
             _PTR, _PTR, _PTR, _PTR, _COUNTS,
         ]
         self._mirror.restype = ctypes.c_int
+        self._step = lib.hht_sift_step
+        self._step.argtypes = [_PTR, _SIZE, _SIZE, _PTR, _STEP_INFO]
+        self._step.restype = ctypes.c_int
 
     def find_extrema(self, x):
         """Locate local maxima/minima of a 1-D array (plateaus count once).
@@ -82,7 +95,7 @@ class Kernels:
             raise ValueError("spline_eval needs one-dimensional knot arrays of equal length")
         out = np.empty(n_out, dtype=np.float64)
         if self._spline(_address(t), _address(v), t.shape[0], _address(out), out.shape[0]):
-            raise MemoryError("spline_eval could not allocate its scratch space")
+            raise MemoryError(_SCRATCH_ERROR)
         return out
 
     def mirror_extrema(self, max_pos, max_val, min_pos, min_val, x, nbsym):
@@ -119,9 +132,41 @@ class Kernels:
             float(x[0]), float(x[-1]), len(x), nbsym,
             ptr, ptr + row, ptr + 2 * row, ptr + 3 * row, counts,
         )
-        if status == -1:
-            raise RuntimeError("mirror padding failed to cover the series")
-        if status == -2:
-            raise RuntimeError("mirror padding produced non-increasing knots")
+        if status:
+            raise RuntimeError(_MIRROR_ERRORS[status])
         ntmax, ntmin = counts
         return out[0, :ntmax], out[1, :ntmax], out[2, :ntmin], out[3, :ntmin]
+
+    def envelope_step(self, h, nbsym):
+        """The mean of the upper and lower envelopes of ``h``, in one call.
+
+        The same bits as composing ``find_extrema``, ``mirror_extrema`` and
+        two ``spline_eval`` calls and taking ``(upper + lower) * 0.5``, with
+        the same RuntimeError and MemoryError.
+
+        Returns
+        -------
+        (env, oscillatory) : (ndarray, bool)
+            The envelope mean, and whether every maximum of ``h`` is
+            positive and every minimum negative.
+
+        Raises
+        ------
+        InsufficientExtremaError
+            When ``h`` has fewer than two maxima or two minima.
+        """
+        h = np.ascontiguousarray(h, dtype=np.float64)
+        if h.ndim != 1:
+            raise ValueError("envelope_step expects a one-dimensional array")
+        if nbsym < 1:
+            raise ValueError("nbsym must be >= 1")
+        env = np.empty(h.shape[0], dtype=np.float64)
+        info = _STEP_INFO()
+        status = self._step(_address(h), h.shape[0], nbsym, _address(env), info)
+        if status == 1:
+            raise InsufficientExtremaError.found(info[0], info[1])
+        if status == -3:
+            raise MemoryError(_SCRATCH_ERROR)
+        if status:
+            raise RuntimeError(_MIRROR_ERRORS[status])
+        return env, bool(info[2])

@@ -33,7 +33,8 @@ def find_extrema(x):
     empty_f = np.empty(0, dtype=np.float64)
     if nz.size < 2:
         return empty_i, empty_f, empty_i.copy(), empty_f.copy()
-    s = np.sign(d[nz])
+    # a step that is not a rise (NaN included) is a fall, as in sift.c's scan
+    s = np.where(d[nz] > 0.0, 1, -1)
     j = np.flatnonzero(s[:-1] != s[1:])
     if j.size == 0:
         return empty_i, empty_f, empty_i.copy(), empty_f.copy()

@@ -1,11 +1,13 @@
 /* Compiled sift kernels: extrema scan, natural-spline envelope evaluation
- * and the mirror padding of the envelope knots.
+ * and the mirror padding of the envelope knots, and hht_sift_step, which
+ * runs all three for one sift step in one call.
  *
  * Plain C with no Python C-API, called through ctypes by compiled.py, which
  * validates shapes and allocates every output.  The contract (plateaus,
  * endpoints, extrapolation) is numpy_backend.py's and the mirror rule is
  * common.py's; tests/test_kernels.py holds the two implementations of each
- * to it and to each other, bit for bit.
+ * to it and to each other, and hht_sift_step to the step composed of the
+ * other entries, bit for bit.
  *
  * Built with the system C compiler by setup.py or, in a source checkout,
  * on first import (build.py).  Never build it with -ffast-math or with
@@ -55,17 +57,145 @@ void hht_find_extrema(const double *x, ptrdiff_t n, ptrdiff_t cap,
     cnt[1] = cmin;
 }
 
+/* One natural cubic spline through k >= 3 knots (t, v), t ascending, and
+ * its 5k - 6 doubles of scratch: h, sl [k - 1], m [k], cp, dp [k - 2].  Once
+ * solved, the segment coefficients overwrite the scratch: c1 in sl, c2 in
+ * cp (and on into dp), c3 in h. */
+typedef struct {
+    const double *t, *v;
+    ptrdiff_t k;
+    double *h, *sl, *m, *cp, *dp, *c1, *c2, *c3;
+} spline;
+
+/* Points sp at its knots and at the scratch w, fills the knot spacings and
+ * segment slopes, and takes the first step of the Thomas forward sweep for
+ * the second derivatives m[1..k-2] (m[0] = m[k-1] = 0).  Returns the
+ * scratch past sp's own. */
+static double *spline_begin(spline *sp, const double *t, const double *v, ptrdiff_t k,
+                            double *w)
+{
+    ptrdiff_t i;
+    double bb, *h = w, *sl = w + (k - 1);
+
+    sp->t = t;
+    sp->v = v;
+    sp->k = k;
+    sp->h = h;
+    sp->sl = sl;
+    sp->m = sl + (k - 1);
+    sp->cp = sp->m + k;
+    sp->dp = sp->cp + (k - 2);
+    for (i = 0; i < k - 1; i++) {
+        h[i] = t[i + 1] - t[i];
+        sl[i] = (v[i + 1] - v[i]) / h[i];
+    }
+    bb = 2.0 * (h[0] + h[1]);
+    sp->cp[0] = h[1] / bb;
+    sp->dp[0] = 6.0 * (sl[1] - sl[0]) / bb;
+    sp->m[0] = 0.0;
+    sp->m[k - 1] = 0.0;
+    return sp->dp + (k - 2);
+}
+
+/* Step idx (1 <= idx < k - 2) of sp's forward sweep. */
+static void forward_step(spline *sp, ptrdiff_t idx)
+{
+    const double *h = sp->h;
+    ptrdiff_t i = idx + 1;
+    double r, bb, w;
+
+    r = 6.0 * (sp->sl[i] - sp->sl[i - 1]);
+    bb = 2.0 * (h[i - 1] + h[i]);
+    w = bb - h[i - 1] * sp->cp[idx - 1];
+    sp->cp[idx] = h[i] / w;
+    sp->dp[idx] = (r - h[i - 1] * sp->dp[idx - 1]) / w;
+}
+
+/* Step j (0 <= j < k - 2) of sp's back substitution, from the top down. */
+static void back_step(spline *sp, ptrdiff_t j)
+{
+    ptrdiff_t idx = sp->k - 3 - j;
+
+    sp->m[idx + 1] = j == 0 ? sp->dp[idx] : sp->dp[idx] - sp->cp[idx] * sp->m[idx + 2];
+}
+
+/* sp's segment coefficients, from its second derivatives. */
+static void spline_coefs(spline *sp)
+{
+    ptrdiff_t s;
+    double *h = sp->h, *m = sp->m;
+
+    sp->c1 = sp->sl;
+    sp->c2 = sp->cp;
+    sp->c3 = h;
+    for (s = 0; s < sp->k - 1; s++) {
+        sp->c1[s] = sp->sl[s] - h[s] * (2.0 * m[s] + m[s + 1]) / 6.0;
+        sp->c2[s] = m[s] / 2.0;
+        sp->c3[s] = (m[s + 1] - m[s]) / (6.0 * h[s]);
+    }
+}
+
+/* Solves spline a and, unless b is NULL, spline b, one Thomas step of each
+ * in turn, so that the serial division chain of one overlaps the other's;
+ * each keeps its own arithmetic.  Then writes their coefficients. */
+static void spline_solve(spline *a, spline *b)
+{
+    ptrdiff_t j, ka = a->k, kb = b != NULL ? b->k : 0;
+
+    for (j = 1; j < ka - 2 || j < kb - 2; j++) {
+        if (j < ka - 2)
+            forward_step(a, j);
+        if (j < kb - 2)
+            forward_step(b, j);
+    }
+    for (j = 0; j < ka - 2 || j < kb - 2; j++) {
+        if (j < ka - 2)
+            back_step(a, j);
+        if (j < kb - 2)
+            back_step(b, j);
+    }
+    spline_coefs(a);
+    if (b != NULL)
+        spline_coefs(b);
+}
+
+/* The segment map of sp on the grid 0 .. n_out - 1: grid point i lies in
+ * segment s when t[s] < i <= t[s + 1], and the end segments extend past
+ * the outer knots.  Segment s + 1 begins at the first grid point past
+ * t[s + 1], so first[i] counts the segments that begin at i, and a running
+ * sum of first is each point's segment.  Knots are compared in double
+ * before any cast, so no out-of-range or non-finite value is converted to
+ * an integer. */
+static void segment_map(const spline *sp, ptrdiff_t *first, ptrdiff_t n_out)
+{
+    ptrdiff_t i;
+    double tt, lim = (double)n_out;
+
+    memset(first, 0, (size_t)(n_out + 1) * sizeof(ptrdiff_t));
+    for (i = 1; i < sp->k - 1; i++) {
+        tt = sp->t[i];
+        first[tt < 0.0 ? 0 : tt < lim ? (ptrdiff_t)tt + 1 : n_out]++;
+    }
+}
+
+/* sp at grid point i, which lies in segment s. */
+static double spline_at(const spline *sp, ptrdiff_t s, ptrdiff_t i)
+{
+    double d = (double)i - sp->t[s];
+
+    return sp->v[s] + d * (sp->c1[s] + d * (sp->c2[s] + d * sp->c3[s]));
+}
+
 /* Natural cubic spline through the k >= 2 knots (t, v), t ascending,
  * evaluated on the integer grid 0 .. n_out - 1 into out (two knots give a
- * line).  Grid point i lies in segment s when t[s] < i <= t[s + 1]; the end
- * segments extend past the outer knots.  Returns 0, or -1 when scratch
+ * line; see segment_map for the segments).  Returns 0, or -1 when scratch
  * memory cannot be allocated. */
 int hht_spline_eval(const double *t, const double *v, ptrdiff_t k,
                     double *out, ptrdiff_t n_out)
 {
-    ptrdiff_t i, idx, s, *first;
-    double slope, tt, d, w, r, bb, lim;
-    double *h, *sl, *m, *cp, *dp, *c1, *c2, *c3;
+    ptrdiff_t i, s, *first;
+    double slope, *w;
+    spline sp;
 
     if (k == 2) {
         slope = (v[1] - v[0]) / (t[1] - t[0]);
@@ -73,69 +203,19 @@ int hht_spline_eval(const double *t, const double *v, ptrdiff_t k,
             out[i] = v[0] + slope * ((double)i - t[0]);
         return 0;
     }
-
-    /* one block: h, sl, c1, c2, c3 [k - 1], m [k], cp, dp [k - 2], then
-     * first [n_out + 1] */
-    h = malloc((size_t)(8 * k - 9) * sizeof(double) + (size_t)(n_out + 1) * sizeof(ptrdiff_t));
-    if (h == NULL)
+    /* one block: the spline's scratch, then the segment map */
+    w = malloc((size_t)(5 * k - 6) * sizeof(double) + (size_t)(n_out + 1) * sizeof(ptrdiff_t));
+    if (w == NULL)
         return -1;
-    sl = h + (k - 1);
-    c1 = sl + (k - 1);
-    c2 = c1 + (k - 1);
-    c3 = c2 + (k - 1);
-    m = c3 + (k - 1);
-    cp = m + k;
-    dp = cp + (k - 2);
-    first = (ptrdiff_t *)(dp + (k - 2));
-
-    for (i = 0; i < k - 1; i++) {
-        h[i] = t[i + 1] - t[i];
-        sl[i] = (v[i + 1] - v[i]) / h[i];
-    }
-
-    /* Second derivatives m[1..k-2] (m[0] = m[k-1] = 0) from the tridiagonal
-     * system, by the Thomas algorithm. */
-    bb = 2.0 * (h[0] + h[1]);
-    cp[0] = h[1] / bb;
-    dp[0] = 6.0 * (sl[1] - sl[0]) / bb;
-    for (idx = 1; idx < k - 2; idx++) {
-        i = idx + 1;
-        r = 6.0 * (sl[i] - sl[i - 1]);
-        bb = 2.0 * (h[i - 1] + h[i]);
-        w = bb - h[i - 1] * cp[idx - 1];
-        cp[idx] = h[i] / w;
-        dp[idx] = (r - h[i - 1] * dp[idx - 1]) / w;
-    }
-    m[0] = 0.0;
-    m[k - 1] = 0.0;
-    m[k - 2] = dp[k - 3];
-    for (idx = k - 4; idx >= 0; idx--)
-        m[idx + 1] = dp[idx] - cp[idx] * m[idx + 2];
-
-    for (s = 0; s < k - 1; s++) {
-        c1[s] = sl[s] - h[s] * (2.0 * m[s] + m[s + 1]) / 6.0;
-        c2[s] = m[s] / 2.0;
-        c3[s] = (m[s + 1] - m[s]) / (6.0 * h[s]);
-    }
-
-    /* The segment map: segment s + 1 begins at the first grid point past
-     * t[s + 1], so first[i] counts the segments that begin at i, and a
-     * running sum of it is each point's segment.  Knots are compared in
-     * double before any cast, so no out-of-range or non-finite value is
-     * converted to an integer. */
-    memset(first, 0, (size_t)(n_out + 1) * sizeof(ptrdiff_t));
-    lim = (double)n_out;
-    for (i = 1; i < k - 1; i++) {
-        tt = t[i];
-        first[tt < 0.0 ? 0 : tt < lim ? (ptrdiff_t)tt + 1 : n_out]++;
-    }
+    first = (ptrdiff_t *)spline_begin(&sp, t, v, k, w);
+    spline_solve(&sp, NULL);
+    segment_map(&sp, first, n_out);
     s = 0;
     for (i = 0; i < n_out; i++) {
         s += first[i];
-        d = (double)i - t[s];
-        out[i] = v[s] + d * (c1[s] + d * (c2[s] + d * c3[s]));
+        out[i] = spline_at(&sp, s, i);
     }
-    free(h);
+    free(w);
     return 0;
 }
 
@@ -276,4 +356,87 @@ int hht_mirror_extrema(const double *max_t, const double *max_v, ptrdiff_t nmax,
     if (stalls(tmax, cnt[0]) || stalls(tmin, cnt[1]))
         return -2;
     return 0;
+}
+
+/* One sift step's envelope mean of x[0..n-1]: the extrema scan, Rilling's
+ * mirror padding of nbsym >= 1 extrema past each end, both natural-spline
+ * envelopes and env[i] = (upper[i] + lower[i]) * 0.5, each value by the
+ * same operations as hht_find_extrema, hht_mirror_extrema and
+ * hht_spline_eval compose them.  Writes the counts of maxima and minima to
+ * info[0..1] and to info[2] whether x swings through zero everywhere
+ * (every maximum positive, every minimum negative).  Returns 0, 1 when x
+ * has fewer than two maxima or two minima (env is then not written),
+ * hht_mirror_extrema's -1 or -2, or -3 when scratch memory cannot be
+ * allocated. */
+int hht_sift_step(const double *x, ptrdiff_t n, ptrdiff_t nbsym, double *env,
+                  ptrdiff_t *info)
+{
+    ptrdiff_t i, nmax, nmin, knots, cnt[2], *pos, *first_max, *first_min;
+    ptrdiff_t cap = n / 2 + 1, s_max = 0, s_min = 0;
+    double *val, *w, *tpos, *tmax, *vmax, *tmin, *vmin;
+    spline sp[2];
+    int status, oscillatory = 1;
+
+    /* the scan's positions and values, and later both segment maps */
+    pos = malloc((size_t)(2 * cap) * (sizeof(ptrdiff_t) + sizeof(double)));
+    if (pos == NULL)
+        return -3;
+    val = (double *)(pos + 2 * cap);
+    hht_find_extrema(x, n, cap, pos, val, info);
+    nmax = info[0];
+    nmin = info[1];
+    info[2] = 0;
+    if (nmax < 2 || nmin < 2) {
+        free(pos);
+        return 1;
+    }
+    for (i = 0; i < nmax; i++)
+        oscillatory &= val[i] > 0.0;
+    for (i = 0; i < nmin; i++)
+        oscillatory &= val[cap + i] < 0.0;
+    info[2] = oscillatory;
+
+    /* the rule reads at most nbsym + 1 extrema of a kind from each end, so
+     * a larger nbsym mirrors the same knots; capping it bounds the knots */
+    if (nbsym > nmax + 1 && nbsym > nmin + 1)
+        nbsym = (nmax > nmin ? nmax : nmin) + 1;
+    /* one block sized to the at most `knots` knots of both envelopes: the
+     * positions as doubles, each knot's position and value, then both
+     * splines' scratch (under 5 doubles a knot) */
+    knots = nmax + nmin + 4 * nbsym;
+    w = malloc((size_t)(nmax + nmin + 7 * knots) * sizeof(double));
+    if (w == NULL) {
+        free(pos);
+        return -3;
+    }
+    tpos = w;
+    tmax = tpos + nmax + nmin;
+    vmax = tmax + nmax + 2 * nbsym;
+    tmin = vmax + nmax + 2 * nbsym;
+    vmin = tmin + nmin + 2 * nbsym;
+    for (i = 0; i < nmax; i++)
+        tpos[i] = (double)pos[i];
+    for (i = 0; i < nmin; i++)
+        tpos[nmax + i] = (double)pos[cap + i];
+    status = hht_mirror_extrema(tpos, val, nmax, tpos + nmax, val + cap, nmin, x[0], x[n - 1],
+                                n, nbsym, tmax, vmax, tmin, vmin, cnt);
+    if (status == 0) {
+        /* mirror padding adds at least one knot of each kind at each end,
+         * so each envelope has k >= 4 knots */
+        spline_begin(&sp[1], tmin, vmin, cnt[1],
+                     spline_begin(&sp[0], tmax, vmax, cnt[0], vmin + nmin + 2 * nbsym));
+        spline_solve(&sp[0], &sp[1]);
+        first_max = pos;
+        first_min = pos + (n + 1);
+        segment_map(&sp[0], first_max, n);
+        segment_map(&sp[1], first_min, n);
+        for (i = 0; i < n; i++) {
+            s_max += first_max[i];
+            s_min += first_min[i];
+            env[i] = (spline_at(&sp[0], s_max, i) + spline_at(&sp[1], s_min, i)) * 0.5;
+        }
+    }
+    free(w);
+    free(pos);
+    return status;
 }

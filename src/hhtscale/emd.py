@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import get_backend, mirror_extrema
+from ._kernels import InsufficientExtremaError, get_backend, mirror_extrema
 
 logger = logging.getLogger(__name__)
 
@@ -51,10 +51,6 @@ STOP_EXTREMA = "extrema-exhausted"
 MIN_LENGTH = 16
 MAX_SIFT_ITERATIONS = 100  # sift steps per component before it is taken as is
 MIRRORED_EXTREMA = 2  # extrema mirrored past each end of the envelopes
-
-
-class InsufficientExtremaError(ValueError):
-    """The series lacks the two maxima and two minima envelopes need."""
 
 
 def default_max_imfs(length: int) -> int:
@@ -119,28 +115,41 @@ def _sift_step(h: np.ndarray, kernel):
 
     sd compares ``h`` with ``h - env``; their difference is exactly the
     envelope mean.  ``oscillatory`` says whether ``h`` swings through zero
-    everywhere (every maximum positive, every minimum negative).
+    everywhere (every maximum positive, every minimum negative).  A backend
+    with an ``envelope_step`` builds the mean in one call; any other runs
+    :func:`_envelope_step` on its ``find_extrema`` and ``spline_eval``.  Both
+    give the same bits.
 
     Raises
     ------
     InsufficientExtremaError
         When ``h`` has fewer than two maxima or two minima.
     """
+    step = getattr(kernel, "envelope_step", None)
+    if step is not None:
+        env, oscillatory = step(h, MIRRORED_EXTREMA)
+    else:
+        env, oscillatory = _envelope_step(h, kernel, MIRRORED_EXTREMA)
+    denom = float(np.dot(h, h))
+    sd = float(np.dot(env, env)) / denom if denom > 0.0 else 0.0
+    return env, sd, oscillatory
+
+
+def _envelope_step(h: np.ndarray, kernel, nbsym: int):
+    """``(env, oscillatory)`` of :func:`_sift_step`, with ``nbsym`` extrema
+    mirrored past each end, composed from the backend's ``find_extrema`` and
+    two ``spline_eval`` calls."""
     max_pos, max_val, min_pos, min_val = kernel.find_extrema(h)
     if len(max_pos) < 2 or len(min_pos) < 2:
-        raise InsufficientExtremaError(
-            f"need >= 2 maxima and >= 2 minima, found {len(max_pos)}/{len(min_pos)}"
-        )
+        raise InsufficientExtremaError.found(len(max_pos), len(min_pos))
     oscillatory = bool(max_val.min() > 0.0 and min_val.max() < 0.0)
-    tmax, vmax, tmin, vmin = mirror_extrema(max_pos, max_val, min_pos, min_val, h, MIRRORED_EXTREMA)
+    tmax, vmax, tmin, vmin = mirror_extrema(max_pos, max_val, min_pos, min_val, h, nbsym)
     # the mean built in the upper envelope's array: the bits of
     # 0.5 * (upper + lower) without its two temporaries
     env = kernel.spline_eval(tmax, vmax, h.shape[0])
     env += kernel.spline_eval(tmin, vmin, h.shape[0])
     env *= 0.5
-    denom = float(np.dot(h, h))
-    sd = float(np.dot(env, env)) / denom if denom > 0.0 else 0.0
-    return env, sd, oscillatory
+    return env, oscillatory
 
 
 def envelope_mean(x) -> np.ndarray:

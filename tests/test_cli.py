@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import hhtscale
 from hhtscale import RunManifest, ingest_prices
+from hhtscale._kernels import available_backends, get_backend
 from hhtscale.cli import build_parser, run
 
 from conftest import build_price_csv
@@ -94,6 +95,9 @@ class TestExitCodes:
         def fail(*args):
             raise RuntimeError("mirror padding failed to cover the series")
 
+        # the NumPy backend sifts through the composed step, which calls the
+        # mirror padding and the spline kernel one by one
+        monkeypatch.setenv("HHTSCALE_BACKEND", "python")
         monkeypatch.setattr(hhtscale.emd, "mirror_extrema", fail)
         argv = ["decompose", str(price_csv), "--out-dir", str(tmp_path / "out")]
         self._assert_one_line_exit_1(argv, capsys, "mirror padding failed to cover the series")
@@ -102,11 +106,31 @@ class TestExitCodes:
         def fail(*args):
             raise MemoryError("spline_eval could not allocate its scratch space")
 
+        monkeypatch.setenv("HHTSCALE_BACKEND", "python")
         monkeypatch.setattr(hhtscale.emd.get_backend(), "spline_eval", fail)
         argv = ["scaling", str(price_csv), "--out-dir", str(tmp_path / "out")]
         self._assert_one_line_exit_1(
             argv, capsys, "spline_eval could not allocate its scratch space"
         )
+
+    @pytest.mark.skipif("compiled" not in available_backends(), reason="no compiled kernels")
+    @pytest.mark.parametrize(
+        "status, command, message",
+        [
+            (-1, "decompose", "mirror padding failed to cover the series"),
+            (-2, "spectral", "mirror padding produced non-increasing knots"),
+            (-3, "scaling", "spline_eval could not allocate its scratch space"),
+        ],
+    )
+    def test_fused_step_failure_is_a_data_error(
+        self, status, command, message, tmp_path, price_csv, capsys, monkeypatch
+    ):
+        # the compiled backend's one call per sift step reports each failure
+        # by its status
+        monkeypatch.setenv("HHTSCALE_BACKEND", "compiled")
+        monkeypatch.setattr(get_backend("compiled"), "_step", lambda *args: status)
+        argv = [command, str(price_csv), "--out-dir", str(tmp_path / "out")]
+        self._assert_one_line_exit_1(argv, capsys, message)
 
     def test_session_gap_below_the_bar_step_is_a_data_error(self, tmp_path, price_csv, capsys):
         # 3 days of 40 bars 30 s apart: a 10 s session gap would split every

@@ -16,8 +16,10 @@ from hypothesis.extra import numpy as hnp
 from scipy.interpolate import CubicSpline
 
 import hhtscale
+from hhtscale import SimConfig, emd, simulate
 from hhtscale._kernels import (
-    available_backends, build, common, get_backend, mirror_extrema, numpy_backend,
+    InsufficientExtremaError, available_backends, build, common, get_backend, mirror_extrema,
+    numpy_backend,
 )
 
 
@@ -93,6 +95,29 @@ class TestBackendAgreement:
             rb = b.find_extrema(x)
             for left, right in zip(ra, rb):
                 assert np.array_equal(left, right)
+
+    @pytest.mark.skipif(len(BACKENDS) < 2, reason="single backend build")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(min_value=0, max_value=60),
+            elements=st.one_of(
+                st.integers(-3, 3).map(float),
+                st.sampled_from((np.nan, np.inf, -np.inf)),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+        )
+    )
+    # a NaN step counts as a fall in both scans
+    @example(np.array([0.0, 1.0, np.nan, 1.0, 0.0, 2.0, 0.0]))
+    def test_extrema_identical_with_non_finite_samples(self, x):
+        a, b = BACKENDS[0], BACKENDS[1]
+        with np.errstate(invalid="ignore"):  # inf - inf in the NumPy scan's steps
+            found = zip(a.find_extrema(x), b.find_extrema(x))
+        for left, right in found:
+            assert left.dtype == right.dtype
+            assert left.tobytes() == right.tobytes()
 
     @pytest.mark.skipif(len(BACKENDS) < 2, reason="single backend build")
     def test_spline_agreement(self):
@@ -310,6 +335,88 @@ class TestCompiledMirror:
         assert mirror_extrema == get_backend("compiled").mirror_extrema
 
 
+@st.composite
+def _sift_series(draw):
+    """Random walks, tick-quantized walks (plateaus) and Cauchy walks
+    (spikes) of 16 to 300 samples, scaled by 2**-1000, 1 or 2**1000."""
+    n = draw(st.integers(min_value=16, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(("walk", "ticks", "cauchy")))
+    x = np.cumsum(rng.standard_cauchy(n) if kind == "cauchy" else rng.standard_normal(n))
+    if kind == "ticks":
+        x = np.round(4.0 * x) / 4.0
+    return np.ldexp(x, draw(st.sampled_from((-1000, 0, 1000))))
+
+
+# length 16 with exactly two maxima and two minima
+_TWO_EACH = np.array([0, 1, 0, -1, 0, 1, 0, -1, -0.5, -0.2, 0, 0.1, 0.2, 0.3, 0.4, 0.5])
+
+
+class _TwoKernels:
+    """A backend with only the two-kernel interface (as perfbench's
+    CountingBackend has), counting its ``spline_eval`` calls."""
+
+    def __init__(self, inner):
+        self.name = inner.name
+        self.find_extrema = inner.find_extrema
+        self._spline_eval = inner.spline_eval
+        self.spline_calls = 0
+
+    def spline_eval(self, knot_t, knot_v, n_out):
+        self.spline_calls += 1
+        return self._spline_eval(knot_t, knot_v, n_out)
+
+
+def _step_outcome(step, x, nbsym):
+    try:
+        env, oscillatory = step(x, nbsym)
+    except (InsufficientExtremaError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    assert env.dtype == np.float64
+    return env.tobytes(), oscillatory
+
+
+@pytest.mark.skipif("compiled" not in available_backends(), reason="no compiled kernels")
+class TestEnvelopeStep:
+    """The fused ``envelope_step`` against the step composed of
+    ``find_extrema``, ``mirror_extrema`` and two ``spline_eval`` calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sift_series(), st.integers(min_value=1, max_value=4))
+    @example(_TWO_EACH, 2)
+    @example(_TWO_EACH, 1000)  # nbsym past the extrema count
+    @example(np.arange(16.0), 2)  # too few extrema
+    @example(np.repeat([0.0, 1.0, -1.0, 2.0, -2.0, 1.0, 0.0], 20), 2)  # long plateaus
+    def test_matches_the_composed_step_bit_for_bit(self, x, nbsym):
+        compiled = get_backend("compiled")
+        want = _step_outcome(lambda h, k: emd._envelope_step(h, compiled, k), x, nbsym)
+        assert _step_outcome(compiled.envelope_step, x, nbsym) == want
+        # and the NumPy kernels compose the same bits
+        numpy_step = _step_outcome(lambda h, k: emd._envelope_step(h, numpy_backend, k), x, nbsym)
+        assert numpy_step == want
+
+    def test_too_few_extrema_names_the_counts(self):
+        with pytest.raises(InsufficientExtremaError, match="found 1/0"):
+            get_backend("compiled").envelope_step(_TWO_EACH[:4], 2)
+
+    @pytest.mark.parametrize(
+        "process, shape", [("fbm", {"hurst": 0.5}), ("slm", {"alpha": 1.0 / 0.7})]
+    )
+    def test_decompose_through_the_two_kernel_interface(self, process, shape):
+        compiled = get_backend("compiled")
+        x = simulate(SimConfig(process=process, length=2000, seed=9, **shape)).values
+        fused = emd.decompose(x, backend=compiled)
+        wrapper = _TwoKernels(compiled)
+        composed = emd.decompose(x, backend=wrapper)
+        assert composed.imfs.tobytes() == fused.imfs.tobytes()
+        assert composed.residue.tobytes() == fused.residue.tobytes()
+        assert (composed.sift_counts, composed.stop_reasons) == (
+            fused.sift_counts, fused.stop_reasons,
+        )
+        # perfbench's traced check: two envelopes per sift iteration
+        assert wrapper.spline_calls == 2 * sum(composed.sift_counts)
+
+
 def _have_compiler():
     try:
         build.find_compiler()
@@ -367,6 +474,35 @@ class TestLoader:
         ]
         done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(not _have_compiler(), reason="no C compiler found")
+    def test_entries_run_clean_under_sanitizers(self, tmp_path):
+        # tests/sift_driver.c runs every entry on edge inputs; AddressSanitizer
+        # and UndefinedBehaviorSanitizer abort on any access past a buffer,
+        # leak or undefined operation
+        cc = build.find_compiler()
+        flags = ["-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+        probe = tmp_path / "probe.c"
+        probe.write_text("int main(void) { return 0; }\n")
+        made = subprocess.run(
+            [*cc, *flags, str(probe), "-o", str(tmp_path / "probe")],
+            capture_output=True, text=True, timeout=300,
+        )
+        if made.returncode != 0 or subprocess.run([str(tmp_path / "probe")]).returncode != 0:
+            pytest.skip("no sanitizer runtime for the C compiler")
+        driver = tmp_path / "driver"
+        made = subprocess.run(
+            [
+                *cc, *build.OPT_FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
+                str(build.SOURCE), str(Path(__file__).with_name("sift_driver.c")),
+                "-o", str(driver),
+            ],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert made.returncode == 0, made.stderr
+        ran = subprocess.run([str(driver)], capture_output=True, text=True, timeout=300)
+        assert ran.returncode == 0, ran.stdout + ran.stderr
+        assert ran.stdout == "ok\n"
 
     def test_compile_error_is_reported_and_cleaned_up(self, tmp_path):
         failing_cc = [sys.executable, "-c", "import sys; sys.exit('sift.c:9: error: boom')"]
