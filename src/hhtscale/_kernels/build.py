@@ -3,9 +3,10 @@
 Standard library only, so that ``setup.py`` can run this file by path before
 the package is importable.  The library's file name carries a hash of the
 source and the flags, so an edited ``sift.c`` or flag is never served by a
-library built from an older one, and libraries for other platforms (the ``EXT_SUFFIX`` tag) can sit
-side by side.  Flags never include ``-march=native`` or ``-ffast-math``, and
-floating-point contraction is off, so results do not depend on the host CPU.
+library built from an older one, and libraries for other platforms (the
+``EXT_SUFFIX`` tag) can sit side by side.  Flags never include
+``-march=native`` or ``-ffast-math``, and floating-point contraction is
+off, so results do not depend on the host CPU.
 """
 
 import hashlib
