@@ -13,13 +13,12 @@ it.  If that fails, one warning gives the reason and the numpy backend is
 used.  The ``HHTSCALE_BACKEND`` environment variable (``compiled`` or
 ``python``) forces a choice.
 
-``mirror_extrema`` is the envelope mirror padding that every backend
-shares: the compiled library's when it loads, else ``common``'s, which
-stays the tests' oracle.  Both give the same knots bit for bit.  The
-compiled backend also runs a whole sift step (scan, padding, both
-envelopes, their mean) in one call, ``Kernels.envelope_step``; the numpy
+One sift step's envelope mean has one entry, :func:`envelope_step`.  The
+compiled backend runs the whole step (scan, mirror padding, both
+envelopes, their mean) in one C call, ``Kernels.envelope_step``; the numpy
 backend, and any backend with only ``find_extrema`` and ``spline_eval``,
-sifts through the same step composed in ``emd``, with the same bits.
+runs the same step composed of those two kernels and ``common``'s mirror
+padding in Python, with the same bits.
 """
 
 import logging
@@ -28,7 +27,7 @@ import tempfile
 from pathlib import Path
 
 from . import build, common, numpy_backend
-from .common import InsufficientExtremaError
+from .common import InsufficientExtremaError, mirror_extrema
 from .compiled import Kernels
 
 logger = logging.getLogger(__name__)
@@ -36,7 +35,10 @@ logger = logging.getLogger(__name__)
 _ENV_VAR = "HHTSCALE_BACKEND"
 _HERE = Path(__file__).resolve().parent
 
-__all__ = ["InsufficientExtremaError", "get_backend", "available_backends", "mirror_extrema"]
+__all__ = [
+    "InsufficientExtremaError", "available_backends", "envelope_step", "get_backend",
+    "mirror_extrema",
+]
 
 
 def _private_dir() -> Path:
@@ -70,9 +72,6 @@ def _load_compiled():
 compiled_backend, _unavailable = _load_compiled()
 if compiled_backend is None:
     logger.warning("compiled sift kernels unavailable, using the numpy backend: %s", _unavailable)
-    mirror_extrema = common.mirror_extrema
-else:
-    mirror_extrema = compiled_backend.mirror_extrema
 
 
 def available_backends():
@@ -102,3 +101,27 @@ def get_backend(name=None):
     if name == "python":
         return numpy_backend
     raise ValueError(f"unknown sift backend {name!r} (use 'compiled' or 'python')")
+
+
+def envelope_step(h, backend, nbsym):
+    """``(env, oscillatory)``: the mean of ``h``'s upper and lower envelopes,
+    each padded with ``nbsym`` mirrored extrema, and whether every maximum
+    of ``h`` is positive and every minimum negative.  A backend with an
+    ``envelope_step`` runs it; any other composes it of ``find_extrema``,
+    ``common.mirror_extrema`` and two ``spline_eval`` calls, with the same
+    bits.  Raises InsufficientExtremaError below two maxima or two minima.
+    """
+    step = getattr(backend, "envelope_step", None)
+    if step is not None:
+        return step(h, nbsym)
+    max_pos, max_val, min_pos, min_val = backend.find_extrema(h)
+    if len(max_pos) < 2 or len(min_pos) < 2:
+        raise InsufficientExtremaError.found(len(max_pos), len(min_pos))
+    oscillatory = bool(max_val.min() > 0.0 and min_val.max() < 0.0)
+    tmax, vmax, tmin, vmin = common.mirror_extrema(max_pos, max_val, min_pos, min_val, h, nbsym)
+    # the mean built in the upper envelope's array: the bits of
+    # 0.5 * (upper + lower) without its two temporaries
+    env = backend.spline_eval(tmax, vmax, h.shape[0])
+    env += backend.spline_eval(tmin, vmin, h.shape[0])
+    env *= 0.5
+    return env, oscillatory

@@ -9,8 +9,10 @@ library built from an older one, and libraries for other platforms (the
 off, so results do not depend on the host CPU.
 """
 
+import contextlib
 import hashlib
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -57,7 +59,8 @@ def build_library(directory, compiler=None) -> Path:
 
     The compiler writes to a private temporary name that ``os.replace`` then
     moves into place, so processes building into the same directory at once
-    never load a half-written library.  Raises BuildError with the reason.
+    never load a half-written library.  Libraries of older sources or flags
+    for this platform are then deleted.  Raises BuildError with the reason.
     """
     directory = Path(directory)
     target = directory / library_name()
@@ -82,4 +85,9 @@ def build_library(directory, compiler=None) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    stale = re.compile(r"_sift_[0-9a-f]{16}" + re.escape(sysconfig.get_config_var("EXT_SUFFIX")))
+    for path in directory.iterdir():
+        if path != target and stale.fullmatch(path.name):
+            with contextlib.suppress(FileNotFoundError):  # a concurrent build pruned it first
+                path.unlink()
     return target

@@ -19,9 +19,9 @@ in floats, far below 2**53, so every reflection is exact and both ends obey
 one rule bit for bit.  Only the ``nbsym + 1`` extrema nearest an end take
 part, so the rule runs on short Python lists.
 
-``sift.c`` states the same rule in C (``hht_mirror_extrema``), which the
-package uses when the compiled library loads; this module is the fallback
-without it and the oracle the tests hold the C rule to.
+``sift.c`` states the same rule in C (``hht_mirror_extrema``) for the
+compiled one-call sift step; this module pads every step composed of
+kernels, and it is the oracle the tests hold the C rule to.
 """
 
 import numpy as np

@@ -3,10 +3,10 @@
 Same contract, signatures and return dtypes as ``numpy_backend`` and
 ``common.mirror_extrema`` (see those modules for the semantics), plus
 ``envelope_step``: one sift step's envelope mean in one call, which
-``emd`` uses where a backend has it.  Every array is made contiguous
-float64, checked for shape, or allocated here before its pointer reaches C.
-A kernel with several outputs writes them into one buffer per dtype, and
-the arrays returned are views of it.
+``_kernels.envelope_step`` runs where a backend has it.  Every array is
+made contiguous float64, checked for shape, or allocated here before its
+pointer reaches C.  A kernel with several outputs writes them into one
+buffer per dtype, and the arrays returned are views of it.
 """
 
 import ctypes

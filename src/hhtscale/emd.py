@@ -24,15 +24,12 @@ reconstructs the input to float rounding.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import InsufficientExtremaError, get_backend, mirror_extrema
-
-logger = logging.getLogger(__name__)
+from ._kernels import InsufficientExtremaError, envelope_step, get_backend
 
 __all__ = [
     "EmdConfig",
@@ -110,46 +107,32 @@ def _values(series) -> np.ndarray:
     return np.ascontiguousarray(getattr(series, "values", series), dtype=np.float64)
 
 
+def _scaled(x: np.ndarray):
+    """``(x / 2**exponent, exponent)``, max |x / 2**exponent| in [0.5, 1).
+    Sifting is positively homogeneous, and every sift entry runs on this: the
+    squared sums of ``sd`` then neither overflow nor underflow, and scaling
+    back by ``2**exponent`` is exact, so the bits are those of sifting ``x``
+    itself where that works."""
+    exponent = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    return np.ldexp(x, -exponent), exponent
+
+
 def _sift_step(h: np.ndarray, kernel):
     """Envelope mean of ``h`` and what removing it does: (env, sd, oscillatory).
 
     sd compares ``h`` with ``h - env``; their difference is exactly the
     envelope mean.  ``oscillatory`` says whether ``h`` swings through zero
-    everywhere (every maximum positive, every minimum negative).  A backend
-    with an ``envelope_step`` builds the mean in one call; any other runs
-    :func:`_envelope_step` on its ``find_extrema`` and ``spline_eval``.  Both
-    give the same bits.
+    everywhere (every maximum positive, every minimum negative).
 
     Raises
     ------
     InsufficientExtremaError
         When ``h`` has fewer than two maxima or two minima.
     """
-    step = getattr(kernel, "envelope_step", None)
-    if step is not None:
-        env, oscillatory = step(h, MIRRORED_EXTREMA)
-    else:
-        env, oscillatory = _envelope_step(h, kernel, MIRRORED_EXTREMA)
+    env, oscillatory = envelope_step(h, kernel, MIRRORED_EXTREMA)
     denom = float(np.dot(h, h))
     sd = float(np.dot(env, env)) / denom if denom > 0.0 else 0.0
     return env, sd, oscillatory
-
-
-def _envelope_step(h: np.ndarray, kernel, nbsym: int):
-    """``(env, oscillatory)`` of :func:`_sift_step`, with ``nbsym`` extrema
-    mirrored past each end, composed from the backend's ``find_extrema`` and
-    two ``spline_eval`` calls."""
-    max_pos, max_val, min_pos, min_val = kernel.find_extrema(h)
-    if len(max_pos) < 2 or len(min_pos) < 2:
-        raise InsufficientExtremaError.found(len(max_pos), len(min_pos))
-    oscillatory = bool(max_val.min() > 0.0 and min_val.max() < 0.0)
-    tmax, vmax, tmin, vmin = mirror_extrema(max_pos, max_val, min_pos, min_val, h, nbsym)
-    # the mean built in the upper envelope's array: the bits of
-    # 0.5 * (upper + lower) without its two temporaries
-    env = kernel.spline_eval(tmax, vmax, h.shape[0])
-    env += kernel.spline_eval(tmin, vmin, h.shape[0])
-    env *= 0.5
-    return env, oscillatory
 
 
 def envelope_mean(x) -> np.ndarray:
@@ -161,7 +144,8 @@ def envelope_mean(x) -> np.ndarray:
     InsufficientExtremaError
         When ``x`` has fewer than two maxima or two minima.
     """
-    return _sift_step(_values(x), get_backend())[0]
+    h, exponent = _scaled(_values(x))
+    return np.ldexp(envelope_step(h, get_backend(), MIRRORED_EXTREMA)[0], exponent)
 
 
 def sift_once(h):
@@ -172,11 +156,7 @@ def sift_once(h):
     (h_new, sd) : (ndarray, float)
         The sifted series and the normalized squared change.
     """
-    h = _values(h)
-    # the step on h / 2**exponent (see decompose): sd neither overflows nor
-    # underflows, and h_new scales back exactly
-    exponent = int(np.frexp(np.abs(h).max())[1])
-    h = np.ldexp(h, -exponent)
+    h, exponent = _scaled(_values(h))
     env, sd, _ = _sift_step(h, get_backend())
     return np.ldexp(h - env, exponent), sd
 
@@ -197,13 +177,7 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
     max_imfs = cfg.max_imfs if cfg.max_imfs is not None else default_max_imfs(x.shape[0])
-    # Sifting is positively homogeneous, so sift x / 2**exponent (max |x| in
-    # [0.5, 1)) and scale the results back: the squared sums below then
-    # neither overflow nor underflow, and power-of-two scaling is exact, so
-    # the output is the same bit for bit as sifting x itself where that
-    # works.
-    exponent = int(np.frexp(np.abs(x).max())[1])
-    x = np.ldexp(x, -exponent)
+    x, exponent = _scaled(x)
 
     residue = x.copy()
     imfs: list[np.ndarray] = []

@@ -10,7 +10,6 @@ index measures how unusual the observed behaviour is.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ from .measures import complexity, scaling_exponent
 from .series import TradingCalendar
 from .simulate import SimConfig, _nanmean_quiet, ordered_map, simulate
 from .spectral import spectral_track
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "IntradayPanel",

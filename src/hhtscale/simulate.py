@@ -19,10 +19,8 @@ ensembles are reproducible for any thread count and any path subset.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +29,6 @@ from .emd import decompose
 from .measures import generalized_hurst_q1, scaling_exponent
 from .series import TimeSeries
 from .spectral import spectral_track
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "EnsembleStats",
@@ -210,6 +206,8 @@ def ordered_map(worker, jobs: list, threads: int) -> list:
     reduced from them is independent of the thread count."""
     if threads <= 1 or len(jobs) <= 1:
         return [worker(job) for job in jobs]
+    # imported here: a single-process run never pays for the pool's import
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
 

@@ -98,7 +98,7 @@ class TestExitCodes:
         # the NumPy backend sifts through the composed step, which calls the
         # mirror padding and the spline kernel one by one
         monkeypatch.setenv("HHTSCALE_BACKEND", "python")
-        monkeypatch.setattr(hhtscale.emd, "mirror_extrema", fail)
+        monkeypatch.setattr(hhtscale._kernels.common, "mirror_extrema", fail)
         argv = ["decompose", str(price_csv), "--out-dir", str(tmp_path / "out")]
         self._assert_one_line_exit_1(argv, capsys, "mirror padding failed to cover the series")
 

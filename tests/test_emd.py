@@ -60,6 +60,18 @@ class TestEnvelopeMean:
         env = envelope_mean(x)
         assert np.allclose(env[32:-32], 3.0, atol=1e-3)
 
+    @pytest.mark.parametrize("name", available_backends())
+    def test_power_of_two_scaling_is_exact(self, name, monkeypatch):
+        # the mean is built on the input scaled by a power of two, as in
+        # decompose: no overflow or underflow over the whole float range
+        monkeypatch.setenv("HHTSCALE_BACKEND", name)
+        x = np.cumsum(np.random.default_rng(5).standard_normal(512))
+        base = envelope_mean(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (-1000, 0, 1000):
+                assert envelope_mean(np.ldexp(x, k)).tobytes() == np.ldexp(base, k).tobytes()
+
 
 class TestSiftOnce:
     def test_triangle_wave_is_nearly_invariant(self):

@@ -18,8 +18,8 @@ from scipy.interpolate import CubicSpline
 import hhtscale
 from hhtscale import SimConfig, emd, simulate
 from hhtscale._kernels import (
-    InsufficientExtremaError, available_backends, build, common, get_backend, mirror_extrema,
-    numpy_backend,
+    InsufficientExtremaError, available_backends, build, common, envelope_step, get_backend,
+    mirror_extrema, numpy_backend,
 )
 
 
@@ -258,6 +258,21 @@ class TestMirrorExtrema:
         assert np.array_equal(rmin, end - tmin[::-1])
         assert np.array_equal(rvmin, vmin[::-1])
 
+    def test_python_backend_pads_through_common(self, monkeypatch):
+        # the package mirror is the Python rule whether or not the library
+        # loads, and the NumPy backend's sift steps each pad through it once
+        assert mirror_extrema is common.mirror_extrema
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return mirror_extrema(*args)
+
+        monkeypatch.setattr(common, "mirror_extrema", counting)
+        x = np.cumsum(np.random.default_rng(8).standard_normal(1000))
+        result = emd.decompose(x, backend=numpy_backend)
+        assert calls == [emd.MIRRORED_EXTREMA] * sum(result.sift_counts) != []
+
 
 @st.composite
 def _mirror_cases(draw):
@@ -331,9 +346,6 @@ class TestCompiledMirror:
             for got, want in zip(ours, common.mirror_extrema(*extrema, x, nbsym)):
                 assert got.tobytes() == want.tobytes()
 
-    def test_is_the_package_mirror(self):
-        assert mirror_extrema == get_backend("compiled").mirror_extrema
-
 
 @st.composite
 def _sift_series(draw):
@@ -389,10 +401,11 @@ class TestEnvelopeStep:
     @example(np.repeat([0.0, 1.0, -1.0, 2.0, -2.0, 1.0, 0.0], 20), 2)  # long plateaus
     def test_matches_the_composed_step_bit_for_bit(self, x, nbsym):
         compiled = get_backend("compiled")
-        want = _step_outcome(lambda h, k: emd._envelope_step(h, compiled, k), x, nbsym)
+        composed = _TwoKernels(compiled)
+        want = _step_outcome(lambda h, k: envelope_step(h, composed, k), x, nbsym)
         assert _step_outcome(compiled.envelope_step, x, nbsym) == want
         # and the NumPy kernels compose the same bits
-        numpy_step = _step_outcome(lambda h, k: emd._envelope_step(h, numpy_backend, k), x, nbsym)
+        numpy_step = _step_outcome(lambda h, k: envelope_step(h, numpy_backend, k), x, nbsym)
         assert numpy_step == want
 
     def test_too_few_extrema_names_the_counts(self):
@@ -434,7 +447,8 @@ class TestLoader:
     )
     def test_no_compiler_falls_back_with_one_warning(self, tmp_path):
         # a copy of the package with no library built, imported with no
-        # compiler on PATH
+        # compiler on PATH, sifts the bits of HHTSCALE_BACKEND=python and of
+        # the compiled kernels
         package = Path(hhtscale.__file__).parent
         shutil.copytree(
             package, tmp_path / "hhtscale", ignore=shutil.ignore_patterns("*.so", "__pycache__")
@@ -449,14 +463,28 @@ class TestLoader:
             "    get_backend('compiled')\n"
             "except RuntimeError as exc:\n"
             "    print(exc)\n"
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from hhtscale.emd import decompose\n"
+            "x = np.cumsum(np.random.default_rng(17).standard_normal(3000))\n"
+            "result = decompose(x)\n"
+            "digest = hashlib.sha256(result.imfs.tobytes() + result.residue.tobytes())\n"
+            "digest.update(repr((result.sift_counts, result.stop_reasons)).encode())\n"
+            "print(digest.hexdigest())\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
-        backends, error = done.stdout.splitlines()
+        backends, error, shipped = done.stdout.splitlines()
         assert backends == "('python',)"
         assert "no C compiler found" in error
+        x = np.cumsum(np.random.default_rng(17).standard_normal(3000))
+        for backend in BACKENDS:
+            result = emd.decompose(x, backend=backend)
+            digest = hashlib.sha256(result.imfs.tobytes() + result.residue.tobytes())
+            digest.update(repr((result.sift_counts, result.stop_reasons)).encode())
+            assert digest.hexdigest() == shipped, backend.name
         (warning,) = done.stderr.splitlines()
         assert "compiled sift kernels unavailable" in warning
         assert "no C compiler found" in warning
@@ -509,6 +537,33 @@ class TestLoader:
         with pytest.raises(build.BuildError, match="exited 1: sift.c:9: error: boom"):
             build.build_library(tmp_path, compiler=failing_cc)
         assert list(tmp_path.iterdir()) == []
+
+    def test_build_prunes_superseded_libraries(self, tmp_path, monkeypatch):
+        # a stand-in compiler that writes an empty library
+        touch_cc = [sys.executable, "-c", "import sys; open(sys.argv[sys.argv.index('-o') + 1], 'w')"]
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        stale = ["_sift_0123456789abcdef" + suffix, "_sift_fedcba9876543210" + suffix]
+        kept = [
+            "_sift_0123456789abcdef.cpython-39-other.so",  # another platform
+            build.library_name() + ".x1y2z3.tmp.so",  # another build's temporary
+            "_sift_0123456789ABCDEF" + suffix,
+            "_sift_0123456789abcde" + suffix,
+            "_sift_notes.txt",
+        ]
+        for name in stale + kept:
+            (tmp_path / name).write_text("")
+        # one stale library vanishes under a concurrent build's prune
+        real_unlink = Path.unlink
+
+        def unlink_raced(path, missing_ok=False):
+            real_unlink(path)
+            if path.name == stale[0]:
+                raise FileNotFoundError(path)
+
+        monkeypatch.setattr(Path, "unlink", unlink_raced)
+        target = build.build_library(tmp_path, compiler=touch_cc)
+        assert target == tmp_path / build.library_name()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([target.name, *kept])
 
     @pytest.mark.skipif(not _have_compiler(), reason="no C compiler found")
     def test_concurrent_builds_into_one_directory(self, tmp_path):
