@@ -30,17 +30,6 @@ _MIRROR_ERRORS = {
 _SCRATCH_ERROR = "spline_eval could not allocate its scratch space"
 
 
-def _address(a):
-    """Address of a contiguous array's data.  ``a.ctypes.data`` takes a few
-    microseconds a call, several times what a writable buffer's address
-    costs, and a sift step passes about fifteen arrays; read-only and empty
-    arrays, which export no writable buffer, take the slow way."""
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    except (TypeError, ValueError):  # read-only or empty
-        return a.ctypes.data
-
-
 class Kernels:
     """The kernels of one built library file (see ``build.build_library``)."""
 
@@ -81,7 +70,7 @@ class Kernels:
         pos = np.empty(2 * cap, dtype=np.intp)
         val = np.empty(2 * cap, dtype=np.float64)
         counts = _COUNTS()
-        self._find(_address(x), n, cap, _address(pos), _address(val), counts)
+        self._find(x.ctypes.data, n, cap, pos.ctypes.data, val.ctypes.data, counts)
         nmax, nmin = counts
         return pos[:nmax], val[:nmax], pos[cap:cap + nmin], val[cap:cap + nmin]
 
@@ -94,7 +83,7 @@ class Kernels:
         if t.ndim != 1 or t.shape != v.shape:
             raise ValueError("spline_eval needs one-dimensional knot arrays of equal length")
         out = np.empty(n_out, dtype=np.float64)
-        if self._spline(_address(t), _address(v), t.shape[0], _address(out), out.shape[0]):
+        if self._spline(t.ctypes.data, v.ctypes.data, t.shape[0], out.ctypes.data, out.shape[0]):
             raise MemoryError(_SCRATCH_ERROR)
         return out
 
@@ -125,10 +114,10 @@ class Kernels:
         # rows: tmax, vmax, tmin, vmin
         out = np.empty((4, cap), dtype=np.float64)
         counts = _COUNTS()
-        ptr, row = _address(out), cap * out.itemsize
+        ptr, row = out.ctypes.data, cap * out.itemsize
         status = self._mirror(
-            _address(max_pos), _address(max_val), nmax,
-            _address(min_pos), _address(min_val), nmin,
+            max_pos.ctypes.data, max_val.ctypes.data, nmax,
+            min_pos.ctypes.data, min_val.ctypes.data, nmin,
             float(x[0]), float(x[-1]), len(x), nbsym,
             ptr, ptr + row, ptr + 2 * row, ptr + 3 * row, counts,
         )
@@ -162,7 +151,7 @@ class Kernels:
             raise ValueError("nbsym must be >= 1")
         env = np.empty(h.shape[0], dtype=np.float64)
         info = _STEP_INFO()
-        status = self._step(_address(h), h.shape[0], nbsym, _address(env), info)
+        status = self._step(h.ctypes.data, h.shape[0], nbsym, env.ctypes.data, info)
         if status == 1:
             raise InsufficientExtremaError.found(info[0], info[1])
         if status == -3:

@@ -24,34 +24,32 @@
  * ascending, where cap >= n / 2 + 1; the counts go to cnt[0] (maxima) and
  * cnt[1] (minima).
  *
- * The scan has no data-dependent branch: every step stores a candidate at
- * the next free slot of both kinds and advances a count only where the
- * slope turns, and a flat step (d == 0) keeps the last slope through a
- * mask.  Neither kind can turn more than n / 2 times, so the spare store
- * stays inside cap. */
+ * Flat steps are skipped, and a step that is not a rise (NaN included)
+ * counts as a fall.  Where the slope turns, the middle of the run since the
+ * last move is stored: a rise then a fall is a maximum, a fall then a rise
+ * a minimum. */
 void hht_find_extrema(const double *x, ptrdiff_t n, ptrdiff_t cap,
                       ptrdiff_t *pos, double *val, ptrdiff_t *cnt)
 {
-    ptrdiff_t i, p, moved, up, keep, last = -1, last_sign = 0, cmax = 0, cmin = 0;
-    ptrdiff_t *min_pos = pos + cap;
-    double *min_val = val + cap;
+    ptrdiff_t i, p, last = -1, cmax = 0, cmin = 0;
+    int last_sign = 0, s;
     double d;
 
     for (i = 0; i < n - 1; i++) {
         d = x[i + 1] - x[i];
-        moved = d != 0.0;
-        up = d > 0.0;
-        /* the middle of the run since the last move, where a turn sits */
+        if (d == 0.0)
+            continue;
+        s = d > 0.0 ? 1 : -1;
         p = (last + 1 + i) / 2;
-        pos[cmax] = p;
-        val[cmax] = x[p];
-        min_pos[cmin] = p;
-        min_val[cmin] = x[p];
-        cmax += (last_sign == 1) & moved & !up;
-        cmin += (last_sign == -1) & up;
-        keep = moved - 1; /* all ones on a flat step */
-        last_sign = ((2 * up - 1) & ~keep) | (last_sign & keep);
-        last = (i & ~keep) | (last & keep);
+        if (last_sign == 1 && s == -1) {
+            pos[cmax] = p;
+            val[cmax++] = x[p];
+        } else if (last_sign == -1 && s == 1) {
+            pos[cap + cmin] = p;
+            val[cap + cmin++] = x[p];
+        }
+        last_sign = s;
+        last = i;
     }
     cnt[0] = cmax;
     cnt[1] = cmin;

@@ -331,6 +331,8 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, step = (float(p) for p in pieces)
         except ValueError:
             raise UsageError(f"non-numeric grid bounds in {text!r}") from None
+        if not np.isfinite([start, stop, step]).all():
+            raise UsageError(f"grid bounds in {text!r} must be finite")
         if step <= 0 or stop < start:
             raise UsageError(f"grid {text!r} must have step > 0 and stop >= start")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1

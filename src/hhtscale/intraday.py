@@ -17,7 +17,7 @@ import numpy as np
 from .emd import decompose
 from .measures import complexity, scaling_exponent
 from .series import TradingCalendar
-from .simulate import SimConfig, _nanmean_quiet, ordered_map, simulate
+from .simulate import SimConfig, _nanmean_quiet, check_threads, ordered_map, simulate
 from .spectral import spectral_track
 
 __all__ = [
@@ -150,6 +150,7 @@ def bm_reference_band(
         raise ValueError("n_sims must be >= 10")
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}")
+    check_threads(threads)
     jobs = [(seed, i, n_days, day_length, measure, trim_fraction) for i in range(n_sims)]
     stack = np.vstack(ordered_map(_band_worker, jobs, threads))
     band_lo = np.nanpercentile(stack, 5.0, axis=0)

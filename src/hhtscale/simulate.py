@@ -200,16 +200,24 @@ class EnsembleStats:
     rng_name: str = RNG_NAME
 
 
+def check_threads(threads: int) -> None:
+    """Reject a worker-process count below one."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+
+
 def ordered_map(worker, jobs: list, threads: int) -> list:
-    """``[worker(job) for job in jobs]``, on ``threads`` processes when more
-    than one is asked for.  Results keep the order of ``jobs``, so anything
-    reduced from them is independent of the thread count."""
+    """``[worker(job) for job in jobs]``, on up to ``threads`` processes,
+    never more than there are jobs, when more than one is asked for.
+    Results keep the order of ``jobs``, so anything reduced from them is
+    independent of the thread count."""
     if threads <= 1 or len(jobs) <= 1:
         return [worker(job) for job in jobs]
     # imported here: a single-process run never pays for the pool's import
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
+    workers = min(threads, len(jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 
 
 def _ensemble_worker(args):
@@ -233,8 +241,7 @@ def monte_carlo_ensemble(
     Results are independent of ``threads``: each path's stream derives from
     its index, and reductions run in path order.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    check_threads(threads)
     jobs = [(config, tau_max, trim_fraction, index) for index in range(config.paths)]
     results = ordered_map(_ensemble_worker, jobs, threads)
 

@@ -151,6 +151,19 @@ int main(void)
     check_step("plateaus", x, 400, 2);
     check_step("plateaus, nbsym past the count", x, 400, 50);
 
+    /* zigzags: every interior sample is an extremum, the most the scan can
+     * store; at odd n the segment maps fill the scan's block exactly.  Each
+     * input is copied to a buffer of its own length. */
+    for (i = 0; i < 4; i++) {
+        static const ptrdiff_t lengths[4] = {16, 17, 399, 400};
+        double *z = malloc((size_t)lengths[i] * sizeof *z);
+
+        for (n = 0; n < lengths[i]; n++)
+            z[n] = (n % 2 ? 1.0 : -1.0) * (1.0 + 0.01 * (double)(n % 7));
+        check_step("zigzag", z, lengths[i], 1 + i % 2);
+        free(z);
+    }
+
     /* walks and tick-quantized walks of many lengths */
     for (seed = 1; seed <= 60; seed++) {
         n = 16 + (ptrdiff_t)(seed * 37 % 385);

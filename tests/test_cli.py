@@ -490,6 +490,13 @@ class TestTable:
         assert run(base + ["--threads", "2", "--out-dir", str(two)]) == 0
         assert (one / "table.csv").read_bytes() == (two / "table.csv").read_bytes()
 
+    def test_zero_threads_is_one_error_everywhere(self, tmp_path, price_csv, capsys):
+        errors = []
+        for argv in (["table", "--process", "bm"], ["intraday", str(price_csv)]):
+            assert run(argv + ["--threads", "0", "--out-dir", str(tmp_path / argv[0])]) == 1
+            errors.append(capsys.readouterr().err.split(": ", 1))
+        assert errors[0][1] == errors[1][1] == "threads must be >= 1\n"
+
 
 class TestArtifactHygiene:
     def test_every_output_has_a_manifest(self, tmp_path, price_csv):
@@ -568,6 +575,8 @@ class TestCliSurface:
             (["complexity", "{csv}"], "weight=bogus", 1),
             (["spectral", "{csv}", "--trim-fraction", "0.7"], None, 1),
             (["intraday", "{csv}"], "band_sims=5", 1),
+            (["table", "--process", "fbm", "--h-grid", "0.1:inf:0.1"], None, 2),
+            (["table", "--process", "fbm", "--h-grid", "nan:1:0.1"], None, 2),
         ],
     )
     def test_bad_values_exit_codes(self, tmp_path, price_csv, capsys, argv, config, code):

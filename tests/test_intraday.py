@@ -186,3 +186,5 @@ class TestBmReferenceBand:
             bm_reference_band(day_length=64, n_days=4, n_sims=5)
         with pytest.raises(ValueError, match="measure"):
             bm_reference_band(day_length=64, n_days=4, n_sims=10, measure="x")
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            bm_reference_band(day_length=64, n_days=4, n_sims=10, threads=0)

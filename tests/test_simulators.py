@@ -8,6 +8,7 @@ determinism/thread-independence contracts.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -227,6 +228,27 @@ class TestOrderedMap:
         expected = [abs(j) for j in jobs]
         for threads in (0, 1, 2):
             assert ordered_map(abs, jobs, threads) == expected
+
+    def test_never_asks_for_more_workers_than_jobs(self, monkeypatch):
+        asked = []
+
+        class SerialPool:  # records the worker count and starts no process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, jobs, chunksize=1):
+                return map(worker, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        assert ordered_map(abs, [-1, -2], 64) == [1, 2]
+        assert ordered_map(abs, list(range(-9, 0)), 4) == list(range(9, 0, -1))
+        assert asked == [2, 4]
 
 
 class TestMonteCarloEnsemble:
