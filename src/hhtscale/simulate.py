@@ -207,10 +207,10 @@ def check_threads(threads: int) -> None:
 
 
 def ordered_map(worker, jobs: list, threads: int) -> list:
-    """``[worker(job) for job in jobs]``, on up to ``threads`` processes,
-    never more than there are jobs, when more than one is asked for.
-    Results keep the order of ``jobs``, so anything reduced from them is
-    independent of the thread count."""
+    """``[worker(job) for job in jobs]``, on ``min(threads, len(jobs))``
+    processes when that is more than one.  Results keep the order of
+    ``jobs``, so anything reduced from them is independent of the thread
+    count."""
     if threads <= 1 or len(jobs) <= 1:
         return [worker(job) for job in jobs]
     # imported here: a single-process run never pays for the pool's import
