@@ -27,7 +27,7 @@ import tempfile
 from pathlib import Path
 
 from . import build, common, numpy_backend
-from .common import InsufficientExtremaError, mirror_extrema
+from .common import MIRRORED_EXTREMA, InsufficientExtremaError, mirror_extrema
 from .compiled import Kernels
 
 logger = logging.getLogger(__name__)
@@ -36,8 +36,8 @@ _ENV_VAR = "HHTSCALE_BACKEND"
 _HERE = Path(__file__).resolve().parent
 
 __all__ = [
-    "InsufficientExtremaError", "available_backends", "envelope_step", "get_backend",
-    "mirror_extrema",
+    "MIRRORED_EXTREMA", "InsufficientExtremaError", "available_backends", "envelope_step",
+    "get_backend", "mirror_extrema",
 ]
 
 
@@ -103,22 +103,25 @@ def get_backend(name=None):
     raise ValueError(f"unknown sift backend {name!r} (use 'compiled' or 'python')")
 
 
-def envelope_step(h, backend, nbsym):
+def envelope_step(h, backend):
     """``(env, oscillatory)``: the mean of ``h``'s upper and lower envelopes,
-    each padded with ``nbsym`` mirrored extrema, and whether every maximum
-    of ``h`` is positive and every minimum negative.  A backend with an
-    ``envelope_step`` runs it; any other composes it of ``find_extrema``,
-    ``common.mirror_extrema`` and two ``spline_eval`` calls, with the same
-    bits.  Raises InsufficientExtremaError below two maxima or two minima.
+    each padded with ``MIRRORED_EXTREMA`` mirrored extrema at each end, and
+    whether every maximum of ``h`` is positive and every minimum negative.
+    A backend with an ``envelope_step`` runs it; any other composes it of
+    ``find_extrema``, ``common.mirror_extrema`` and two ``spline_eval``
+    calls, with the same bits.  Raises InsufficientExtremaError below two
+    maxima or two minima.
     """
     step = getattr(backend, "envelope_step", None)
     if step is not None:
-        return step(h, nbsym)
+        return step(h)
     max_pos, max_val, min_pos, min_val = backend.find_extrema(h)
     if len(max_pos) < 2 or len(min_pos) < 2:
         raise InsufficientExtremaError.found(len(max_pos), len(min_pos))
     oscillatory = bool(max_val.min() > 0.0 and min_val.max() < 0.0)
-    tmax, vmax, tmin, vmin = common.mirror_extrema(max_pos, max_val, min_pos, min_val, h, nbsym)
+    tmax, vmax, tmin, vmin = common.mirror_extrema(
+        max_pos, max_val, min_pos, min_val, h, MIRRORED_EXTREMA
+    )
     # the mean built in the upper envelope's array: the bits of
     # 0.5 * (upper + lower) without its two temporaries
     env = backend.spline_eval(tmax, vmax, h.shape[0])

@@ -19,14 +19,17 @@ in floats, far below 2**53, so every reflection is exact and both ends obey
 one rule bit for bit.  Only the ``nbsym + 1`` extrema nearest an end take
 part, so the rule runs on short Python lists.
 
-``sift.c`` states the same rule in C (``hht_mirror_extrema``) for the
-compiled one-call sift step; this module pads every step composed of
-kernels, and it is the oracle the tests hold the C rule to.
+``sift.c`` states the rule in C for ``MIRRORED_EXTREMA`` extrema (its static
+``mirror_extrema``) inside the compiled one-call sift step; this module
+pads every step composed of kernels, and it is the oracle the tests hold
+the C step to.
 """
 
 import numpy as np
 
-__all__ = ["InsufficientExtremaError", "mirror_extrema"]
+__all__ = ["InsufficientExtremaError", "MIRRORED_EXTREMA", "mirror_extrema"]
+
+MIRRORED_EXTREMA = 2  # extrema mirrored past each envelope end; sift.c #defines the same
 
 
 class InsufficientExtremaError(ValueError):

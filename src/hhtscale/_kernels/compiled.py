@@ -1,8 +1,9 @@
 """Compiled sift kernels: ``sift.c`` called through ``ctypes``.
 
-Same contract, signatures and return dtypes as ``numpy_backend`` and
-``common.mirror_extrema`` (see those modules for the semantics), plus
-``envelope_step``: one sift step's envelope mean in one call, which
+``find_extrema`` and ``spline_eval`` have ``numpy_backend``'s contract,
+signatures and return dtypes (see that module for the semantics), and
+``envelope_step`` is one sift step's envelope mean in one call, padded with
+``common.MIRRORED_EXTREMA`` mirrored extrema, which
 ``_kernels.envelope_step`` runs where a backend has it.  Every array is
 made contiguous float64, checked for shape, or allocated here before its
 pointer reaches C.  A kernel with several outputs writes them into one
@@ -20,7 +21,6 @@ __all__ = ["Kernels"]
 
 _PTR = ctypes.c_void_p
 _SIZE = ctypes.c_ssize_t  # ptrdiff_t in sift.c
-_DOUBLE = ctypes.c_double
 _COUNTS = _SIZE * 2
 _STEP_INFO = _SIZE * 3  # maxima, minima, oscillatory
 _MIRROR_ERRORS = {
@@ -43,14 +43,8 @@ class Kernels:
         self._spline = lib.hht_spline_eval
         self._spline.argtypes = [_PTR, _PTR, _SIZE, _PTR, _SIZE]
         self._spline.restype = ctypes.c_int
-        self._mirror = lib.hht_mirror_extrema
-        self._mirror.argtypes = [
-            _PTR, _PTR, _SIZE, _PTR, _PTR, _SIZE, _DOUBLE, _DOUBLE, _SIZE, _SIZE,
-            _PTR, _PTR, _PTR, _PTR, _COUNTS,
-        ]
-        self._mirror.restype = ctypes.c_int
         self._step = lib.hht_sift_step
-        self._step.argtypes = [_PTR, _SIZE, _SIZE, _PTR, _STEP_INFO]
+        self._step.argtypes = [_PTR, _SIZE, _PTR, _STEP_INFO]
         self._step.restype = ctypes.c_int
 
     def find_extrema(self, x):
@@ -87,50 +81,11 @@ class Kernels:
             raise MemoryError(_SCRATCH_ERROR)
         return out
 
-    def mirror_extrema(self, max_pos, max_val, min_pos, min_val, x, nbsym):
-        """Extend extrema past both series ends by mirror reflection.
-
-        ``common.mirror_extrema`` in C: the same knots bit for bit, and the
-        same ValueError and RuntimeError.  Positions and values of one kind
-        must be one-dimensional and of equal length.
-        """
-        if len(max_pos) < 2 or len(min_pos) < 2:
-            raise ValueError("mirror_extrema needs at least two maxima and two minima")
-        if nbsym < 1:
-            raise ValueError("nbsym must be >= 1")
-        max_pos = np.ascontiguousarray(max_pos, dtype=np.float64)
-        max_val = np.ascontiguousarray(max_val, dtype=np.float64)
-        min_pos = np.ascontiguousarray(min_pos, dtype=np.float64)
-        min_val = np.ascontiguousarray(min_val, dtype=np.float64)
-        if (max_pos.ndim, min_pos.ndim) != (1, 1) or (max_pos.shape, min_pos.shape) != (
-            max_val.shape, min_val.shape
-        ):
-            raise ValueError("mirror_extrema needs 1-D positions and values of equal length")
-        nmax, nmin = max_pos.shape[0], min_pos.shape[0]
-        # the rule reads at most nbsym + 1 extrema of a kind from each end,
-        # so a larger nbsym mirrors the same knots; capping it bounds out
-        nbsym = min(nbsym, max(nmax, nmin) + 1)
-        cap = max(nmax, nmin) + 2 * nbsym
-        # rows: tmax, vmax, tmin, vmin
-        out = np.empty((4, cap), dtype=np.float64)
-        counts = _COUNTS()
-        ptr, row = out.ctypes.data, cap * out.itemsize
-        status = self._mirror(
-            max_pos.ctypes.data, max_val.ctypes.data, nmax,
-            min_pos.ctypes.data, min_val.ctypes.data, nmin,
-            float(x[0]), float(x[-1]), len(x), nbsym,
-            ptr, ptr + row, ptr + 2 * row, ptr + 3 * row, counts,
-        )
-        if status:
-            raise RuntimeError(_MIRROR_ERRORS[status])
-        ntmax, ntmin = counts
-        return out[0, :ntmax], out[1, :ntmax], out[2, :ntmin], out[3, :ntmin]
-
-    def envelope_step(self, h, nbsym):
+    def envelope_step(self, h):
         """The mean of the upper and lower envelopes of ``h``, in one call.
 
-        The same bits as composing ``find_extrema``, ``mirror_extrema`` and
-        two ``spline_eval`` calls and taking ``(upper + lower) * 0.5``, with
+        The same bits as composing ``find_extrema``,
+        ``common.mirror_extrema`` and two ``spline_eval`` calls and taking ``(upper + lower) * 0.5``, with
         the same RuntimeError and MemoryError.
 
         Returns
@@ -147,11 +102,9 @@ class Kernels:
         h = np.ascontiguousarray(h, dtype=np.float64)
         if h.ndim != 1:
             raise ValueError("envelope_step expects a one-dimensional array")
-        if nbsym < 1:
-            raise ValueError("nbsym must be >= 1")
         env = np.empty(h.shape[0], dtype=np.float64)
         info = _STEP_INFO()
-        status = self._step(h.ctypes.data, h.shape[0], nbsym, env.ctypes.data, info)
+        status = self._step(h.ctypes.data, h.shape[0], env.ctypes.data, info)
         if status == 1:
             raise InsufficientExtremaError.found(info[0], info[1])
         if status == -3:

@@ -52,9 +52,6 @@ def spline_eval(knot_t, knot_v, n_out):
     if knot_t.shape[0] < 2:
         raise ValueError("spline_eval needs at least two knots")
     grid = np.arange(n_out, dtype=np.float64)
-    if knot_t.shape[0] == 2:
-        slope = (knot_v[1] - knot_v[0]) / (knot_t[1] - knot_t[0])
-        return knot_v[0] + slope * (grid - knot_t[0])
     h = np.diff(knot_t)
     slope = np.diff(knot_v) / h
     m = _second_derivatives(h, 6.0 * np.diff(slope), 2.0 * (h[:-1] + h[1:]))

@@ -1,13 +1,13 @@
-/* Compiled sift kernels: extrema scan, natural-spline envelope evaluation
- * and the mirror padding of the envelope knots, and hht_sift_step, which
- * runs all three for one sift step in one call.
+/* Compiled sift kernels: the extrema scan, natural-spline envelope
+ * evaluation, and hht_sift_step, which runs the scan, the mirror padding of
+ * the envelope knots and both envelopes for one sift step in one call.
  *
  * Plain C with no Python C-API, called through ctypes by compiled.py, which
  * validates shapes and allocates every output.  The contract (plateaus,
  * endpoints, extrapolation) is numpy_backend.py's and the mirror rule is
- * common.py's; tests/test_kernels.py holds the two implementations of each
- * to it and to each other, and hht_sift_step to the step composed of the
- * other entries, bit for bit.
+ * common.py's; tests/test_kernels.py holds the two scans and the two
+ * splines to each other, and hht_sift_step to the step composed of the scan,
+ * common.py's mirror and two spline calls, bit for bit.
  *
  * Built with the system C compiler by setup.py or, in a source checkout,
  * on first import (build.py).  Never build it with -ffast-math or with
@@ -17,6 +17,10 @@
 #include <stddef.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* Extrema of each kind mirrored past each end of the envelopes; the same
+ * count as common.py's MIRRORED_EXTREMA. */
+#define MIRRORED_EXTREMA 2
 
 /* Strict local extrema of x[0..n-1].  A run of equal samples counts once, at
  * the floor-midpoint of the run; the endpoints never qualify.  Maxima go to
@@ -55,7 +59,7 @@ void hht_find_extrema(const double *x, ptrdiff_t n, ptrdiff_t cap,
     cnt[1] = cmin;
 }
 
-/* One natural cubic spline through k >= 3 knots (t, v), t ascending, and
+/* One natural cubic spline through k >= 2 knots (t, v), t ascending, and
  * its 5k - 6 doubles of scratch: h, sl [k - 1], m [k], cp, dp [k - 2].  Once
  * solved, the segment coefficients overwrite the scratch: c1 in sl, c2 in
  * cp (and on into dp), c3 in h. */
@@ -66,9 +70,9 @@ typedef struct {
 } spline;
 
 /* Points sp at its knots and at the scratch w, fills the knot spacings and
- * segment slopes, and takes the first step of the Thomas forward sweep for
- * the second derivatives m[1..k-2] (m[0] = m[k-1] = 0).  Returns the
- * scratch past sp's own. */
+ * segment slopes, and, for k > 2, takes the first step of the Thomas
+ * forward sweep for the second derivatives m[1..k-2] (m[0] = m[k-1] = 0).
+ * Returns the scratch past sp's own. */
 static double *spline_begin(spline *sp, const double *t, const double *v, ptrdiff_t k,
                             double *w)
 {
@@ -87,9 +91,11 @@ static double *spline_begin(spline *sp, const double *t, const double *v, ptrdif
         h[i] = t[i + 1] - t[i];
         sl[i] = (v[i + 1] - v[i]) / h[i];
     }
-    bb = 2.0 * (h[0] + h[1]);
-    sp->cp[0] = h[1] / bb;
-    sp->dp[0] = 6.0 * (sl[1] - sl[0]) / bb;
+    if (k > 2) {
+        bb = 2.0 * (h[0] + h[1]);
+        sp->cp[0] = h[1] / bb;
+        sp->dp[0] = 6.0 * (sl[1] - sl[0]) / bb;
+    }
     sp->m[0] = 0.0;
     sp->m[k - 1] = 0.0;
     return sp->dp + (k - 2);
@@ -192,15 +198,9 @@ int hht_spline_eval(const double *t, const double *v, ptrdiff_t k,
                     double *out, ptrdiff_t n_out)
 {
     ptrdiff_t i, s, *first;
-    double slope, *w;
+    double *w;
     spline sp;
 
-    if (k == 2) {
-        slope = (v[1] - v[0]) / (t[1] - t[0]);
-        for (i = 0; i < n_out; i++)
-            out[i] = v[0] + slope * ((double)i - t[0]);
-        return 0;
-    }
     /* one block: the spline's scratch, then the segment map */
     w = malloc((size_t)(5 * k - 6) * sizeof(double) + (size_t)(n_out + 1) * sizeof(ptrdiff_t));
     if (w == NULL)
@@ -267,7 +267,7 @@ static ptrdiff_t put_mirrored(const side *s, ptrdiff_t lo, ptrdiff_t n, int boun
  * right end sees the extrema reflected by t -> end - t).  x0 is the end's
  * boundary sample.  Writes the mirrored maxima to (tmax, vmax) and minima
  * to (tmin, vmin), positions ascending, and their counts to cnt[0..1]. */
-static void mirror_end(const side *mx, const side *mn, double x0, ptrdiff_t nbsym,
+static void mirror_end(const side *mx, const side *mn, double x0,
                        double *tmax, double *vmax, double *tmin, double *vmin,
                        ptrdiff_t *cnt)
 {
@@ -280,22 +280,22 @@ static void mirror_end(const side *mx, const side *mn, double x0, ptrdiff_t nbsy
 
     inside = first_is_max ? x0 > value_at(b, 0) : x0 < value_at(b, 0);
     a_lo = 0;
-    a_n = min_size(nbsym, a->n);
+    a_n = min_size(MIRRORED_EXTREMA, a->n);
     if (inside) {
         /* reflect about the first extremum, unless the mirrored knots then
          * fail to reach the boundary: redo about the boundary */
-        b_n = min_size(nbsym, b->n);
+        b_n = min_size(MIRRORED_EXTREMA, b->n);
         sym = at(a, 0);
-        if (2.0 * sym - at(a, min_size(nbsym, a->n - 1)) > 0.0
+        if (2.0 * sym - at(a, min_size(MIRRORED_EXTREMA, a->n - 1)) > 0.0
             || 2.0 * sym - at(b, b_n - 1) > 0.0) {
             sym = 0.0;
         } else {
             a_lo = 1;
-            a_n = min_size(nbsym, a->n - 1);
+            a_n = min_size(MIRRORED_EXTREMA, a->n - 1);
         }
     } else {
         /* the boundary sample acts as an extremum of kind b */
-        b_n = min_size(nbsym - 1, b->n);
+        b_n = min_size(MIRRORED_EXTREMA - 1, b->n);
         boundary = 1;
     }
     if (first_is_max) {
@@ -320,17 +320,17 @@ static int stalls(const double *t, ptrdiff_t n)
 
 /* Envelope knots: the maxima (max_t, max_v)[0..nmax-1] and minima
  * (min_t, min_v)[0..nmin-1], positions ascending, nmax, nmin >= 2, with
- * nbsym >= 1 extrema of each kind mirrored past both ends of a series of
- * n_x samples whose first and last samples are x0 and x1 (see common.py).
- * Writes the upper knots to (tmax, vmax) and the lower to (tmin, vmin),
- * each with room for its count plus 2 * nbsym, and the counts to cnt[0..1].
- * Returns 0, -1 when the knots fail to cover the series, or -2 when they
- * do not strictly ascend. */
-int hht_mirror_extrema(const double *max_t, const double *max_v, ptrdiff_t nmax,
-                       const double *min_t, const double *min_v, ptrdiff_t nmin,
-                       double x0, double x1, ptrdiff_t n_x, ptrdiff_t nbsym,
-                       double *tmax, double *vmax, double *tmin, double *vmin,
-                       ptrdiff_t *cnt)
+ * MIRRORED_EXTREMA extrema of each kind mirrored past both ends of a series
+ * of n_x samples whose first and last samples are x0 and x1 (see
+ * common.py).  Writes the upper knots to (tmax, vmax) and the lower to
+ * (tmin, vmin), each with room for its count plus 2 * MIRRORED_EXTREMA, and
+ * the counts to cnt[0..1].  Returns 0, -1 when the knots fail to cover the
+ * series, or -2 when they do not strictly ascend. */
+static int mirror_extrema(const double *max_t, const double *max_v, ptrdiff_t nmax,
+                          const double *min_t, const double *min_v, ptrdiff_t nmin,
+                          double x0, double x1, ptrdiff_t n_x,
+                          double *tmax, double *vmax, double *tmin, double *vmin,
+                          ptrdiff_t *cnt)
 {
     double end = (double)(n_x - 1);
     side mx = {max_t, max_v, nmax, end, 0}, mn = {min_t, min_v, nmin, end, 0};
@@ -338,14 +338,14 @@ int hht_mirror_extrema(const double *max_t, const double *max_v, ptrdiff_t nmax,
     ptrdiff_t left[2], right[2], a, b;
 
     /* the left end's mirrored knots, the extrema, then the right end's */
-    mirror_end(&mx, &mn, x0, nbsym, tmax, vmax, tmin, vmin, left);
+    mirror_end(&mx, &mn, x0, tmax, vmax, tmin, vmin, left);
     memcpy(tmax + left[0], max_t, (size_t)nmax * sizeof(double));
     memcpy(vmax + left[0], max_v, (size_t)nmax * sizeof(double));
     memcpy(tmin + left[1], min_t, (size_t)nmin * sizeof(double));
     memcpy(vmin + left[1], min_v, (size_t)nmin * sizeof(double));
     a = left[0] + nmax;
     b = left[1] + nmin;
-    mirror_end(&right_mx, &right_mn, x1, nbsym, tmax + a, vmax + a, tmin + b, vmin + b, right);
+    mirror_end(&right_mx, &right_mn, x1, tmax + a, vmax + a, tmin + b, vmin + b, right);
     cnt[0] = a + right[0];
     cnt[1] = b + right[1];
 
@@ -357,17 +357,16 @@ int hht_mirror_extrema(const double *max_t, const double *max_v, ptrdiff_t nmax,
 }
 
 /* One sift step's envelope mean of x[0..n-1]: the extrema scan, Rilling's
- * mirror padding of nbsym >= 1 extrema past each end, both natural-spline
- * envelopes and env[i] = (upper[i] + lower[i]) * 0.5, each value by the
- * same operations as hht_find_extrema, hht_mirror_extrema and
+ * mirror padding of MIRRORED_EXTREMA extrema past each end, both
+ * natural-spline envelopes and env[i] = (upper[i] + lower[i]) * 0.5, each
+ * value by the same operations as hht_find_extrema, mirror_extrema and
  * hht_spline_eval compose them.  Writes the counts of maxima and minima to
  * info[0..1] and to info[2] whether x swings through zero everywhere
  * (every maximum positive, every minimum negative).  Returns 0, 1 when x
  * has fewer than two maxima or two minima (env is then not written),
- * hht_mirror_extrema's -1 or -2, or -3 when scratch memory cannot be
+ * mirror_extrema's -1 or -2, or -3 when scratch memory cannot be
  * allocated. */
-int hht_sift_step(const double *x, ptrdiff_t n, ptrdiff_t nbsym, double *env,
-                  ptrdiff_t *info)
+int hht_sift_step(const double *x, ptrdiff_t n, double *env, ptrdiff_t *info)
 {
     ptrdiff_t i, nmax, nmin, knots, cnt[2], *pos, *first_max, *first_min;
     ptrdiff_t cap = n / 2 + 1, s_max = 0, s_min = 0;
@@ -394,14 +393,10 @@ int hht_sift_step(const double *x, ptrdiff_t n, ptrdiff_t nbsym, double *env,
         oscillatory &= val[cap + i] < 0.0;
     info[2] = oscillatory;
 
-    /* the rule reads at most nbsym + 1 extrema of a kind from each end, so
-     * a larger nbsym mirrors the same knots; capping it bounds the knots */
-    if (nbsym > nmax + 1 && nbsym > nmin + 1)
-        nbsym = (nmax > nmin ? nmax : nmin) + 1;
     /* one block sized to the at most `knots` knots of both envelopes: the
      * positions as doubles, each knot's position and value, then both
      * splines' scratch (under 5 doubles a knot) */
-    knots = nmax + nmin + 4 * nbsym;
+    knots = nmax + nmin + 4 * MIRRORED_EXTREMA;
     w = malloc((size_t)(nmax + nmin + 7 * knots) * sizeof(double));
     if (w == NULL) {
         free(pos);
@@ -409,20 +404,20 @@ int hht_sift_step(const double *x, ptrdiff_t n, ptrdiff_t nbsym, double *env,
     }
     tpos = w;
     tmax = tpos + nmax + nmin;
-    vmax = tmax + nmax + 2 * nbsym;
-    tmin = vmax + nmax + 2 * nbsym;
-    vmin = tmin + nmin + 2 * nbsym;
+    vmax = tmax + nmax + 2 * MIRRORED_EXTREMA;
+    tmin = vmax + nmax + 2 * MIRRORED_EXTREMA;
+    vmin = tmin + nmin + 2 * MIRRORED_EXTREMA;
     for (i = 0; i < nmax; i++)
         tpos[i] = (double)pos[i];
     for (i = 0; i < nmin; i++)
         tpos[nmax + i] = (double)pos[cap + i];
-    status = hht_mirror_extrema(tpos, val, nmax, tpos + nmax, val + cap, nmin, x[0], x[n - 1],
-                                n, nbsym, tmax, vmax, tmin, vmin, cnt);
+    status = mirror_extrema(tpos, val, nmax, tpos + nmax, val + cap, nmin, x[0], x[n - 1], n,
+                            tmax, vmax, tmin, vmin, cnt);
     if (status == 0) {
         /* mirror padding adds at least one knot of each kind at each end,
          * so each envelope has k >= 4 knots */
         spline_begin(&sp[1], tmin, vmin, cnt[1],
-                     spline_begin(&sp[0], tmax, vmax, cnt[0], vmin + nmin + 2 * nbsym));
+                     spline_begin(&sp[0], tmax, vmax, cnt[0], vmin + nmin + 2 * MIRRORED_EXTREMA));
         spline_solve(&sp[0], &sp[1]);
         first_max = pos;
         first_min = pos + (n + 1);

@@ -201,18 +201,27 @@ def _resolve(args, config: dict[str, str], command: Command) -> dict:
     """Merge flag values, config-file values, and defaults.
 
     Returns the resolved parameter dictionary; a None default with no value
-    provided stays None.
+    provided stays None.  A config key that names no parameter, or a config
+    value outside its parameter's choices, is a UsageError, as the same
+    flag would be; keys of other subcommands are allowed.
     """
+    unknown = sorted(set(config) - set(PARAMS))
+    if unknown:
+        raise UsageError(f"unknown config key {unknown[0]!r}")
     resolved = {}
     for key in command.flags:
-        kind, default = PARAMS[key].kind, command.defaults.get(key, PARAMS[key].default)
+        param = PARAMS[key]
         flag_value = getattr(args, key)
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in config:
-            resolved[key] = _convert(key, config[key], kind)
+            value = resolved[key] = _convert(key, config[key], param.kind)
+            if param.choices is not None and value not in param.choices:
+                raise UsageError(
+                    f"bad value for {key}: {config[key]!r}; choose from {param.choices}"
+                )
         else:
-            resolved[key] = default
+            resolved[key] = command.defaults.get(key, param.default)
     return resolved
 
 
@@ -297,8 +306,6 @@ def _shape(params: dict):
     process = params["process"]
     if process is None:
         raise UsageError("--process is required")
-    if process not in _SHAPES:
-        raise UsageError(f"unknown process {process!r}; choose from {PROCESSES}")
     return process, _SHAPES[process]
 
 
@@ -321,8 +328,12 @@ def _sim_config(params: dict) -> SimConfig:
         raise UsageError(str(exc)) from exc
 
 
+_MAX_GRID_POINTS = 10_000  # one ensemble each; the paper's tables use 9
+
+
 def _parse_grid(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive) or a comma-separated list."""
+    """Parse 'start:stop:step' (inclusive) or a comma-separated list of at
+    least one and at most ``_MAX_GRID_POINTS`` values."""
     if ":" in text:
         pieces = text.split(":")
         if len(pieces) != 3:
@@ -335,12 +346,20 @@ def _parse_grid(text: str) -> list[float]:
             raise UsageError(f"grid bounds in {text!r} must be finite")
         if step <= 0 or stop < start:
             raise UsageError(f"grid {text!r} must have step > 0 and stop >= start")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [round(start + i * step, 12) for i in range(count)]
+        # steps past start, as a float: inf when the ratio overflows
+        steps = np.floor((stop - start) / step + 1e-9)
+        if steps >= _MAX_GRID_POINTS:
+            raise UsageError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+        return [round(start + i * step, 12) for i in range(int(steps) + 1)]
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise UsageError(f"non-numeric grid entry in {text!r}") from None
+    if not values:
+        raise UsageError(f"grid {text!r} has no values")
+    if len(values) > _MAX_GRID_POINTS:
+        raise UsageError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+    return values
 
 
 _TABLE_COLUMNS = ("H", "mean_Hstar", "std_Hstar", "mean_R2", "mean_HG", "std_HG")
@@ -471,8 +490,6 @@ def _complexity_outputs(params, series, calendar):
 
 
 def _intraday_outputs(params, series, calendar):
-    if params["measure"] not in MEASURES:
-        raise UsageError("--measure must be hstar or cstar")
     if calendar is None:
         raise DataError(
             f"{params['input']}: intraday analysis needs dated price rows "

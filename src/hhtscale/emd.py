@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import InsufficientExtremaError, envelope_step, get_backend
+from ._kernels import MIRRORED_EXTREMA, InsufficientExtremaError, envelope_step, get_backend
 
 __all__ = [
     "EmdConfig",
@@ -47,7 +47,6 @@ STOP_EXTREMA = "extrema-exhausted"
 
 MIN_LENGTH = 16
 MAX_SIFT_ITERATIONS = 100  # sift steps per component before it is taken as is
-MIRRORED_EXTREMA = 2  # extrema mirrored past each end of the envelopes
 
 
 def default_max_imfs(length: int) -> int:
@@ -129,7 +128,7 @@ def _sift_step(h: np.ndarray, kernel):
     InsufficientExtremaError
         When ``h`` has fewer than two maxima or two minima.
     """
-    env, oscillatory = envelope_step(h, kernel, MIRRORED_EXTREMA)
+    env, oscillatory = envelope_step(h, kernel)
     denom = float(np.dot(h, h))
     sd = float(np.dot(env, env)) / denom if denom > 0.0 else 0.0
     return env, sd, oscillatory
@@ -145,7 +144,7 @@ def envelope_mean(x) -> np.ndarray:
         When ``x`` has fewer than two maxima or two minima.
     """
     h, exponent = _scaled(_values(x))
-    return np.ldexp(envelope_step(h, get_backend(), MIRRORED_EXTREMA)[0], exponent)
+    return np.ldexp(envelope_step(h, get_backend())[0], exponent)
 
 
 def sift_once(h):

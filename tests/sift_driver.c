@@ -1,29 +1,17 @@
 /* Runs the entries of src/hhtscale/_kernels/sift.c on edge inputs.
  *
- * tests/test_kernels.py (TestSanitized) builds it together with sift.c under
+ * It includes sift.c, so it shares its declarations and can call its static
+ * mirror_extrema.  tests/test_kernels.py (TestLoader) builds it alone under
  * AddressSanitizer and UndefinedBehaviorSanitizer, so an access outside a
  * buffer, a leak or an undefined operation aborts the run.  Each case also
  * holds hht_sift_step to the composition it replaces (hht_find_extrema,
- * hht_mirror_extrema and two hht_spline_eval calls), bit for bit.  Prints
- * "ok" and exits 0 when every case passes.
+ * mirror_extrema and two hht_spline_eval calls), bit for bit.  Prints "ok"
+ * and exits 0 when every case passes.
  */
 
-#include <stddef.h>
 #include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
 
-void hht_find_extrema(const double *x, ptrdiff_t n, ptrdiff_t cap,
-                      ptrdiff_t *pos, double *val, ptrdiff_t *cnt);
-int hht_spline_eval(const double *t, const double *v, ptrdiff_t k,
-                    double *out, ptrdiff_t n_out);
-int hht_mirror_extrema(const double *max_t, const double *max_v, ptrdiff_t nmax,
-                       const double *min_t, const double *min_v, ptrdiff_t nmin,
-                       double x0, double x1, ptrdiff_t n_x, ptrdiff_t nbsym,
-                       double *tmax, double *vmax, double *tmin, double *vmin,
-                       ptrdiff_t *cnt);
-int hht_sift_step(const double *x, ptrdiff_t n, ptrdiff_t nbsym, double *env,
-                  ptrdiff_t *info);
+#include "../src/hhtscale/_kernels/sift.c"
 
 static int failures;
 
@@ -35,7 +23,7 @@ static void fail(const char *name, const char *what)
 
 /* hht_sift_step on x[0..n-1] against its composition.  Buffers are sized
  * exactly, so that an access past one is caught. */
-static void check_step(const char *name, const double *x, ptrdiff_t n, ptrdiff_t nbsym)
+static void check_step(const char *name, const double *x, ptrdiff_t n)
 {
     ptrdiff_t cap = n / 2 + 1, info[3], counts[2], cnt[2], i, nmax, nmin;
     ptrdiff_t *pos = malloc((size_t)(2 * cap) * sizeof *pos);
@@ -44,7 +32,7 @@ static void check_step(const char *name, const double *x, ptrdiff_t n, ptrdiff_t
     double *tpos, *knots, *upper, *lower;
     int status, oscillatory = 1;
 
-    status = hht_sift_step(x, n, nbsym, env, info);
+    status = hht_sift_step(x, n, env, info);
     hht_find_extrema(x, n, cap, pos, val, counts);
     nmax = counts[0];
     nmin = counts[1];
@@ -68,15 +56,16 @@ static void check_step(const char *name, const double *x, ptrdiff_t n, ptrdiff_t
         tpos[i] = (double)pos[i];
     for (i = 0; i < nmin; i++)
         tpos[nmax + i] = (double)pos[cap + i];
-    /* rows tmax, vmax [nmax + 2 nbsym], tmin, vmin [nmin + 2 nbsym] */
-    knots = malloc((size_t)(2 * (nmax + nmin) + 8 * nbsym) * sizeof *knots);
+    /* rows tmax, vmax [nmax + 2 M], tmin, vmin [nmin + 2 M], M = MIRRORED_EXTREMA */
+    knots = malloc((size_t)(2 * (nmax + nmin) + 8 * MIRRORED_EXTREMA) * sizeof *knots);
     upper = malloc((size_t)n * sizeof *upper);
     lower = malloc((size_t)n * sizeof *lower);
     {
-        double *tmax = knots, *vmax = tmax + nmax + 2 * nbsym;
-        double *tmin = vmax + nmax + 2 * nbsym, *vmin = tmin + nmin + 2 * nbsym;
-        int mirrored = hht_mirror_extrema(tpos, val, nmax, tpos + nmax, val + cap, nmin, x[0],
-                                          x[n - 1], n, nbsym, tmax, vmax, tmin, vmin, cnt);
+        double *tmax = knots, *vmax = tmax + nmax + 2 * MIRRORED_EXTREMA;
+        double *tmin = vmax + nmax + 2 * MIRRORED_EXTREMA;
+        double *vmin = tmin + nmin + 2 * MIRRORED_EXTREMA;
+        int mirrored = mirror_extrema(tpos, val, nmax, tpos + nmax, val + cap, nmin, x[0],
+                                      x[n - 1], n, tmax, vmax, tmin, vmin, cnt);
 
         if (mirrored != 0) {
             if (status != mirrored)
@@ -104,6 +93,23 @@ static void check_step(const char *name, const double *x, ptrdiff_t n, ptrdiff_t
     free(env);
 }
 
+/* mirror_extrema on two maxima (max_t, max_v) and two minima (min_t, min_v)
+ * of a series of n_x zeros, which no scan returns, against its expected
+ * status. */
+static void check_mirror(const char *name, const double *max_t, const double *max_v,
+                         const double *min_t, const double *min_v, ptrdiff_t n_x,
+                         int expected)
+{
+    double knots[4 * (2 + 2 * MIRRORED_EXTREMA)];
+    double *tmax = knots, *vmax = tmax + 2 + 2 * MIRRORED_EXTREMA;
+    double *tmin = vmax + 2 + 2 * MIRRORED_EXTREMA, *vmin = tmin + 2 + 2 * MIRRORED_EXTREMA;
+    ptrdiff_t cnt[2];
+
+    if (mirror_extrema(max_t, max_v, 2, min_t, min_v, 2, 0.0, 0.0, n_x, tmax, vmax, tmin, vmin,
+                       cnt) != expected)
+        fail(name, "unexpected mirror status");
+}
+
 /* A seeded walk of n steps in [-1, 1), rounded to multiples of tick when
  * tick > 0, from a 64-bit linear congruential generator. */
 static void walk(double *x, ptrdiff_t n, unsigned long long seed, double tick)
@@ -126,30 +132,32 @@ int main(void)
     };
     static const double t3[3] = {-2.5, 4.0, 30.0}, v3[3] = {1.0, -2.0, 0.5};
     static const double t3_right[3] = {20.0, 21.0, 25.0};
+    /* invalid extrema for a 9-sample series: maxima at -1 and 9 (with
+     * minima at 1 and 9) leave the knots short of the series, and a maximum
+     * at -1 (with another at 5 and minima at 1 and 5) stalls them */
+    static const double out_t[2] = {-1.0, 9.0}, out_min_t[2] = {1.0, 9.0};
+    static const double stall_t[2] = {-1.0, 5.0}, stall_min_t[2] = {1.0, 5.0};
+    static const double ones[2] = {1.0, 1.0}, minus_ones[2] = {-1.0, -1.0};
     double x[400], out[16], flat[16];
-    ptrdiff_t n, i, nbsym;
+    ptrdiff_t n, i;
     unsigned long long seed;
 
-    for (nbsym = 1; nbsym <= 4; nbsym++)
-        check_step("two each", two_each, 16, nbsym);
-    /* nbsym past the extrema count */
-    check_step("two each, nbsym 1000", two_each, 16, 1000);
+    check_step("two each", two_each, 16);
 
     /* too few extrema: monotone, constant and short series */
     for (i = 0; i < 16; i++) {
         x[i] = (double)i;
         flat[i] = 3.0;
     }
-    check_step("monotone", x, 16, 2);
-    check_step("constant", flat, 16, 2);
+    check_step("monotone", x, 16);
+    check_step("constant", flat, 16);
     for (n = 0; n < 5; n++)
-        check_step("short", two_each, n, 2);
+        check_step("short", two_each, n);
 
     /* long plateaus: runs of 25 equal samples on alternating levels */
     for (i = 0; i < 400; i++)
         x[i] = (i / 25) % 2 ? 1.0 + (double)(i / 50) : -1.0 - (double)(i / 50);
-    check_step("plateaus", x, 400, 2);
-    check_step("plateaus, nbsym past the count", x, 400, 50);
+    check_step("plateaus", x, 400);
 
     /* zigzags: every interior sample is an extremum, the most the scan can
      * store; at odd n the segment maps fill the scan's block exactly.  Each
@@ -160,7 +168,7 @@ int main(void)
 
         for (n = 0; n < lengths[i]; n++)
             z[n] = (n % 2 ? 1.0 : -1.0) * (1.0 + 0.01 * (double)(n % 7));
-        check_step("zigzag", z, lengths[i], 1 + i % 2);
+        check_step("zigzag", z, lengths[i]);
         free(z);
     }
 
@@ -168,10 +176,13 @@ int main(void)
     for (seed = 1; seed <= 60; seed++) {
         n = 16 + (ptrdiff_t)(seed * 37 % 385);
         walk(x, n, seed, 0.0);
-        check_step("walk", x, n, 1 + (ptrdiff_t)(seed % 3));
+        check_step("walk", x, n);
         walk(x, n, seed, 0.5);
-        check_step("ticks", x, n, 2);
+        check_step("ticks", x, n);
     }
+
+    check_mirror("short of the series", out_t, minus_ones, out_min_t, minus_ones, 9, -1);
+    check_mirror("stalled knots", stall_t, ones, stall_min_t, minus_ones, 9, -2);
 
     /* the spline alone: three knots around, past and right of the grid,
      * two knots, and an empty grid */

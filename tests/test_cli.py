@@ -571,12 +571,16 @@ class TestCliSurface:
             (["simulate", "--process", "bm"], "length=ten", 2),
             (["simulate", "--process", "bm"], "table=maybe", 2),
             (["decompose", "{csv}", "--max-imfs", "0"], None, 2),
-            (["decompose", "{csv}"], "fill=bogus", 1),
-            (["complexity", "{csv}"], "weight=bogus", 1),
+            (["decompose", "{csv}"], "fill=bogus", 2),
+            (["complexity", "{csv}"], "weight=bogus", 2),
             (["spectral", "{csv}", "--trim-fraction", "0.7"], None, 1),
             (["intraday", "{csv}"], "band_sims=5", 1),
             (["table", "--process", "fbm", "--h-grid", "0.1:inf:0.1"], None, 2),
             (["table", "--process", "fbm", "--h-grid", "nan:1:0.1"], None, 2),
+            (["decompose", "{csv}"], "trim_fration=0.2", 2),
+            (["table", "--process", "fbm", "--h-grid", ","], None, 2),
+            (["table", "--process", "fbm", "--h-grid", "0:1e308:1e-308"], None, 2),
+            (["table", "--process", "fbm", "--h-grid", "0:1:1e-12"], None, 2),
         ],
     )
     def test_bad_values_exit_codes(self, tmp_path, price_csv, capsys, argv, config, code):

@@ -275,79 +275,6 @@ class TestMirrorExtrema:
 
 
 @st.composite
-def _mirror_cases(draw):
-    """Extrema, series and nbsym for mirror_extrema, invalid ones included:
-    one extremum of a kind, nbsym 0, and positions out of range or repeated
-    (the padding's RuntimeError)."""
-    n = draw(st.integers(min_value=5, max_value=30))
-    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6, allow_nan=False))
-    kinds = []
-    for _ in range(2):
-        if draw(st.booleans()):
-            pos = st.lists(st.integers(1, n - 2), min_size=2, max_size=5, unique=True)
-        else:
-            pos = st.lists(st.integers(-2, n + 1), min_size=1, max_size=5)
-        pos = np.array(sorted(draw(pos)), dtype=np.intp)
-        vals = draw(hnp.arrays(np.float64, len(pos), elements=value))
-        kinds += [pos, vals]
-    x = draw(hnp.arrays(np.float64, n, elements=value))
-    return (*kinds, x, draw(st.integers(min_value=0, max_value=3)))
-
-
-def _mirror_case(max_pos, max_val, min_pos, min_val, x, nbsym):
-    positions = [np.array(p, dtype=np.intp) for p in (max_pos, min_pos)]
-    values = [np.array(v, dtype=np.float64) for v in (max_val, min_val, x)]
-    return positions[0], values[0], positions[1], values[1], values[2], nbsym
-
-
-@pytest.mark.skipif("compiled" not in available_backends(), reason="no compiled kernels")
-class TestCompiledMirror:
-    # the examples reach every branch of the rule at both ends
-    @settings(max_examples=400, deadline=None)
-    @given(_mirror_cases())
-    # left end inside (about the first extremum), right end redone about the boundary
-    @example(_mirror_case([3, 5], [2, 3], [1, 2, 4], [2, 2, -3], [0, 2, 3, 0, -2, -1, 0, 2, -2], 1))
-    # left end redone, right end outside (the boundary sample is a knot)
-    @example(_mirror_case(
-        [3, 8, 9], [-2, 2, -3], [4, 5, 6], [-3, 3, 3], [-2, 2, -3, 0, 3, 0, 1, 3, 2, -3, 0], 2
-    ))
-    # left end outside, right end inside
-    @example(_mirror_case(
-        [4, 5, 7, 9], [3, 2, -2, -1], [1, 3, 8], [2, 0, -2], [3, 1, 2, 3, 1, 2, 3, 3, 0, 1, 1], 3
-    ))
-    # a maximum past the end: the knots fail to cover the series
-    @example(_mirror_case([7, 8], [2, 2], [1, 6, 7], [-2, -1, -1], [1, -1, -1, 0, 1, -3, 3, -1], 1))
-    # a maximum at the boundary: non-increasing knots
-    @example(_mirror_case([0, 1], [3, -2], [1, 2], [0, 2], [-1, -2, -2, 2, -1, 2, -3], 2))
-    def test_matches_common_bit_for_bit(self, case):
-        def outcome(mirror):
-            try:
-                return mirror(*case)
-            except (ValueError, RuntimeError) as exc:
-                return type(exc), str(exc)
-
-        expected = outcome(common.mirror_extrema)
-        got = outcome(get_backend("compiled").mirror_extrema)
-        if isinstance(expected[0], type):
-            assert got == expected
-            return
-        assert not isinstance(got[0], type), got
-        for ours, reference in zip(got, expected):
-            assert ours.dtype == reference.dtype == np.float64
-            assert ours.tobytes() == reference.tobytes()
-
-    def test_nbsym_past_the_extrema_count(self):
-        # the C wrapper caps nbsym at one past the larger extrema count
-        rng = np.random.default_rng(4)
-        x = np.cumsum(rng.standard_normal(40))
-        extrema = numpy_backend.find_extrema(x)
-        for nbsym in (len(extrema[0]), len(extrema[0]) + 2, 10**6):
-            ours = get_backend("compiled").mirror_extrema(*extrema, x, nbsym)
-            for got, want in zip(ours, common.mirror_extrema(*extrema, x, nbsym)):
-                assert got.tobytes() == want.tobytes()
-
-
-@st.composite
 def _sift_series(draw):
     """Random walks, tick-quantized walks (plateaus) and Cauchy walks
     (spikes) of 16 to 300 samples, scaled by 2**-1000, 1 or 2**1000."""
@@ -379,9 +306,9 @@ class _TwoKernels:
         return self._spline_eval(knot_t, knot_v, n_out)
 
 
-def _step_outcome(step, x, nbsym):
+def _step_outcome(step, x):
     try:
-        env, oscillatory = step(x, nbsym)
+        env, oscillatory = step(x)
     except (InsufficientExtremaError, RuntimeError) as exc:
         return type(exc), str(exc)
     assert env.dtype == np.float64
@@ -394,23 +321,31 @@ class TestEnvelopeStep:
     ``find_extrema``, ``mirror_extrema`` and two ``spline_eval`` calls."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_sift_series(), st.integers(min_value=1, max_value=4))
-    @example(_TWO_EACH, 2)
-    @example(_TWO_EACH, 1000)  # nbsym past the extrema count
-    @example(np.arange(16.0), 2)  # too few extrema
-    @example(np.repeat([0.0, 1.0, -1.0, 2.0, -2.0, 1.0, 0.0], 20), 2)  # long plateaus
-    def test_matches_the_composed_step_bit_for_bit(self, x, nbsym):
+    @given(_sift_series())
+    @example(_TWO_EACH)
+    @example(np.arange(16.0))  # too few extrema
+    @example(np.repeat([0.0, 1.0, -1.0, 2.0, -2.0, 1.0, 0.0], 20))  # long plateaus
+    # the mirror rule's three branches at each end (common._mirror_left):
+    # both ends redone about the boundary
+    @example(np.array(
+        [-2, -3, -4, -5, -5, -7, -12, -17, -15, -6, -5, 1, -5, -6, 1, 0, -1, -1, -2, -3]
+    ) / 4.0)
+    # left end inside (about the first extremum), right end outside (the
+    # boundary sample is a knot)
+    @example(np.array([0, 1, 0, 0, -1, 0, -6, -3, -4, -3, -4, -3, -7, -3, -9, -14]) / 4.0)
+    # left end outside, right end inside
+    @example(np.array([5, 7, 6, 6, 9, 3, 11, 8, 5, 10, 13, 18, 23, 24, 19, 17]) / 4.0)
+    def test_matches_the_composed_step_bit_for_bit(self, x):
         compiled = get_backend("compiled")
         composed = _TwoKernels(compiled)
-        want = _step_outcome(lambda h, k: envelope_step(h, composed, k), x, nbsym)
-        assert _step_outcome(compiled.envelope_step, x, nbsym) == want
+        want = _step_outcome(lambda h: envelope_step(h, composed), x)
+        assert _step_outcome(compiled.envelope_step, x) == want
         # and the NumPy kernels compose the same bits
-        numpy_step = _step_outcome(lambda h, k: envelope_step(h, numpy_backend, k), x, nbsym)
-        assert numpy_step == want
+        assert _step_outcome(lambda h: envelope_step(h, numpy_backend), x) == want
 
     def test_too_few_extrema_names_the_counts(self):
         with pytest.raises(InsufficientExtremaError, match="found 1/0"):
-            get_backend("compiled").envelope_step(_TWO_EACH[:4], 2)
+            get_backend("compiled").envelope_step(_TWO_EACH[:4])
 
     @pytest.mark.parametrize(
         "process, shape", [("fbm", {"hurst": 0.5}), ("slm", {"alpha": 1.0 / 0.7})]
@@ -505,9 +440,9 @@ class TestLoader:
 
     @pytest.mark.skipif(not _have_compiler(), reason="no C compiler found")
     def test_entries_run_clean_under_sanitizers(self, tmp_path):
-        # tests/sift_driver.c runs every entry on edge inputs; AddressSanitizer
-        # and UndefinedBehaviorSanitizer abort on any access past a buffer,
-        # leak or undefined operation
+        # tests/sift_driver.c includes sift.c and runs its entries and its
+        # mirror on edge inputs; AddressSanitizer and UndefinedBehaviorSanitizer
+        # abort on any access past a buffer, leak or undefined operation
         cc = build.find_compiler()
         flags = ["-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
         probe = tmp_path / "probe.c"
@@ -522,8 +457,7 @@ class TestLoader:
         made = subprocess.run(
             [
                 *cc, *build.OPT_FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
-                str(build.SOURCE), str(Path(__file__).with_name("sift_driver.c")),
-                "-o", str(driver),
+                str(Path(__file__).with_name("sift_driver.c")), "-o", str(driver),
             ],
             capture_output=True, text=True, timeout=300,
         )
