@@ -5,9 +5,12 @@
  * Plain C with no Python C-API, called through ctypes by compiled.py, which
  * validates shapes and allocates every output.  The contract (plateaus,
  * endpoints, extrapolation) is numpy_backend.py's and the mirror rule is
- * common.py's; tests/test_kernels.py holds the two scans and the two
- * splines to each other, and hht_sift_step to the step composed of the scan,
- * common.py's mirror and two spline calls, bit for bit.
+ * common.py's, in its shape: mirror_left is common._mirror_left, and
+ * mirror_extrema applies it to the left end and to the extrema nearest the
+ * right end reflected by t -> end - t, then reflects those knots back.
+ * tests/test_kernels.py holds the two scans and the two splines to each
+ * other, and hht_sift_step to the step composed of the scan, common.py's
+ * mirror and two spline calls, bit for bit.
  *
  * Built with the system C compiler by setup.py or, in a source checkout,
  * on first import (build.py).  Never build it with -ffast-math or with
@@ -120,7 +123,7 @@ static void back_step(spline *sp, ptrdiff_t j)
 {
     ptrdiff_t idx = sp->k - 3 - j;
 
-    sp->m[idx + 1] = j == 0 ? sp->dp[idx] : sp->dp[idx] - sp->cp[idx] * sp->m[idx + 2];
+    sp->m[idx + 1] = sp->dp[idx] - sp->cp[idx] * sp->m[idx + 2];
 }
 
 /* sp's segment coefficients, from its second derivatives. */
@@ -139,28 +142,26 @@ static void spline_coefs(spline *sp)
     }
 }
 
-/* Solves spline a and, unless b is NULL, spline b, one Thomas step of each
- * in turn, so that the serial division chain of one overlaps the other's;
- * each keeps its own arithmetic.  Then writes their coefficients. */
-static void spline_solve(spline *a, spline *b)
+/* Solves the splines sp[0 .. count - 1], one Thomas step of each in turn,
+ * so that the serial division chain of one overlaps the others'; each keeps
+ * its own arithmetic.  Then writes their coefficients. */
+static void spline_solve(spline *sp, int count)
 {
-    ptrdiff_t j, ka = a->k, kb = b != NULL ? b->k : 0;
+    ptrdiff_t j, k = 0;
+    int q;
 
-    for (j = 1; j < ka - 2 || j < kb - 2; j++) {
-        if (j < ka - 2)
-            forward_step(a, j);
-        if (j < kb - 2)
-            forward_step(b, j);
-    }
-    for (j = 0; j < ka - 2 || j < kb - 2; j++) {
-        if (j < ka - 2)
-            back_step(a, j);
-        if (j < kb - 2)
-            back_step(b, j);
-    }
-    spline_coefs(a);
-    if (b != NULL)
-        spline_coefs(b);
+    for (q = 0; q < count; q++)
+        k = sp[q].k > k ? sp[q].k : k;
+    for (j = 1; j < k - 2; j++)
+        for (q = 0; q < count; q++)
+            if (j < sp[q].k - 2)
+                forward_step(&sp[q], j);
+    for (j = 0; j < k - 2; j++)
+        for (q = 0; q < count; q++)
+            if (j < sp[q].k - 2)
+                back_step(&sp[q], j);
+    for (q = 0; q < count; q++)
+        spline_coefs(&sp[q]);
 }
 
 /* The segment map of sp on the grid 0 .. n_out - 1: grid point i lies in
@@ -206,7 +207,7 @@ int hht_spline_eval(const double *t, const double *v, ptrdiff_t k,
     if (w == NULL)
         return -1;
     first = (ptrdiff_t *)spline_begin(&sp, t, v, k, w);
-    spline_solve(&sp, NULL);
+    spline_solve(&sp, 1);
     segment_map(&sp, first, n_out);
     s = 0;
     for (i = 0; i < n_out; i++) {
@@ -217,143 +218,105 @@ int hht_spline_eval(const double *t, const double *v, ptrdiff_t k,
     return 0;
 }
 
-/* Extrema of one kind as seen from one end of the series: the j-th nearest
- * that end sits at distance at(j) from it.  From the right end that is the
- * reflection end - t. */
-typedef struct {
-    const double *t, *v;
-    ptrdiff_t n;
-    double end;
-    int right;
-} side;
-
-static double at(const side *s, ptrdiff_t j)
-{
-    return s->right ? s->end - s->t[s->n - 1 - j] : s->t[j];
-}
-
-static double value_at(const side *s, ptrdiff_t j)
-{
-    return s->v[s->right ? s->n - 1 - j : j];
-}
-
 static ptrdiff_t min_size(ptrdiff_t a, ptrdiff_t b)
 {
     return a < b ? a : b;
 }
 
-/* Knots of one kind mirrored about distance sym: extrema lo .. lo + n - 1
- * counted from the end, after the boundary sample (distance 0, value x0)
- * when boundary is set.  Writes them to (t, v) in ascending position and
- * returns how many. */
-static ptrdiff_t put_mirrored(const side *s, ptrdiff_t lo, ptrdiff_t n, int boundary,
-                              double sym, double x0, double *t, double *v)
+/* Knots mirrored past t = 0, statement by statement as common._mirror_left:
+ * from extrema of kind q (0 maxima, 1 minima) at positions p[q][0 ..
+ * n[q] - 1], ascending, with values v[q][..], n[q] >= 2, and the boundary
+ * sample x0, writes the mirrored knots of kind q to (kt[q], kv[q]),
+ * positions ascending, and their count to cnt[q].  Only the first
+ * MIRRORED_EXTREMA + 1 extrema of each kind are read.  Kind q mirrors the
+ * slice p[q][lo[q] .. lo[q] + len[q] - 1] (the oracle's ka or kb); outside,
+ * the boundary sample leads kind b's slice. */
+static void mirror_left(const double *p[2], const double *v[2], const ptrdiff_t n[2], double x0,
+                        double *kt[2], double *kv[2], ptrdiff_t cnt[2])
 {
-    ptrdiff_t i, j, count = n + boundary;
-    double p, mirrored;
-
-    for (i = 0; i < count; i++) {
-        /* knots ascend outward from the right end and inward from the left */
-        j = s->right ? i : count - 1 - i;
-        p = boundary && j == 0 ? 0.0 : at(s, lo + j - boundary);
-        mirrored = 2.0 * sym - p;
-        t[i] = s->right ? s->end - mirrored : mirrored;
-        v[i] = boundary && j == 0 ? x0 : value_at(s, lo + j - boundary);
-    }
-    return count;
-}
-
-/* Rilling's rule at one end, stated for the left end as in common.py (the
- * right end sees the extrema reflected by t -> end - t).  x0 is the end's
- * boundary sample.  Writes the mirrored maxima to (tmax, vmax) and minima
- * to (tmin, vmin), positions ascending, and their counts to cnt[0..1]. */
-static void mirror_end(const side *mx, const side *mn, double x0,
-                       double *tmax, double *vmax, double *tmin, double *vmin,
-                       ptrdiff_t *cnt)
-{
-    int first_is_max = at(mx, 0) < at(mn, 0), inside, boundary = 0;
     /* a is the kind of the first extremum, b the other kind; inside says
      * the boundary sample stays short of the first b extremum */
-    const side *a = first_is_max ? mx : mn, *b = first_is_max ? mn : mx;
-    ptrdiff_t a_lo, a_n, b_n;
+    int a = p[0][0] < p[1][0] ? 0 : 1, b = 1 - a, q;
+    int inside = a == 0 ? x0 > v[b][0] : x0 < v[b][0];
+    ptrdiff_t lo[2] = {0, 0}, len[2], i;
     double sym = 0.0;
 
-    inside = first_is_max ? x0 > value_at(b, 0) : x0 < value_at(b, 0);
-    a_lo = 0;
-    a_n = min_size(MIRRORED_EXTREMA, a->n);
     if (inside) {
-        /* reflect about the first extremum, unless the mirrored knots then
-         * fail to reach the boundary: redo about the boundary */
-        b_n = min_size(MIRRORED_EXTREMA, b->n);
-        sym = at(a, 0);
-        if (2.0 * sym - at(a, min_size(MIRRORED_EXTREMA, a->n - 1)) > 0.0
-            || 2.0 * sym - at(b, b_n - 1) > 0.0) {
+        /* reflect about the first extremum */
+        sym = p[a][0];
+        lo[a] = 1;
+        len[a] = min_size(MIRRORED_EXTREMA, n[a] - 1);
+        len[b] = min_size(MIRRORED_EXTREMA, n[b]);
+        if (2.0 * sym - p[a][len[a]] > 0.0 || 2.0 * sym - p[b][len[b] - 1] > 0.0) {
+            /* mirrored knots do not reach the boundary; redo about the boundary */
             sym = 0.0;
-        } else {
-            a_lo = 1;
-            a_n = min_size(MIRRORED_EXTREMA, a->n - 1);
+            lo[a] = 0;
+            len[a] = min_size(MIRRORED_EXTREMA, n[a]);
         }
     } else {
-        /* the boundary sample acts as an extremum of kind b */
-        b_n = min_size(MIRRORED_EXTREMA - 1, b->n);
-        boundary = 1;
+        /* boundary sample acts as an extremum of kind b; reflect about it */
+        len[a] = min_size(MIRRORED_EXTREMA, n[a]);
+        len[b] = min_size(MIRRORED_EXTREMA - 1, n[b]);
     }
-    if (first_is_max) {
-        cnt[0] = put_mirrored(a, a_lo, a_n, 0, sym, x0, tmax, vmax);
-        cnt[1] = put_mirrored(b, 0, b_n, boundary, sym, x0, tmin, vmin);
-    } else {
-        cnt[0] = put_mirrored(b, 0, b_n, boundary, sym, x0, tmax, vmax);
-        cnt[1] = put_mirrored(a, a_lo, a_n, 0, sym, x0, tmin, vmin);
+    for (q = 0; q < 2; q++) {
+        for (i = 0; i < len[q]; i++) {
+            kt[q][i] = 2.0 * sym - p[q][lo[q] + len[q] - 1 - i];
+            kv[q][i] = v[q][lo[q] + len[q] - 1 - i];
+        }
+        cnt[q] = len[q];
+    }
+    if (!inside) {
+        /* the boundary knot, nearest the end */
+        kt[b][cnt[b]] = 0.0;
+        kv[b][cnt[b]++] = x0;
     }
 }
 
-/* Whether some knot fails to lie past the one before it. */
-static int stalls(const double *t, ptrdiff_t n)
-{
-    ptrdiff_t i;
-    int bad = 0;
-
-    for (i = 1; i < n; i++)
-        bad |= t[i] <= t[i - 1];
-    return bad;
-}
-
-/* Envelope knots: the maxima (max_t, max_v)[0..nmax-1] and minima
- * (min_t, min_v)[0..nmin-1], positions ascending, nmax, nmin >= 2, with
+/* Envelope knots: extrema of kind q (0 maxima, 1 minima) at positions
+ * t[q][0 .. n[q] - 1], ascending, with values v[q][..], n[q] >= 2, with
  * MIRRORED_EXTREMA extrema of each kind mirrored past both ends of a series
- * of n_x samples whose first and last samples are x0 and x1 (see
- * common.py).  Writes the upper knots to (tmax, vmax) and the lower to
- * (tmin, vmin), each with room for its count plus 2 * MIRRORED_EXTREMA, and
- * the counts to cnt[0..1].  Returns 0, -1 when the knots fail to cover the
- * series, or -2 when they do not strictly ascend. */
-static int mirror_extrema(const double *max_t, const double *max_v, ptrdiff_t nmax,
-                          const double *min_t, const double *min_v, ptrdiff_t nmin,
+ * of n_x samples whose first and last samples are x0 and x1, as
+ * common.mirror_extrema pads them.  Writes the knots of kind q to (kt[q],
+ * kv[q]), each with room for n[q] + 2 * MIRRORED_EXTREMA, and their counts
+ * to cnt[q].  Returns 0, -1 when the knots fail to cover the series, or -2
+ * when they do not strictly ascend. */
+static int mirror_extrema(const double *t[2], const double *v[2], const ptrdiff_t n[2],
                           double x0, double x1, ptrdiff_t n_x,
-                          double *tmax, double *vmax, double *tmin, double *vmin,
-                          ptrdiff_t *cnt)
+                          double *kt[2], double *kv[2], ptrdiff_t cnt[2])
 {
     double end = (double)(n_x - 1);
-    side mx = {max_t, max_v, nmax, end, 0}, mn = {min_t, min_v, nmin, end, 0};
-    side right_mx = {max_t, max_v, nmax, end, 1}, right_mn = {min_t, min_v, nmin, end, 1};
-    ptrdiff_t left[2], right[2], a, b;
+    double rt[2][MIRRORED_EXTREMA + 1], rv[2][MIRRORED_EXTREMA + 1];
+    double rkt[2][MIRRORED_EXTREMA], rkv[2][MIRRORED_EXTREMA];
+    const double *right_t[2] = {rt[0], rt[1]}, *right_v[2] = {rv[0], rv[1]};
+    double *right_kt[2] = {rkt[0], rkt[1]}, *right_kv[2] = {rkv[0], rkv[1]};
+    ptrdiff_t q, i, right_n[2], right_cnt[2];
+    int short_of_series = 0, stalls = 0;
 
-    /* the left end's mirrored knots, the extrema, then the right end's */
-    mirror_end(&mx, &mn, x0, tmax, vmax, tmin, vmin, left);
-    memcpy(tmax + left[0], max_t, (size_t)nmax * sizeof(double));
-    memcpy(vmax + left[0], max_v, (size_t)nmax * sizeof(double));
-    memcpy(tmin + left[1], min_t, (size_t)nmin * sizeof(double));
-    memcpy(vmin + left[1], min_v, (size_t)nmin * sizeof(double));
-    a = left[0] + nmax;
-    b = left[1] + nmin;
-    mirror_end(&right_mx, &right_mn, x1, tmax + a, vmax + a, tmin + b, vmin + b, right);
-    cnt[0] = a + right[0];
-    cnt[1] = b + right[1];
+    mirror_left(t, v, n, x0, kt, kv, cnt);
+    /* the right end: the left rule on the extrema reflected by t -> end - t */
+    for (q = 0; q < 2; q++) {
+        right_n[q] = min_size(MIRRORED_EXTREMA + 1, n[q]);
+        for (i = 0; i < right_n[q]; i++) {
+            rt[q][i] = end - t[q][n[q] - 1 - i];
+            rv[q][i] = v[q][n[q] - 1 - i];
+        }
+    }
+    mirror_left(right_t, right_v, right_n, x1, right_kt, right_kv, right_cnt);
 
-    if (tmax[0] > 0.0 || tmax[cnt[0] - 1] < end || tmin[0] > 0.0 || tmin[cnt[1] - 1] < end)
-        return -1;
-    if (stalls(tmax, cnt[0]) || stalls(tmin, cnt[1]))
-        return -2;
-    return 0;
+    /* the left end's knots, the extrema, then the right end's reflected back */
+    for (q = 0; q < 2; q++) {
+        memcpy(kt[q] + cnt[q], t[q], (size_t)n[q] * sizeof(double));
+        memcpy(kv[q] + cnt[q], v[q], (size_t)n[q] * sizeof(double));
+        cnt[q] += n[q];
+        for (i = right_cnt[q] - 1; i >= 0; i--) {
+            kt[q][cnt[q]] = end - rkt[q][i];
+            kv[q][cnt[q]++] = rkv[q][i];
+        }
+        short_of_series |= kt[q][0] > 0.0 || kt[q][cnt[q] - 1] < end;
+        for (i = 1; i < cnt[q]; i++)
+            stalls |= kt[q][i] <= kt[q][i - 1];
+    }
+    return short_of_series ? -1 : stalls ? -2 : 0;
 }
 
 /* One sift step's envelope mean of x[0..n-1]: the extrema scan, Rilling's
@@ -368,9 +331,9 @@ static int mirror_extrema(const double *max_t, const double *max_v, ptrdiff_t nm
  * allocated. */
 int hht_sift_step(const double *x, ptrdiff_t n, double *env, ptrdiff_t *info)
 {
-    ptrdiff_t i, nmax, nmin, knots, cnt[2], *pos, *first_max, *first_min;
-    ptrdiff_t cap = n / 2 + 1, s_max = 0, s_min = 0;
-    double *val, *w, *tpos, *tmax, *vmax, *tmin, *vmin;
+    ptrdiff_t i, q, knots, cnt[2], s[2] = {0, 0}, *pos, *first[2], cap = n / 2 + 1;
+    const double *t[2], *v[2];
+    double *val, *w, *tpos, *kt[2], *kv[2], *scratch;
     spline sp[2];
     int status, oscillatory = 1;
 
@@ -380,53 +343,51 @@ int hht_sift_step(const double *x, ptrdiff_t n, double *env, ptrdiff_t *info)
         return -3;
     val = (double *)(pos + 2 * cap);
     hht_find_extrema(x, n, cap, pos, val, info);
-    nmax = info[0];
-    nmin = info[1];
     info[2] = 0;
-    if (nmax < 2 || nmin < 2) {
+    if (info[0] < 2 || info[1] < 2) {
         free(pos);
         return 1;
     }
-    for (i = 0; i < nmax; i++)
-        oscillatory &= val[i] > 0.0;
-    for (i = 0; i < nmin; i++)
-        oscillatory &= val[cap + i] < 0.0;
-    info[2] = oscillatory;
 
     /* one block sized to the at most `knots` knots of both envelopes: the
      * positions as doubles, each knot's position and value, then both
      * splines' scratch (under 5 doubles a knot) */
-    knots = nmax + nmin + 4 * MIRRORED_EXTREMA;
-    w = malloc((size_t)(nmax + nmin + 7 * knots) * sizeof(double));
+    knots = info[0] + info[1] + 4 * MIRRORED_EXTREMA;
+    w = malloc((size_t)(info[0] + info[1] + 7 * knots) * sizeof(double));
     if (w == NULL) {
         free(pos);
         return -3;
     }
     tpos = w;
-    tmax = tpos + nmax + nmin;
-    vmax = tmax + nmax + 2 * MIRRORED_EXTREMA;
-    tmin = vmax + nmax + 2 * MIRRORED_EXTREMA;
-    vmin = tmin + nmin + 2 * MIRRORED_EXTREMA;
-    for (i = 0; i < nmax; i++)
-        tpos[i] = (double)pos[i];
-    for (i = 0; i < nmin; i++)
-        tpos[nmax + i] = (double)pos[cap + i];
-    status = mirror_extrema(tpos, val, nmax, tpos + nmax, val + cap, nmin, x[0], x[n - 1], n,
-                            tmax, vmax, tmin, vmin, cnt);
+    scratch = w + info[0] + info[1];
+    for (q = 0; q < 2; q++) {
+        t[q] = tpos;
+        v[q] = val + q * cap;
+        for (i = 0; i < info[q]; i++) {
+            tpos[i] = (double)pos[q * cap + i];
+            oscillatory &= q == 0 ? v[q][i] > 0.0 : v[q][i] < 0.0;
+        }
+        tpos += info[q];
+        kt[q] = scratch;
+        kv[q] = kt[q] + info[q] + 2 * MIRRORED_EXTREMA;
+        scratch = kv[q] + info[q] + 2 * MIRRORED_EXTREMA;
+    }
+    info[2] = oscillatory;
+    status = mirror_extrema(t, v, info, x[0], x[n - 1], n, kt, kv, cnt);
     if (status == 0) {
         /* mirror padding adds at least one knot of each kind at each end,
          * so each envelope has k >= 4 knots */
-        spline_begin(&sp[1], tmin, vmin, cnt[1],
-                     spline_begin(&sp[0], tmax, vmax, cnt[0], vmin + nmin + 2 * MIRRORED_EXTREMA));
-        spline_solve(&sp[0], &sp[1]);
-        first_max = pos;
-        first_min = pos + (n + 1);
-        segment_map(&sp[0], first_max, n);
-        segment_map(&sp[1], first_min, n);
+        for (q = 0; q < 2; q++)
+            scratch = spline_begin(&sp[q], kt[q], kv[q], cnt[q], scratch);
+        spline_solve(sp, 2);
+        for (q = 0; q < 2; q++) {
+            first[q] = pos + q * (n + 1);
+            segment_map(&sp[q], first[q], n);
+        }
         for (i = 0; i < n; i++) {
-            s_max += first_max[i];
-            s_min += first_min[i];
-            env[i] = (spline_at(&sp[0], s_max, i) + spline_at(&sp[1], s_min, i)) * 0.5;
+            s[0] += first[0][i];
+            s[1] += first[1][i];
+            env[i] = (spline_at(&sp[0], s[0], i) + spline_at(&sp[1], s[1], i)) * 0.5;
         }
     }
     free(w);

@@ -95,7 +95,6 @@ PARAMS = {
     "h": Param(float, help="Hurst exponent (fbm)"),
     "alpha": Param(float, help="stability index (slm)"),
     "d": Param(float, help="memory parameter (arfima)"),
-    "table": Param(bool, False, help="emit the ensemble summary table instead of raw paths"),
     "h_grid": Param(str, help="start:stop:step or comma list of Hurst exponents"),
     "alpha_grid": Param(str),
     "d_grid": Param(str),
@@ -149,8 +148,6 @@ def _fmt(value) -> str:
     """Full round-trip decimal text for one CSV cell."""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -185,15 +182,10 @@ def _load_config(path) -> dict[str, str]:
     return out
 
 
-_BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False}
-
-
 def _convert(key: str, text: str, kind):
     try:
-        if kind is bool:
-            return _BOOL_STRINGS[text.lower()]
         return kind(text)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad value for {key}: {text!r}") from exc
 
 
@@ -332,8 +324,9 @@ _MAX_GRID_POINTS = 10_000  # one ensemble each; the paper's tables use 9
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive) or a comma-separated list of at
-    least one and at most ``_MAX_GRID_POINTS`` values."""
+    """Parse 'start:stop:step' (inclusive, points rounded to 12 decimals,
+    none repeated) or a comma-separated list of at least one and at most
+    ``_MAX_GRID_POINTS`` values."""
     if ":" in text:
         pieces = text.split(":")
         if len(pieces) != 3:
@@ -350,7 +343,10 @@ def _parse_grid(text: str) -> list[float]:
         steps = np.floor((stop - start) / step + 1e-9)
         if steps >= _MAX_GRID_POINTS:
             raise UsageError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-        return [round(start + i * step, 12) for i in range(int(steps) + 1)]
+        points = [round(start + i * step, 12) for i in range(int(steps) + 1)]
+        if len(set(points)) < len(points):
+            raise UsageError(f"grid {text!r} repeats points once rounded to 12 decimals")
+        return points
     try:
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
@@ -402,9 +398,6 @@ def _ensemble_table(params: dict, grid_values, extra_comments=()):
 
 def _simulate_outputs(params):
     sim = _sim_config(params)
-    if params["table"]:
-        shape = _SHAPES[sim.process][0]
-        return [_ensemble_table(params, [params.get(shape)])]
     paths = [simulate(sim, path_index=i).values for i in range(sim.paths)]
     columns = ["t"] + [f"path_{i}" for i in range(sim.paths)]
     rows = ((t, *(p[t] for p in paths)) for t in range(sim.length))
@@ -531,7 +524,7 @@ def _intraday_outputs(params, series, calendar):
 COMMANDS = {
     "simulate": Command(
         "generate stochastic paths",
-        ("process", "length", "paths", "h", "alpha", "d", "table", "tau_max", "trim_fraction"),
+        ("process", "length", "paths", "h", "alpha", "d"),
         _simulate_outputs,
     ),
     "decompose": Command(
@@ -587,14 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
             param = PARAMS[key]
             flag = "--" + key.replace("_", "-")
             # flags default to None so that _resolve can tell "not given"
-            if param.kind is bool:
-                sub.add_argument(
-                    flag, action="store_const", const=True, default=None, help=param.help
-                )
-            else:
-                sub.add_argument(
-                    flag, type=param.kind, choices=param.choices, default=None, help=param.help
-                )
+            sub.add_argument(
+                flag, type=param.kind, choices=param.choices, default=None, help=param.help
+            )
         sub.add_argument("--config", default=None, help="key=value config file")
     return parser
 

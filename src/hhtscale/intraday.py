@@ -39,9 +39,11 @@ class IntradayPanel:
     matrix : (n_days, width) array, NaN where a day is shorter than the
         widest one or where the measure itself is undefined.
     day_mean : per-index mean over days, skipping NaN.
-    lunch_gap : optional (start, stop) column range marking where the
-        between-session break falls; samples are contiguous across it, so
-        the range is zero-width and only drives plot annotations.
+    lunch_gap : optional (first, last) range of the columns where days
+        split into two sessions: the least and greatest of the days' split
+        columns, equal when every day splits at the same column.  Samples
+        are contiguous across the break, which takes no column of its own,
+        so the range only drives plot annotations.
 
     Reference bands come from :func:`bm_reference_band` and outside-band
     rates from :func:`outside_band_likelihood`.
@@ -83,8 +85,8 @@ def panelize(track, calendar: TradingCalendar) -> IntradayPanel:
 
     lunch_gap = None
     if calendar.splits:
-        offset = calendar.splits[0] - calendar.day_slices[0][0]
-        lunch_gap = (offset, offset)
+        offsets = [split - day[0] for split, day in zip(calendar.splits, calendar.day_slices)]
+        lunch_gap = (min(offsets), max(offsets))
 
     return IntradayPanel(
         matrix=matrix, day_mean=_nanmean_quiet(matrix, axis=0), lunch_gap=lunch_gap

@@ -107,11 +107,7 @@ class RunManifest:
                 continue
             value = self.params[key]
             flag = "--" + key.replace("_", "-")
-            if value == "true":
-                argv.append(flag)
-            elif value == "false":
-                continue
-            elif value.startswith("-"):
+            if value.startswith("-"):
                 # a separate token would parse as an option
                 argv.append(f"{flag}={value}")
             else:

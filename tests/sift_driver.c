@@ -5,8 +5,10 @@
  * AddressSanitizer and UndefinedBehaviorSanitizer, so an access outside a
  * buffer, a leak or an undefined operation aborts the run.  Each case also
  * holds hht_sift_step to the composition it replaces (hht_find_extrema,
- * mirror_extrema and two hht_spline_eval calls), bit for bit.  Prints "ok"
- * and exits 0 when every case passes.
+ * mirror_extrema and two hht_spline_eval calls), bit for bit, and on the
+ * walks mirror_extrema commutes with the reflection t -> end - t, as
+ * common.mirror_extrema does.  Prints "ok" and exits 0 when every case
+ * passes.
  */
 
 #include <stdio.h>
@@ -64,8 +66,9 @@ static void check_step(const char *name, const double *x, ptrdiff_t n)
         double *tmax = knots, *vmax = tmax + nmax + 2 * MIRRORED_EXTREMA;
         double *tmin = vmax + nmax + 2 * MIRRORED_EXTREMA;
         double *vmin = tmin + nmin + 2 * MIRRORED_EXTREMA;
-        int mirrored = mirror_extrema(tpos, val, nmax, tpos + nmax, val + cap, nmin, x[0],
-                                      x[n - 1], n, tmax, vmax, tmin, vmin, cnt);
+        const double *et[2] = {tpos, tpos + nmax}, *ev[2] = {val, val + cap};
+        double *kt[2] = {tmax, tmin}, *kv[2] = {vmax, vmin};
+        int mirrored = mirror_extrema(et, ev, counts, x[0], x[n - 1], n, kt, kv, cnt);
 
         if (mirrored != 0) {
             if (status != mirrored)
@@ -103,11 +106,67 @@ static void check_mirror(const char *name, const double *max_t, const double *ma
     double knots[4 * (2 + 2 * MIRRORED_EXTREMA)];
     double *tmax = knots, *vmax = tmax + 2 + 2 * MIRRORED_EXTREMA;
     double *tmin = vmax + 2 + 2 * MIRRORED_EXTREMA, *vmin = tmin + 2 + 2 * MIRRORED_EXTREMA;
-    ptrdiff_t cnt[2];
+    const double *et[2] = {max_t, min_t}, *ev[2] = {max_v, min_v};
+    double *kt[2] = {tmax, tmin}, *kv[2] = {vmax, vmin};
+    ptrdiff_t two[2] = {2, 2}, cnt[2];
 
-    if (mirror_extrema(max_t, max_v, 2, min_t, min_v, 2, 0.0, 0.0, n_x, tmax, vmax, tmin, vmin,
-                       cnt) != expected)
+    if (mirror_extrema(et, ev, two, 0.0, 0.0, n_x, kt, kv, cnt) != expected)
         fail(name, "unexpected mirror status");
+}
+
+/* mirror_extrema on the extrema of x[0..n-1] (frame 0) and on the same
+ * extrema reflected by t -> end - t, with x's ends swapped (frame 1): the
+ * same status and, where it succeeds, the knots reflected the same way, bit
+ * for bit. */
+static void check_reflection(const char *name, const double *x, ptrdiff_t n)
+{
+    ptrdiff_t cap = n / 2 + 1, count[2], cnt[2][2], f, q, i, j;
+    ptrdiff_t *pos = malloc((size_t)(2 * cap) * sizeof *pos);
+    double *val = malloc((size_t)(2 * cap) * sizeof *val);
+    /* per frame and kind, rows of cap + 2 M: extrema positions and values,
+     * then knot positions and values */
+    double *rows = malloc((size_t)(16 * (cap + 2 * MIRRORED_EXTREMA)) * sizeof *rows);
+    double *et[2][2], *ev[2][2], *kt[2][2], *kv[2][2], end = (double)(n - 1), t;
+    int status[2], bad;
+
+    for (f = 0; f < 2; f++)
+        for (q = 0; q < 2; q++) {
+            et[f][q] = rows + (8 * f + 4 * q) * (cap + 2 * MIRRORED_EXTREMA);
+            ev[f][q] = et[f][q] + cap + 2 * MIRRORED_EXTREMA;
+            kt[f][q] = ev[f][q] + cap + 2 * MIRRORED_EXTREMA;
+            kv[f][q] = kt[f][q] + cap + 2 * MIRRORED_EXTREMA;
+        }
+    hht_find_extrema(x, n, cap, pos, val, count);
+    if (count[0] >= 2 && count[1] >= 2) {
+        for (q = 0; q < 2; q++)
+            for (i = 0; i < count[q]; i++) {
+                j = q * cap + count[q] - 1 - i;
+                et[0][q][i] = (double)pos[q * cap + i];
+                ev[0][q][i] = val[q * cap + i];
+                et[1][q][i] = end - (double)pos[j];
+                ev[1][q][i] = val[j];
+            }
+        for (f = 0; f < 2; f++) {
+            const double *t_f[2] = {et[f][0], et[f][1]}, *v_f[2] = {ev[f][0], ev[f][1]};
+
+            status[f] = mirror_extrema(t_f, v_f, count, x[f ? n - 1 : 0], x[f ? 0 : n - 1], n,
+                                       kt[f], kv[f], cnt[f]);
+        }
+        bad = status[0] != status[1];
+        for (q = 0; !bad && status[0] == 0 && q < 2; q++) {
+            bad = cnt[1][q] != cnt[0][q];
+            for (i = 0, j = cnt[0][q] - 1; !bad && i < cnt[0][q]; i++, j--) {
+                t = end - kt[0][q][j];
+                bad = memcmp(&kt[1][q][i], &t, sizeof t)
+                      || memcmp(&kv[1][q][i], &kv[0][q][j], sizeof t);
+            }
+        }
+        if (bad)
+            fail(name, "mirror does not commute with reflection");
+    }
+    free(rows);
+    free(val);
+    free(pos);
 }
 
 /* A seeded walk of n steps in [-1, 1), rounded to multiples of tick when
@@ -177,8 +236,10 @@ int main(void)
         n = 16 + (ptrdiff_t)(seed * 37 % 385);
         walk(x, n, seed, 0.0);
         check_step("walk", x, n);
+        check_reflection("walk", x, n);
         walk(x, n, seed, 0.5);
         check_step("ticks", x, n);
+        check_reflection("ticks", x, n);
     }
 
     check_mirror("short of the series", out_t, minus_ones, out_min_t, minus_ones, 9, -1);

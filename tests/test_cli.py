@@ -244,7 +244,7 @@ class TestSimulate:
             ["complexity", str(price_csv), "--weight", "linear"],
             ["intraday", str(price_csv), "--band-sims", "10", "--measure", "cstar"],
             [
-                "simulate", "--process", "fbm", "--h", "0.6", "--table",
+                "table", "--process", "fbm", "--h-grid", "0.6",
                 "--paths", "2", "--length", "256", "--seed", "4",
             ],
             [
@@ -528,8 +528,7 @@ class TestCliSurface:
 
     EXPECTED = {
         "simulate": (
-            {"--process", "--length", "--paths", "--h", "--alpha", "--d", "--table",
-             "--tau-max", "--trim-fraction"},
+            {"--process", "--length", "--paths", "--h", "--alpha", "--d"},
             [],
         ),
         "decompose": (_INGEST_OPTIONS | {"--sd-threshold", "--max-imfs"}, ["input"]),
@@ -581,6 +580,7 @@ class TestCliSurface:
             (["table", "--process", "fbm", "--h-grid", ","], None, 2),
             (["table", "--process", "fbm", "--h-grid", "0:1e308:1e-308"], None, 2),
             (["table", "--process", "fbm", "--h-grid", "0:1:1e-12"], None, 2),
+            (["table", "--process", "fbm", "--h-grid", "0.5:0.5000000001:1e-13"], None, 2),
         ],
     )
     def test_bad_values_exit_codes(self, tmp_path, price_csv, capsys, argv, config, code):

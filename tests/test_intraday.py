@@ -70,6 +70,15 @@ class TestPanelize:
         panel = panelize(np.zeros(8), make_calendar([4, 4], split=3))
         assert panel.lunch_gap == (3, 3)
 
+    def test_lunch_gap_spans_every_day_split(self):
+        # days splitting after 10 and 14 bars: the range covers both
+        calendar = TradingCalendar(
+            day_ids=["2024-01-01", "2024-01-02"],
+            day_slices=[(0, 20), (20, 40)],
+            splits=[10, 34],
+        )
+        assert panelize(np.zeros(40), calendar).lunch_gap == (10, 14)
+
     def test_rejects_non_vector_track(self):
         with pytest.raises(ValueError):
             panelize(np.zeros((2, 3)), make_calendar([3, 3]))

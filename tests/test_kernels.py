@@ -373,6 +373,12 @@ def _have_compiler():
     return True
 
 
+# sift.c and the sanitizer driver must compile clean as strict C99
+_STRICT_FLAGS = (
+    "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Wshadow", "-Wcast-qual", "-Wvla", "-Werror",
+)
+
+
 class TestLoader:
     """The compiled library's build and lookup (``_kernels.build``)."""
 
@@ -432,7 +438,7 @@ class TestLoader:
     @pytest.mark.skipif(not _have_compiler(), reason="no C compiler found")
     def test_source_compiles_without_warnings(self, tmp_path):
         cmd = [
-            *build.find_compiler(), *build.OPT_FLAGS, "-Wall", "-Wextra", "-Werror",
+            *build.find_compiler(), *build.OPT_FLAGS, *_STRICT_FLAGS,
             "-fPIC", "-shared", str(build.SOURCE), "-o", str(tmp_path / "sift.so"),
         ]
         done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
@@ -456,7 +462,7 @@ class TestLoader:
         driver = tmp_path / "driver"
         made = subprocess.run(
             [
-                *cc, *build.OPT_FLAGS, *flags, "-Wall", "-Wextra", "-Werror",
+                *cc, *build.OPT_FLAGS, *flags, *_STRICT_FLAGS,
                 str(Path(__file__).with_name("sift_driver.c")), "-o", str(driver),
             ],
             capture_output=True, text=True, timeout=300,

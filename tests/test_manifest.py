@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from hhtscale import RunManifest, file_digest
+from hhtscale.cli import run
 
 
 def sample_manifest() -> RunManifest:
@@ -68,10 +70,23 @@ class TestToArgv:
         assert argv[-4:] == ["--seed", "42", "--threads", "4"]
         assert "--max-imfs" in argv and argv[argv.index("--max-imfs") + 1] == "8"
 
-    def test_boolean_flags(self):
-        argv = sample_manifest().to_argv()
-        assert "--table" in argv  # true: bare flag
-        assert "--verbose" not in argv  # false: omitted
+    def test_true_and_false_are_plain_values(self, tmp_path):
+        # a column named "false" is passed on like any other value, so the
+        # replay reads the same column and writes the same bytes
+        values = tmp_path / "v.csv"
+        x = np.cumsum(np.random.default_rng(3).standard_normal(300))
+        values.write_text("false\n" + "".join(f"{v!r}\n" for v in x.tolist()))
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        argv = ["decompose", str(values), "--values-col", "false"]
+        assert run(argv + ["--out-dir", str(first)]) == 0
+        manifest = RunManifest.load(first / "imfs.csv.manifest")
+        replayed = manifest.to_argv()
+        assert replayed[replayed.index("--values-col") + 1] == "false"
+        assert run(replayed + ["--out-dir", str(replay)]) == 0
+        assert (first / "imfs.csv").read_bytes() == (replay / "imfs.csv").read_bytes()
+        # and "true" is a value too, not a bare flag
+        argv = RunManifest(subcommand="x", params={"values_col": "true"}).to_argv()
+        assert argv == ["x", "--values-col", "true", "--threads", "1"]
 
     def test_underscores_become_dashes(self):
         argv = RunManifest(subcommand="x", params={"day_length": "256"}).to_argv()
