@@ -18,8 +18,6 @@ from .emd import (  # noqa: E402
     InsufficientExtremaError,
     decompose,
     default_max_imfs,
-    envelope_mean,
-    sift_once,
 )
 from .intraday import (  # noqa: E402
     IntradayPanel,
@@ -36,7 +34,6 @@ from .measures import (  # noqa: E402
     ScalingTrack,
     complexity,
     generalized_hurst_q1,
-    measure_correlation,
     rolling_scaling_exponent,
     scaling_exponent,
 )
@@ -45,7 +42,6 @@ from .series import (  # noqa: E402
     TimeSeries,
     TradingCalendar,
     ingest_prices,
-    log_returns,
 )
 from .simulate import (  # noqa: E402
     EnsembleStats,
@@ -55,7 +51,6 @@ from .simulate import (  # noqa: E402
 )
 from .spectral import (  # noqa: E402
     SpectralTrack,
-    analytic_signal,
     hilbert_transform,
     spectral_track,
 )
@@ -76,18 +71,14 @@ __all__ = [
     "TimeSeries",
     "TradingCalendar",
     "__version__",
-    "analytic_signal",
     "bm_reference_band",
     "complexity",
     "decompose",
     "default_max_imfs",
-    "envelope_mean",
     "file_digest",
     "generalized_hurst_q1",
     "hilbert_transform",
     "ingest_prices",
-    "log_returns",
-    "measure_correlation",
     "measure_day_means",
     "measure_track",
     "monte_carlo_ensemble",
@@ -95,7 +86,6 @@ __all__ = [
     "panelize",
     "rolling_scaling_exponent",
     "scaling_exponent",
-    "sift_once",
     "simulate",
     "spectral_track",
 ]

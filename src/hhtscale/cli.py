@@ -324,9 +324,9 @@ _MAX_GRID_POINTS = 10_000  # one ensemble each; the paper's tables use 9
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive, points rounded to 12 decimals,
-    none repeated) or a comma-separated list of at least one and at most
-    ``_MAX_GRID_POINTS`` values."""
+    """Parse 'start:stop:step' (inclusive, points rounded to 12 decimals) or
+    a comma-separated list: at least one and at most ``_MAX_GRID_POINTS``
+    points, none repeated."""
     if ":" in text:
         pieces = text.split(":")
         if len(pieces) != 3:
@@ -343,27 +343,44 @@ def _parse_grid(text: str) -> list[float]:
         steps = np.floor((stop - start) / step + 1e-9)
         if steps >= _MAX_GRID_POINTS:
             raise UsageError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-        points = [round(start + i * step, 12) for i in range(int(steps) + 1)]
-        if len(set(points)) < len(points):
-            raise UsageError(f"grid {text!r} repeats points once rounded to 12 decimals")
-        return points
-    try:
-        values = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise UsageError(f"non-numeric grid entry in {text!r}") from None
-    if not values:
-        raise UsageError(f"grid {text!r} has no values")
-    if len(values) > _MAX_GRID_POINTS:
-        raise UsageError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+        values = [round(start + i * step, 12) for i in range(int(steps) + 1)]
+    else:
+        try:
+            values = [float(p) for p in text.split(",") if p.strip()]
+        except ValueError:
+            raise UsageError(f"non-numeric grid entry in {text!r}") from None
+        if not values:
+            raise UsageError(f"grid {text!r} has no values")
+        if len(values) > _MAX_GRID_POINTS:
+            raise UsageError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+    if len(set(values)) < len(values):
+        raise UsageError(f"grid {text!r} repeats a point")
     return values
 
 
-_TABLE_COLUMNS = ("H", "mean_Hstar", "std_Hstar", "mean_R2", "mean_HG", "std_HG")
+# ---------------------------------------------------------------------------
+# subcommand outputs
 
 
-def _ensemble_table(params: dict, grid_values, extra_comments=()):
+def _simulate_outputs(params):
+    sim = _sim_config(params)
+    paths = [simulate(sim, path_index=i).values for i in range(sim.paths)]
+    columns = ["t"] + [f"path_{i}" for i in range(sim.paths)]
+    rows = ((t, *(p[t] for p in paths)) for t in range(sim.length))
+    comments = [f"process={sim.process}", "rng=philox", f"seed={sim.seed}"]
+    return [("paths.csv", "simulated-paths", columns, rows, comments)]
+
+
+def _table_outputs(params):
     """One ensemble per shape value -> (H, mean/std H*, mean R2, mean/std HG)."""
     process, (shape, _, nominal) = _shape(params)
+    if shape is None:
+        grid_values = [None]
+    else:
+        grid_key = shape + "_grid"
+        if params[grid_key] is None:
+            raise UsageError(f"{process} requires --{grid_key.replace('_', '-')}")
+        grid_values = _parse_grid(params[grid_key])
     rows = []
     for value in grid_values:
         point = params if shape is None else {**params, shape: value}
@@ -387,34 +404,10 @@ def _ensemble_table(params: dict, grid_values, extra_comments=()):
         f"process={process}",
         f"paths={params['paths']}",
         f"length={params['length']}",
-        *extra_comments,
+        "rng=philox",
     ]
-    return ("table.csv", "ensemble-table", _TABLE_COLUMNS, rows, comments)
-
-
-# ---------------------------------------------------------------------------
-# subcommand outputs
-
-
-def _simulate_outputs(params):
-    sim = _sim_config(params)
-    paths = [simulate(sim, path_index=i).values for i in range(sim.paths)]
-    columns = ["t"] + [f"path_{i}" for i in range(sim.paths)]
-    rows = ((t, *(p[t] for p in paths)) for t in range(sim.length))
-    comments = [f"process={sim.process}", "rng=philox", f"seed={sim.seed}"]
-    return [("paths.csv", "simulated-paths", columns, rows, comments)]
-
-
-def _table_outputs(params):
-    process, (shape, _, _) = _shape(params)
-    if shape is None:
-        grid_values = [None]
-    else:
-        grid_key = shape + "_grid"
-        if params[grid_key] is None:
-            raise UsageError(f"{process} requires --{grid_key.replace('_', '-')}")
-        grid_values = _parse_grid(params[grid_key])
-    return [_ensemble_table(params, grid_values, ["rng=philox"])]
+    columns = ["H", "mean_Hstar", "std_Hstar", "mean_R2", "mean_HG", "std_HG"]
+    return [("table.csv", "ensemble-table", columns, rows, comments)]
 
 
 def _decompose_outputs(params, series, calendar):

@@ -37,8 +37,6 @@ __all__ = [
     "InsufficientExtremaError",
     "decompose",
     "default_max_imfs",
-    "envelope_mean",
-    "sift_once",
 ]
 
 STOP_SD = "sd-threshold"
@@ -102,20 +100,6 @@ class ImfDecomposition:
         return self.imfs.sum(axis=0) + self.residue
 
 
-def _values(series) -> np.ndarray:
-    return np.ascontiguousarray(getattr(series, "values", series), dtype=np.float64)
-
-
-def _scaled(x: np.ndarray):
-    """``(x / 2**exponent, exponent)``, max |x / 2**exponent| in [0.5, 1).
-    Sifting is positively homogeneous, and every sift entry runs on this: the
-    squared sums of ``sd`` then neither overflow nor underflow, and scaling
-    back by ``2**exponent`` is exact, so the bits are those of sifting ``x``
-    itself where that works."""
-    exponent = int(np.frexp(np.abs(x).max(initial=0.0))[1])
-    return np.ldexp(x, -exponent), exponent
-
-
 def _sift_step(h: np.ndarray, kernel):
     """Envelope mean of ``h`` and what removing it does: (env, sd, oscillatory).
 
@@ -134,32 +118,6 @@ def _sift_step(h: np.ndarray, kernel):
     return env, sd, oscillatory
 
 
-def envelope_mean(x) -> np.ndarray:
-    """Mean of the upper/lower extrema envelopes of ``x``, as one sift step
-    of :func:`decompose` builds them, on the ``get_backend()`` kernels.
-
-    Raises
-    ------
-    InsufficientExtremaError
-        When ``x`` has fewer than two maxima or two minima.
-    """
-    h, exponent = _scaled(_values(x))
-    return np.ldexp(envelope_step(h, get_backend())[0], exponent)
-
-
-def sift_once(h):
-    """One sift step of :func:`decompose`: subtract the mean envelope.
-
-    Returns
-    -------
-    (h_new, sd) : (ndarray, float)
-        The sifted series and the normalized squared change.
-    """
-    h, exponent = _scaled(_values(h))
-    env, sd, _ = _sift_step(h, get_backend())
-    return np.ldexp(h - env, exponent), sd
-
-
 def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecomposition:
     """Decompose a series into oscillatory components plus a residue.
 
@@ -168,7 +126,7 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
     """
     cfg = config or EmdConfig()
     kernel = backend if backend is not None else get_backend()
-    x = _values(series)
+    x = np.ascontiguousarray(getattr(series, "values", series), dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("decompose expects a one-dimensional series")
     if x.shape[0] < MIN_LENGTH:
@@ -176,7 +134,11 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
     max_imfs = cfg.max_imfs if cfg.max_imfs is not None else default_max_imfs(x.shape[0])
-    x, exponent = _scaled(x)
+    # Sifting is positively homogeneous, so it runs on x / 2**exponent, whose
+    # largest |value| is in [0.5, 1): the squared sums of sd then neither
+    # overflow nor underflow, and scaling back by 2**exponent is exact.
+    exponent = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    x = np.ldexp(x, -exponent)
 
     residue = x.copy()
     imfs: list[np.ndarray] = []

@@ -27,7 +27,6 @@ __all__ = [
     "ScalingTrack",
     "complexity",
     "generalized_hurst_q1",
-    "measure_correlation",
     "rolling_scaling_exponent",
     "scaling_exponent",
 ]
@@ -42,31 +41,17 @@ class ScalingTrack:
     h_star / r_squared are NaN where undefined (fewer than three usable
     components, or degenerate spread); ``defined`` carries the same
     information as a boolean mask; ``points_used`` counts the components
-    entering each regression.  ``window`` records the trailing-average width
-    of the rolling variant (None for the plain per-sample measure).
+    entering each regression.
     """
 
     h_star: np.ndarray
     r_squared: np.ndarray
     points_used: np.ndarray
     defined: np.ndarray
-    window: int | None = None
 
     @property
     def length(self) -> int:
         return self.h_star.shape[0]
-
-    def grand_mean(self) -> float:
-        """Mean of the exponent over defined samples."""
-        if not self.defined.any():
-            return float("nan")
-        return float(self.h_star[self.defined].mean())
-
-    def grand_std(self) -> float:
-        """Sample standard deviation over defined samples (ddof=1)."""
-        if self.defined.sum() < 2:
-            return float("nan")
-        return float(self.h_star[self.defined].std(ddof=1))
 
 
 @dataclass
@@ -80,11 +65,6 @@ class ComplexityTrack:
     @property
     def length(self) -> int:
         return self.c_star.shape[0]
-
-    def grand_mean(self) -> float:
-        if not self.defined.any():
-            return float("nan")
-        return float(self.c_star[self.defined].mean())
 
 
 @dataclass(frozen=True)
@@ -181,9 +161,7 @@ def rolling_scaling_exponent(track: SpectralTrack, window: int) -> ScalingTrack:
     ln_a = np.log(np.where(usable, amp_bar, 1.0))
     ln_tau = np.log(np.where(usable, per_bar, 1.0))
     slope, r2, count, defined = _column_regression(ln_a, ln_tau, usable)
-    return ScalingTrack(
-        h_star=slope, r_squared=r2, points_used=count, defined=defined, window=window
-    )
+    return ScalingTrack(h_star=slope, r_squared=r2, points_used=count, defined=defined)
 
 
 def complexity(track: SpectralTrack, weight: str = "squared") -> ComplexityTrack:
@@ -246,14 +224,3 @@ def generalized_hurst_q1(series, tau_max: int = 19) -> GheResult:
     r2 = 0.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
     return GheResult(h_g=float(slope), r_squared=float(r2), tau_max=tau_max)
 
-
-def measure_correlation(scaling: ScalingTrack, complexity_track: ComplexityTrack) -> float:
-    """Pearson correlation between the two measures over jointly defined samples."""
-    joint = scaling.defined & complexity_track.defined
-    if joint.sum() < 2:
-        raise ValueError("fewer than two jointly defined samples")
-    a = scaling.h_star[joint]
-    b = complexity_track.c_star[joint]
-    if a.std() == 0.0 or b.std() == 0.0:
-        raise ValueError("zero variance in one of the measures")
-    return float(np.corrcoef(a, b)[0, 1])

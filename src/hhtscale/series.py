@@ -5,8 +5,9 @@ spacing metadata.  :func:`ingest_prices` reads delimited price files (date /
 time / price columns), converts to log prices, and returns a
 :class:`TradingCalendar` describing how samples group into days and trading
 sessions — the geometry later used to fold a measure track into an intraday
-panel.  :func:`read_values` reads one numeric column instead; both go
-through one row reader.
+panel.  The pipeline decomposes the log prices themselves; nothing
+differences them into returns.  :func:`read_values` reads one numeric column
+instead; both go through one row reader.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "TimeSeries",
     "TradingCalendar",
     "ingest_prices",
-    "log_returns",
     "read_values",
 ]
 
@@ -66,16 +66,6 @@ class TimeSeries:
 
     def __len__(self):
         return self.values.shape[0]
-
-
-def log_returns(series: TimeSeries) -> TimeSeries:
-    """First differences of a (log-price) series."""
-    if len(series) < 2:
-        raise ValueError("need at least two samples to difference")
-    return TimeSeries(
-        np.diff(series.values), dt=series.dt,
-        label=f"{series.label}.returns" if series.label else "returns",
-    )
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 
 from .emd import ImfDecomposition
 
-__all__ = ["SpectralTrack", "analytic_signal", "hilbert_transform", "spectral_track"]
+__all__ = ["SpectralTrack", "hilbert_transform", "spectral_track"]
 
 
 def _analytic(x: np.ndarray) -> np.ndarray:
@@ -42,21 +42,18 @@ def _analytic(x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spec)
 
 
-def analytic_signal(x) -> np.ndarray:
-    """Analytic signal via the frequency-domain method.
+def hilbert_transform(x) -> np.ndarray:
+    """Hilbert transform of a real 1-D series: the imaginary part of its
+    analytic signal.
 
-    Forward DFT, zero the negative-frequency bins, double the positive
-    bins (DC and Nyquist untouched), inverse DFT.
+    The analytic signal comes from the frequency-domain method: forward
+    DFT, zero the negative-frequency bins, double the positive bins (DC and
+    Nyquist untouched), inverse DFT.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
-        raise ValueError("analytic_signal expects a 1-D series")
-    return _analytic(x)
-
-
-def hilbert_transform(x) -> np.ndarray:
-    """Hilbert transform of a real series (imaginary part of the analytic signal)."""
-    return analytic_signal(x).imag
+        raise ValueError("hilbert_transform expects a 1-D series")
+    return _analytic(x).imag
 
 
 @dataclass

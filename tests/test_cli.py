@@ -581,6 +581,7 @@ class TestCliSurface:
             (["table", "--process", "fbm", "--h-grid", "0:1e308:1e-308"], None, 2),
             (["table", "--process", "fbm", "--h-grid", "0:1:1e-12"], None, 2),
             (["table", "--process", "fbm", "--h-grid", "0.5:0.5000000001:1e-13"], None, 2),
+            (["table", "--process", "fbm", "--h-grid", "0.5,0.5,0.50"], None, 2),
         ],
     )
     def test_bad_values_exit_codes(self, tmp_path, price_csv, capsys, argv, config, code):

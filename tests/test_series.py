@@ -12,7 +12,6 @@ from hhtscale.series import (
     TimeSeries,
     TradingCalendar,
     ingest_prices,
-    log_returns,
     read_values,
 )
 
@@ -39,27 +38,6 @@ class TestTimeSeries:
         ts = TimeSeries(np.arange(4.0))
         with pytest.raises(ValueError):
             ts.values[0] = 9.0
-
-
-class TestLogReturns:
-    def test_small_example(self):
-        out = log_returns(TimeSeries(np.array([0.0, 1.0, 3.0])))
-        assert np.array_equal(out.values, [1.0, 2.0])
-
-    def test_constant_series(self):
-        out = log_returns(TimeSeries(np.full(10, 2.5)))
-        assert np.array_equal(out.values, np.zeros(9))
-
-    def test_length_and_differences(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(100)
-        out = log_returns(TimeSeries(x))
-        assert len(out) == 99
-        assert np.allclose(out.values, x[1:] - x[:-1])
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            log_returns(TimeSeries(np.array([1.0])))
 
 
 class TestIngest:
