@@ -17,7 +17,7 @@ from hhtscale.emd import (
     decompose,
     default_max_imfs,
 )
-from hhtscale._kernels import available_backends, get_backend
+from hhtscale._kernels import available_backends, envelope_step, get_backend
 
 
 def tone(length, period, amplitude=1.0, phase=0.0):
@@ -62,6 +62,19 @@ class TestEnvelopeMean:
     def test_offset_appears_in_envelope_mean(self):
         env, _ = sift_step(tone(512, 32) + 3.0)
         assert np.allclose(env[32:-32], 3.0, atol=1e-3)
+
+    @pytest.mark.parametrize("name", available_backends())
+    def test_power_of_two_scaling_is_exact(self, name):
+        # the envelope kernels are exactly homogeneous under power-of-two
+        # scaling, with no overflow or underflow over the whole float range
+        kernel = get_backend(name)
+        x = np.cumsum(np.random.default_rng(5).standard_normal(512))
+        base, _ = envelope_step(x, kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (-1000, 0, 1000):
+                env, _ = envelope_step(np.ldexp(x, k), kernel)
+                assert env.tobytes() == np.ldexp(base, k).tobytes()
 
 
 class TestSiftOnce:
