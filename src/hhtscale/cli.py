@@ -10,16 +10,16 @@ One binary, seven subcommands::
     hhtscale intraday   prices.csv --measure hstar --band-sims 100
     hhtscale table      --process fbm --h-grid 0.1:0.9:0.1 --paths 100
 
-Every run resolves its parameters as flags > ``--config`` key=value file >
-defaults, writes CSV files with a ``# schema:`` header comment and
-full round-trip float precision, and drops a ``<file>.manifest`` sidecar
-next to each output so the run can be reproduced bit-identically.
+Every run takes its parameters from flags alone (a flag left out takes its
+default), writes CSV files with a ``# schema:`` header comment and full
+round-trip float precision, and drops a ``<file>.manifest`` sidecar next to
+each output so the run can be reproduced bit-identically.
 
 Each parameter is declared once in ``PARAMS``; each subcommand in
 ``COMMANDS`` names the parameters it takes and the function computing its
-outputs.  The argparse flags, the config-file keys and the one runner that
-resolves, computes, writes and records every subcommand all come from
-these two tables.
+outputs.  The argparse flags and the one runner that computes, writes and
+records every subcommand both come from these two tables.  Only
+``simulate``, ``intraday`` and ``table`` take ``--seed`` and ``--threads``.
 
 Exit codes: 0 success, 1 data/runtime error (message names the offending
 file or row), 2 usage error.
@@ -53,7 +53,7 @@ from .measures import (
     scaling_exponent,
 )
 from .series import DataError, ingest_prices, read_values
-from .simulate import PROCESSES, SimConfig, monte_carlo_ensemble, simulate
+from .simulate import PROCESSES, RNG_NAME, SimConfig, monte_carlo_ensemble, simulate
 from .spectral import spectral_track
 
 __all__ = ["main", "run"]
@@ -68,7 +68,7 @@ class UsageError(Exception):
 
 
 class Param(NamedTuple):
-    """One parameter: flag ``--<name with dashes>`` and config key ``<name>``."""
+    """One parameter, given as the flag ``--<name with dashes>``."""
 
     kind: type
     default: object = None
@@ -112,7 +112,7 @@ PARAMS = {
 }
 
 _INGEST = ("values_col", "date_col", "time_col", "price_col", "delimiter", "session_gap", "fill")
-_COMMON = ("seed", "threads", "out_dir")
+_COMMON = ("out_dir",)
 
 # process -> (its shape parameter, the SimConfig field taking it, the
 # nominal scaling exponent of a shape value); bm has no shape parameter
@@ -164,72 +164,10 @@ def _write_csv(path: Path, schema: str, columns, rows, comments=()) -> None:
             fh.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
-def _load_config(path) -> dict[str, str]:
-    """Parse a plain-text key=value run configuration file."""
-    out: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise DataError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _convert(key: str, text: str, kind):
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise UsageError(f"bad value for {key}: {text!r}") from exc
-
-
-def _resolve(args, config: dict[str, str], command: Command) -> dict:
-    """Merge flag values, config-file values, and defaults.
-
-    Returns the resolved parameter dictionary; a None default with no value
-    provided stays None.  A config key that names no parameter, or a config
-    value outside its parameter's choices, is a UsageError, as the same
-    flag would be; keys of other subcommands are allowed.
-    """
-    unknown = sorted(set(config) - set(PARAMS))
-    if unknown:
-        raise UsageError(f"unknown config key {unknown[0]!r}")
-    resolved = {}
-    for key in command.flags:
-        param = PARAMS[key]
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in config:
-            value = resolved[key] = _convert(key, config[key], param.kind)
-            if param.choices is not None and value not in param.choices:
-                raise UsageError(
-                    f"bad value for {key}: {config[key]!r}; choose from {param.choices}"
-                )
-        else:
-            resolved[key] = command.defaults.get(key, param.default)
-    return resolved
-
-
-def _params_for_manifest(resolved: dict) -> dict[str, str]:
-    # seed and threads live in dedicated manifest fields
-    return {
-        key: _fmt(value)
-        for key, value in resolved.items()
-        if value is not None and key not in ("seed", "threads")
-    }
-
-
-def _run_command(name: str, args, config: dict[str, str]) -> int:
-    """Resolve, compute, write the CSVs, then one manifest per CSV."""
+def _run_command(name: str, args) -> int:
+    """Compute, write the CSVs, then one manifest per CSV."""
     command = COMMANDS[name]
-    params = _resolve(args, config, command)
+    params = {key: getattr(args, key) for key in command.flags}
     if command.reads_input:
         params["input"] = args.input
     started = time.time()
@@ -239,10 +177,15 @@ def _run_command(name: str, args, config: dict[str, str]) -> int:
     outputs = command.compute(params, *data)
     manifest = RunManifest(
         subcommand=name,
-        params=_params_for_manifest(params),
+        # seed and threads have manifest fields of their own
+        params={
+            key: _fmt(value)
+            for key, value in params.items()
+            if value is not None and key not in ("seed", "threads")
+        },
         inputs={"input": file_digest(args.input)} if command.reads_input else {},
-        seed=params["seed"],
-        threads=params["threads"],
+        seed=params.get("seed"),
+        threads=params.get("threads"),
     )
     for file_name, schema, columns, rows, comments in outputs:
         _write_csv(out_dir / file_name, schema, columns, rows, comments)
@@ -320,6 +263,13 @@ def _sim_config(params: dict) -> SimConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _tau_max(params: dict) -> int:
+    """The largest lag of the structure-function fit, which needs two."""
+    if params["tau_max"] < 2:
+        raise UsageError("tau_max must be >= 2")
+    return params["tau_max"]
+
+
 _MAX_GRID_POINTS = 10_000  # one ensemble each; the paper's tables use 9
 
 
@@ -367,12 +317,13 @@ def _simulate_outputs(params):
     paths = [simulate(sim, path_index=i).values for i in range(sim.paths)]
     columns = ["t"] + [f"path_{i}" for i in range(sim.paths)]
     rows = ((t, *(p[t] for p in paths)) for t in range(sim.length))
-    comments = [f"process={sim.process}", "rng=philox", f"seed={sim.seed}"]
+    comments = [f"process={sim.process}", f"rng={RNG_NAME}", f"seed={sim.seed}"]
     return [("paths.csv", "simulated-paths", columns, rows, comments)]
 
 
 def _table_outputs(params):
     """One ensemble per shape value -> (H, mean/std H*, mean R2, mean/std HG)."""
+    tau_max = _tau_max(params)
     process, (shape, _, nominal) = _shape(params)
     if shape is None:
         grid_values = [None]
@@ -386,7 +337,7 @@ def _table_outputs(params):
         point = params if shape is None else {**params, shape: value}
         stats = monte_carlo_ensemble(
             _sim_config(point),
-            tau_max=params["tau_max"],
+            tau_max=tau_max,
             trim_fraction=params["trim_fraction"],
             threads=params["threads"],
         )
@@ -404,7 +355,7 @@ def _table_outputs(params):
         f"process={process}",
         f"paths={params['paths']}",
         f"length={params['length']}",
-        "rng=philox",
+        f"rng={RNG_NAME}",
     ]
     columns = ["H", "mean_Hstar", "std_Hstar", "mean_R2", "mean_HG", "std_HG"]
     return [("table.csv", "ensemble-table", columns, rows, comments)]
@@ -444,15 +395,16 @@ def _spectral_outputs(params, series, calendar):
 
 
 def _scaling_outputs(params, series, calendar):
+    tau_max = _tau_max(params)
     track = _track(series, params)
     window = params["rolling_window"]
     if window is None:
         st = scaling_exponent(track)
     else:
         st = rolling_scaling_exponent(track, window=window)
-    comments = [f"tau_max={params['tau_max']}"]
+    comments = [f"tau_max={tau_max}"]
     try:
-        ghe = generalized_hurst_q1(series.values, tau_max=params["tau_max"])
+        ghe = generalized_hurst_q1(series.values, tau_max=tau_max)
         comments.append(f"ghe_q1={_fmt(ghe.h_g)}")
         comments.append(f"ghe_r2={_fmt(ghe.r_squared)}")
     except ValueError as exc:
@@ -517,7 +469,8 @@ def _intraday_outputs(params, series, calendar):
 COMMANDS = {
     "simulate": Command(
         "generate stochastic paths",
-        ("process", "length", "paths", "h", "alpha", "d"),
+        # --threads is taken but unread: paths are drawn one by one
+        ("process", "length", "paths", "h", "alpha", "d", "seed", "threads"),
         _simulate_outputs,
     ),
     "decompose": Command(
@@ -541,13 +494,14 @@ COMMANDS = {
     ),
     "intraday": Command(
         "day panels and reference bands",
-        ("measure", "band_sims", "trim_fraction"),
+        ("measure", "band_sims", "trim_fraction", "seed", "threads"),
         _intraday_outputs,
         reads_input=True,
     ),
     "table": Command(
         "ensemble tables over a parameter grid",
-        ("process", "h_grid", "alpha_grid", "d_grid", "paths", "length", "tau_max", "trim_fraction"),
+        ("process", "h_grid", "alpha_grid", "d_grid", "paths", "length", "tau_max",
+         "trim_fraction", "seed", "threads"),
         _table_outputs,
         defaults={"paths": 100},
     ),
@@ -571,12 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("input", help="input CSV file")
         for key in command.flags:
             param = PARAMS[key]
-            flag = "--" + key.replace("_", "-")
-            # flags default to None so that _resolve can tell "not given"
             sub.add_argument(
-                flag, type=param.kind, choices=param.choices, default=None, help=param.help
+                "--" + key.replace("_", "-"),
+                type=param.kind,
+                choices=param.choices,
+                default=command.defaults.get(key, param.default),
+                help=param.help,
             )
-        sub.add_argument("--config", default=None, help="key=value config file")
     return parser
 
 
@@ -588,8 +543,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        config = _load_config(args.config) if args.config else {}
-        return _run_command(args.subcommand, args, config)
+        return _run_command(args.subcommand, args)
     except UsageError as exc:
         print(f"hhtscale {args.subcommand}: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ import numpy as np
 from .emd import decompose
 from .measures import complexity, scaling_exponent
 from .series import TradingCalendar
-from .simulate import SimConfig, _nanmean_quiet, check_threads, ordered_map, simulate
+from .simulate import SimConfig, _nan_quiet, check_threads, ordered_map, simulate
 from .spectral import spectral_track
 
 __all__ = [
@@ -89,7 +89,7 @@ def panelize(track, calendar: TradingCalendar) -> IntradayPanel:
         lunch_gap = (min(offsets), max(offsets))
 
     return IntradayPanel(
-        matrix=matrix, day_mean=_nanmean_quiet(matrix, axis=0), lunch_gap=lunch_gap
+        matrix=matrix, day_mean=_nan_quiet(np.nanmean, matrix, axis=0), lunch_gap=lunch_gap
     )
 
 
@@ -123,7 +123,7 @@ def measure_day_means(
     if x.shape[0] != n_days * day_length:
         raise ValueError("path length must equal n_days * day_length")
     per_sample = measure_track(x, measure, trim_fraction)
-    return _nanmean_quiet(per_sample.reshape(n_days, day_length), axis=0)
+    return _nan_quiet(np.nanmean, per_sample.reshape(n_days, day_length), axis=0)
 
 
 def _band_worker(args) -> np.ndarray:
@@ -155,8 +155,8 @@ def bm_reference_band(
     check_threads(threads)
     jobs = [(seed, i, n_days, day_length, measure, trim_fraction) for i in range(n_sims)]
     stack = np.vstack(ordered_map(_band_worker, jobs, threads))
-    band_lo = np.nanpercentile(stack, 5.0, axis=0)
-    band_hi = np.nanpercentile(stack, 95.0, axis=0)
+    # a column inside the trimmed margin is NaN on every path and stays NaN
+    band_lo, band_hi = _nan_quiet(np.nanpercentile, stack, [5.0, 95.0], axis=0)
     return band_lo, band_hi
 
 

@@ -1,10 +1,11 @@
 """Run manifests: key=value sidecars that make every output reproducible.
 
 Each CSV an invocation writes gets a ``<file>.manifest`` sidecar recording
-the subcommand, the fully resolved parameter set (flag > config file >
-default), seed and thread count, input digests, software version, and wall
-time.  Re-running the reconstructed command line reproduces the CSV
-byte-for-byte; only the duration line differs between such runs.
+the subcommand, every parameter's value (the flag given, else its default),
+seed and thread count (empty for subcommands without them), input digests,
+software version, and wall time.  Re-running the reconstructed command
+line reproduces the CSV byte-for-byte; only the duration line differs
+between such runs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class RunManifest:
     params: dict[str, str] = field(default_factory=dict)
     inputs: dict[str, str] = field(default_factory=dict)  # name -> sha256
     seed: int | None = None
-    threads: int = 1
+    threads: int | None = 1
     rng: str = "philox"
     version: str = __version__
     duration_s: float = 0.0
@@ -49,7 +50,7 @@ class RunManifest:
             f"version={self.version}",
             f"rng={self.rng}",
             f"seed={'' if self.seed is None else self.seed}",
-            f"threads={self.threads}",
+            f"threads={'' if self.threads is None else self.threads}",
             f"duration_s={self.duration_s!r}",
         ]
         for key in sorted(self.params):
@@ -84,7 +85,7 @@ class RunManifest:
             params=params,
             inputs=inputs,
             seed=int(fields["seed"]) if fields.get("seed") else None,
-            threads=int(fields.get("threads", "1")),
+            threads=int(fields["threads"]) if fields.get("threads") else None,
             rng=fields.get("rng", "philox"),
             version=fields.get("version", ""),
             duration_s=float(fields.get("duration_s", "0.0")),
@@ -112,7 +113,7 @@ class RunManifest:
                 argv.append(f"{flag}={value}")
             else:
                 argv.extend([flag, value])
-        if self.seed is not None:
-            argv.extend(["--seed", str(self.seed)])
-        argv.extend(["--threads", str(self.threads)])
+        for flag, value in (("--seed", self.seed), ("--threads", self.threads)):
+            if value is not None:
+                argv.extend([flag, str(value)])
         return argv

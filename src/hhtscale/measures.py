@@ -73,7 +73,6 @@ class GheResult:
 
     h_g: float
     r_squared: float
-    tau_max: int
 
 
 def _column_regression(ln_a, ln_tau, valid):
@@ -222,5 +221,5 @@ def generalized_hurst_q1(series, tau_max: int = 19) -> GheResult:
     sxy = float(np.dot(dx, dy))
     slope = sxy / sxx
     r2 = 0.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
-    return GheResult(h_g=float(slope), r_squared=float(r2), tau_max=tau_max)
+    return GheResult(h_g=float(slope), r_squared=float(r2))
 

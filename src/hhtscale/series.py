@@ -13,7 +13,6 @@ instead; both go through one row reader.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 import os
@@ -50,7 +49,6 @@ class TimeSeries:
 
     values: np.ndarray
     dt: float = 1.0
-    label: str = ""
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -109,18 +107,14 @@ class TradingCalendar:
 
 @contextmanager
 def _opened(source):
-    """``(text stream, label)`` of a path, raw CSV text, or an open text stream."""
+    """A text stream over a path, or an open text stream as it is."""
     if hasattr(source, "read"):
-        yield source, ""
+        yield source
     elif isinstance(source, (str, os.PathLike)):
-        text = os.fspath(source)
-        if "\n" in text or "\r" in text:
-            yield io.StringIO(text), ""
-        else:
-            with open(text, "r", newline="") as stream:
-                yield stream, os.path.splitext(os.path.basename(text))[0]
+        with open(source, "r", newline="") as stream:
+            yield stream
     else:
-        raise TypeError("source must be a path, CSV text, or a text stream")
+        raise TypeError("source must be a path or a text stream")
 
 
 def _shown(cell: str) -> str:
@@ -169,7 +163,7 @@ def _read_rows(stream, columns, delimiter: str):
 def read_values(source, column: str, delimiter: str = ",") -> TimeSeries:
     """Read one numeric column of a delimited file as a series (``dt`` 1.0)."""
     values = []
-    with _opened(source) as (stream, label):
+    with _opened(source) as stream:
         for row_num, (text,) in _read_rows(stream, [column], delimiter):
             try:
                 values.append(float(text))
@@ -177,7 +171,7 @@ def read_values(source, column: str, delimiter: str = ",") -> TimeSeries:
                 raise DataError(
                     f"row {row_num}: bad value {_shown(text)} in column {column!r}"
                 ) from None
-    return TimeSeries(np.array(values), label=label)
+    return TimeSeries(np.array(values))
 
 
 def ingest_prices(
@@ -193,7 +187,7 @@ def ingest_prices(
 
     Parameters
     ----------
-    source : path, CSV text, or open text stream
+    source : path or open text stream
     date_col, time_col, price_col : str
         Header names.  ``time_col=None`` groups rows by date only; the
         sample spacing is then 1.0.
@@ -231,7 +225,7 @@ def ingest_prices(
     dates: list[str] = []
     stamps: list[datetime] = []
     prices: list[float] = []
-    with _opened(source) as (stream, label):
+    with _opened(source) as stream:
         for row_num, (date_text, raw_price, *time_text) in _read_rows(stream, columns, delimiter):
             if not raw_price:
                 raise DataError(f"row {row_num}: missing price")
@@ -322,4 +316,4 @@ def ingest_prices(
         },
     )
     values = np.repeat(np.array([math.log(price) for price in prices]), counts)
-    return TimeSeries(values, dt=dt_seconds, label=label), calendar
+    return TimeSeries(values, dt=dt_seconds), calendar

@@ -171,7 +171,7 @@ def simulate(config: SimConfig, path_index: int = 0) -> TimeSeries:
         values = simulate_slm(config.length, config.alpha, rng)
     else:
         values = simulate_arfima(config.length, config.d, rng)
-    return TimeSeries(values, dt=1.0, label=f"{config.process}[{path_index}]")
+    return TimeSeries(values, dt=1.0)
 
 
 @dataclass
@@ -190,14 +190,12 @@ class EnsembleStats:
     """
 
     config: SimConfig
-    n_paths: int
     mean_hstar_t: np.ndarray
     grand_mean: float
     grand_std: float
     mean_r2: float
     ghe_mean: float
     ghe_std: float
-    rng_name: str = RNG_NAME
 
 
 def check_threads(threads: int) -> None:
@@ -250,8 +248,8 @@ def monte_carlo_ensemble(
     ghe = np.array([r[2] for r in results])
 
     with np.errstate(invalid="ignore"):
-        mean_hstar_t = _nanmean_quiet(hstar, axis=0)
-        grand_mean = float(_nanmean_quiet(mean_hstar_t))
+        mean_hstar_t = _nan_quiet(np.nanmean, hstar, axis=0)
+        grand_mean = float(_nan_quiet(np.nanmean, mean_hstar_t))
         defined = ~np.isnan(hstar)
         n_defined = int(defined.sum())
         if n_defined > 1:
@@ -259,12 +257,11 @@ def monte_carlo_ensemble(
             grand_std = float(np.sqrt((dev * dev).sum() / (n_defined - 1)))
         else:
             grand_std = float("nan")
-        mean_r2 = float(_nanmean_quiet(_nanmean_quiet(r2, axis=0)))
+        mean_r2 = float(_nan_quiet(np.nanmean, _nan_quiet(np.nanmean, r2, axis=0)))
     ghe_mean = float(ghe.mean())
     ghe_std = float(ghe.std(ddof=1)) if config.paths > 1 else float("nan")
     return EnsembleStats(
         config=config,
-        n_paths=config.paths,
         mean_hstar_t=mean_hstar_t,
         grand_mean=grand_mean,
         grand_std=grand_std,
@@ -274,8 +271,9 @@ def monte_carlo_ensemble(
     )
 
 
-def _nanmean_quiet(a, axis=None):
-    """nanmean without the all-NaN RuntimeWarning (empty slices give NaN)."""
+def _nan_quiet(reduce, a, *args, **kwargs):
+    """``reduce(a, ...)`` for a NumPy nan-reduction such as ``np.nanmean``,
+    without its all-NaN RuntimeWarning (all-NaN slices give NaN)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=RuntimeWarning)
-        return np.nanmean(a, axis=axis)
+        return reduce(a, *args, **kwargs)

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -266,34 +267,6 @@ class TestSimulate:
         assert RunManifest.load(tmp_path / "first0" / "paths.csv.manifest").seed == 11
 
 
-class TestConfigPrecedence:
-    def test_flag_beats_config_beats_default(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# defaults for this batch\nlength=64\nh=0.6\nprocess=fbm\n")
-        out = tmp_path / "out"
-        assert (
-            run(
-                [
-                    "simulate", "--config", str(cfg), "--length", "32",
-                    "--seed", "1", "--out-dir", str(out),
-                ]
-            )
-            == 0
-        )
-        _, _, rows = read_csv(out / "paths.csv")
-        assert len(rows) == 32  # flag overrode the config value
-        manifest = RunManifest.load(out / "paths.csv.manifest")
-        assert manifest.params["length"] == "32"
-        assert manifest.params["h"] == "0.6"  # config filled the gap
-        assert manifest.params["process"] == "fbm"
-
-    def test_config_syntax_error_names_the_line(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("length=64\nwhat is this\n")
-        assert run(["simulate", "--config", str(cfg)]) == 1
-        assert "line 2" in capsys.readouterr().err
-
-
 class TestSeriesSubcommands:
     def test_decompose_reconstructs_input(self, tmp_path, price_csv):
         out = tmp_path / "dec"
@@ -520,7 +493,8 @@ _INGEST_OPTIONS = {
     "--values-col", "--date-col", "--time-col", "--price-col", "--delimiter",
     "--session-gap", "--fill",
 }
-_COMMON_OPTIONS = {"-h", "--help", "--seed", "--threads", "--out-dir", "--config"}
+_COMMON_OPTIONS = {"-h", "--help", "--out-dir"}
+_SEED_THREADS = {"--seed", "--threads"}
 
 
 class TestCliSurface:
@@ -528,7 +502,7 @@ class TestCliSurface:
 
     EXPECTED = {
         "simulate": (
-            {"--process", "--length", "--paths", "--h", "--alpha", "--d"},
+            {"--process", "--length", "--paths", "--h", "--alpha", "--d"} | _SEED_THREADS,
             [],
         ),
         "decompose": (_INGEST_OPTIONS | {"--sd-threshold", "--max-imfs"}, ["input"]),
@@ -539,12 +513,12 @@ class TestCliSurface:
         ),
         "complexity": (_INGEST_OPTIONS | {"--weight", "--trim-fraction"}, ["input"]),
         "intraday": (
-            _INGEST_OPTIONS | {"--measure", "--band-sims", "--trim-fraction"},
+            _INGEST_OPTIONS | {"--measure", "--band-sims", "--trim-fraction"} | _SEED_THREADS,
             ["input"],
         ),
         "table": (
             {"--process", "--h-grid", "--alpha-grid", "--d-grid", "--paths", "--length",
-             "--tau-max", "--trim-fraction"},
+             "--tau-max", "--trim-fraction"} | _SEED_THREADS,
             [],
         ),
     }
@@ -561,36 +535,50 @@ class TestCliSurface:
             assert got == options | _COMMON_OPTIONS, name
             assert [a.dest for a in sub._actions if not a.option_strings] == positionals
 
-    @pytest.mark.parametrize(
-        "argv, config, code",
-        [
-            (["intraday", "{csv}"], "measure=bogus", 2),
-            (["table", "--h-grid", "0.5"], None, 2),
-            (["simulate"], "process=bogus", 2),
-            (["simulate", "--process", "bm"], "length=ten", 2),
-            (["simulate", "--process", "bm"], "table=maybe", 2),
-            (["decompose", "{csv}", "--max-imfs", "0"], None, 2),
-            (["decompose", "{csv}"], "fill=bogus", 2),
-            (["complexity", "{csv}"], "weight=bogus", 2),
-            (["spectral", "{csv}", "--trim-fraction", "0.7"], None, 1),
-            (["intraday", "{csv}"], "band_sims=5", 1),
-            (["table", "--process", "fbm", "--h-grid", "0.1:inf:0.1"], None, 2),
-            (["table", "--process", "fbm", "--h-grid", "nan:1:0.1"], None, 2),
-            (["decompose", "{csv}"], "trim_fration=0.2", 2),
-            (["table", "--process", "fbm", "--h-grid", ","], None, 2),
-            (["table", "--process", "fbm", "--h-grid", "0:1e308:1e-308"], None, 2),
-            (["table", "--process", "fbm", "--h-grid", "0:1:1e-12"], None, 2),
-            (["table", "--process", "fbm", "--h-grid", "0.5:0.5000000001:1e-13"], None, 2),
-            (["table", "--process", "fbm", "--h-grid", "0.5,0.5,0.50"], None, 2),
-        ],
-    )
-    def test_bad_values_exit_codes(self, tmp_path, price_csv, capsys, argv, config, code):
+    # test id -> (argv, exit code); the first eighteen ids are the ones
+    # these rows have always run under
+    # stderr of each row: "own" is the CLI's one line; "argparse" is argparse's
+    # usage block ending in its bad-value error; "unknown" ends in argparse's
+    # error for a flag the subcommand lacks, which names the bare program
+    BAD_VALUES = {
+        "argv0-measure=bogus-2": (["intraday", "{csv}", "--measure", "bogus"], 2, "argparse"),
+        "argv1-None-2": (["table", "--h-grid", "0.5"], 2, "own"),
+        "argv2-process=bogus-2": (["simulate", "--process", "bogus"], 2, "argparse"),
+        "argv3-length=ten-2": (["simulate", "--process", "bm", "--length", "ten"], 2, "argparse"),
+        "argv4-table=maybe-2": (["simulate", "--process", "bm", "--table", "maybe"], 2, "unknown"),
+        "argv5-None-2": (["decompose", "{csv}", "--max-imfs", "0"], 2, "own"),
+        "argv6-fill=bogus-2": (["decompose", "{csv}", "--fill", "bogus"], 2, "argparse"),
+        "argv7-weight=bogus-2": (["complexity", "{csv}", "--weight", "bogus"], 2, "argparse"),
+        "argv8-None-1": (["spectral", "{csv}", "--trim-fraction", "0.7"], 1, "own"),
+        "argv9-band_sims=5-1": (["intraday", "{csv}", "--band-sims", "5"], 1, "own"),
+        "argv10-None-2": (["table", "--process", "fbm", "--h-grid", "0.1:inf:0.1"], 2, "own"),
+        "argv11-None-2": (["table", "--process", "fbm", "--h-grid", "nan:1:0.1"], 2, "own"),
+        "argv12-trim_fration=0.2-2": (["decompose", "{csv}", "--trim-fration", "0.2"], 2, "unknown"),
+        "argv13-None-2": (["table", "--process", "fbm", "--h-grid", ","], 2, "own"),
+        "argv14-None-2": (["table", "--process", "fbm", "--h-grid", "0:1e308:1e-308"], 2, "own"),
+        "argv15-None-2": (["table", "--process", "fbm", "--h-grid", "0:1:1e-12"], 2, "own"),
+        "argv16-None-2": (["table", "--process", "fbm", "--h-grid", "0.5:0.5000000001:1e-13"], 2, "own"),
+        "argv17-None-2": (["table", "--process", "fbm", "--h-grid", "0.5,0.5,0.50"], 2, "own"),
+        "scaling-tau-max-1": (["scaling", "{csv}", "--tau-max", "1"], 2, "own"),
+        "table-tau-max-1": (["table", "--process", "bm", "--tau-max", "1"], 2, "own"),
+        "decompose-seed": (["decompose", "{csv}", "--seed", "1"], 2, "unknown"),
+        "spectral-threads": (["spectral", "{csv}", "--threads", "2"], 2, "unknown"),
+    }
+
+    @pytest.mark.parametrize("argv, code, form", BAD_VALUES.values(), ids=BAD_VALUES)
+    def test_bad_values_exit_codes(self, tmp_path, price_csv, capsys, argv, code, form):
         argv = [a.replace("{csv}", str(price_csv)) for a in argv]
-        if config is not None:
-            (tmp_path / "run.cfg").write_text(config + "\n")
-            argv += ["--config", str(tmp_path / "run.cfg")]
         assert run(argv + ["--out-dir", str(tmp_path / "out")]) == code
-        assert capsys.readouterr().err.startswith(f"hhtscale {argv[0]}: ")
+        err = capsys.readouterr().err
+        if form == "own":
+            assert err.startswith(f"hhtscale {argv[0]}: ") and len(err.splitlines()) == 1
+        else:
+            assert err.startswith("usage: hhtscale ")
+            last = {
+                "argparse": f"hhtscale {argv[0]}: error: argument ",
+                "unknown": "hhtscale: error: unrecognized arguments: ",
+            }[form]
+            assert err.splitlines()[-1].startswith(last)
 
 
 _MUTATIONS = ("trailing comma", "truncated row", "blank line", "zero price",
@@ -651,9 +639,12 @@ class TestCliContract:
             if subcommand == "intraday":
                 argv += ["--band-sims", "10"]
             err = io.StringIO()
-            with contextlib.redirect_stderr(err):
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                # a Python warning reaches the user's terminal: one stderr line each
+                warnings.simplefilter("always")
                 code = run(argv)
-        return code, err.getvalue()
+        shown = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+        return code, shown + err.getvalue()
 
     @settings(max_examples=300, deadline=None)
     @given(

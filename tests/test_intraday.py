@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from hhtscale import (
     scaling_exponent,
     spectral_track,
 )
-from hhtscale.simulate import _nanmean_quiet
+from hhtscale.simulate import _nan_quiet
 
 
 def make_calendar(lengths, split=None) -> TradingCalendar:
@@ -87,7 +89,7 @@ class TestPanelize:
 class TestNanColumnMean:
     def test_hand_case(self):
         m = np.array([[1.0, np.nan], [3.0, np.nan]])
-        assert np.allclose(_nanmean_quiet(m, axis=0), [2.0, np.nan], equal_nan=True)
+        assert np.allclose(_nan_quiet(np.nanmean, m, axis=0), [2.0, np.nan], equal_nan=True)
 
 
 class TestMeasureTrack:
@@ -111,7 +113,7 @@ class TestMeasureDayMeans:
         x = np.cumsum(rng.standard_normal(n_days * day_length))
         profile = measure_day_means(x, n_days, day_length)
         h = scaling_exponent(spectral_track(decompose(x))).h_star
-        expected = _nanmean_quiet(h.reshape(n_days, day_length), axis=0)
+        expected = _nan_quiet(np.nanmean, h.reshape(n_days, day_length), axis=0)
         assert np.array_equal(profile, expected, equal_nan=True)
 
     def test_entropy_measure_produces_finite_profile(self):
@@ -189,6 +191,15 @@ class TestBmReferenceBand:
         )
         assert np.array_equal(serial[0], pooled[0], equal_nan=True)
         assert np.array_equal(serial[1], pooled[1], equal_nan=True)
+
+    def test_margin_columns_stay_nan_without_a_warning(self):
+        # trim 0.02 of one 390-sample day leaves columns NaN on every path
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = bm_reference_band(390, 1, n_sims=10, trim_fraction=0.02)
+        assert np.isnan(lo[0]) and np.isnan(hi[0])
+        assert np.array_equal(np.isnan(lo), np.isnan(hi))
+        assert not np.isnan(lo).all()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_sims"):

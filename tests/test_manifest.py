@@ -96,6 +96,14 @@ class TestToArgv:
         argv = RunManifest(subcommand="table").to_argv()
         assert "--seed" not in argv
 
+    def test_no_threads_round_trips_and_emits_no_flag(self):
+        m = RunManifest(subcommand="decompose", params={"input": "p.csv"}, threads=None)
+        text = m.to_text()
+        assert "threads=\n" in text
+        again = RunManifest.from_text(text)
+        assert again == m
+        assert again.to_argv() == ["decompose", "p.csv"]
+
     def test_negative_values_use_equals_form(self):
         argv = RunManifest(subcommand="table", params={"d_grid": "-0.2,0.2"}).to_argv()
         assert "--d-grid=-0.2,0.2" in argv  # a separate token would misparse

@@ -20,7 +20,7 @@ from conftest import build_price_csv
 
 class TestTimeSeries:
     def test_basic_construction(self):
-        ts = TimeSeries(np.arange(20.0), dt=30.0, label="x")
+        ts = TimeSeries(np.arange(20.0), dt=30.0)
         assert len(ts) == 20
         assert ts.dt == 30.0
 
@@ -187,7 +187,12 @@ class TestReadValues:
         path.write_text("# schema: walk v1\nt, v\n0, 1.5\n\n1,-2e3\n")
         ts = read_values(path, "v")
         assert ts.values.tolist() == [1.5, -2000.0]
-        assert (ts.dt, ts.label) == (1.0, "walk")
+        assert ts.dt == 1.0
+
+    def test_path_with_a_newline_is_read_as_a_path(self, tmp_path):
+        path = tmp_path / "two\nlines.csv"
+        path.write_text("v\n1\n2\n")
+        assert read_values(path, "v").values.tolist() == [1.0, 2.0]
 
     def test_errors_number_data_rows_like_ingest(self):
         text = "t;v\n0;1\n1;x\n"

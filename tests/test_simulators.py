@@ -205,7 +205,6 @@ class TestDeterminism:
         a = simulate(cfg, path_index=3)
         b = simulate(cfg, path_index=3)
         assert np.array_equal(a.values, b.values)
-        assert a.label == "fbm[3]"
 
     def test_distinct_paths_differ(self):
         cfg = SimConfig(process="bm", length=256, seed=42)
@@ -271,8 +270,6 @@ class TestMonteCarloEnsemble:
         assert np.array_equal(stats.mean_hstar_t, scaling.h_star, equal_nan=True)
         assert stats.grand_mean == pytest.approx(np.nanmean(scaling.h_star), abs=1e-12)
         assert np.isnan(stats.ghe_std)
-        assert stats.n_paths == 1
-        assert stats.rng_name == "philox"
 
     def test_grand_std_pools_over_paths_and_time(self):
         cfg = SimConfig(process="bm", length=256, seed=8, paths=4)
