@@ -1,0 +1,124 @@
+"""Alternated A/B of ``decompose`` between two source trees.
+
+Each round runs one fresh process per tree, in alternating order (tree A
+first in even rounds).  A process imports ``hhtscale`` from its tree's
+``src`` (building that tree's ``sift.c`` on first import), simulates path 0
+of ``--seed`` for bm, fBm H = 0.7, ARFIMA d = 0.2 (T = 10,000) and SLM
+alpha = 1.5 (T = 10,384), sifts each path once to warm up, then times
+``--repeats`` calls of ``decompose`` per path on the compiled backend and
+reports their median.  The per-round ``sum`` is the four medians added.
+
+Prints one JSON block: per process and for the sum, each tree's median,
+quartiles and runs, the rounds B was faster, the paired B/A ratios, and
+whether every output digest (components, residue, sift counts, stop
+reasons) was equal on both sides.  A lever is kept when B wins at least 9
+of 10 rounds of the sum.
+
+    python3 bench/ab_decompose.py TREE_A TREE_B --rounds 10 --a "..." --b "..."
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+PROCESSES = {
+    "bm": ({}, 10_000),
+    "fbm": ({"hurst": 0.7}, 10_000),
+    "arfima": ({"d": 0.2}, 10_000),
+    "slm": ({"alpha": 1.5}, 10_384),
+}
+
+CHILD = r"""
+import hashlib, json, statistics, sys, time
+from hhtscale import SimConfig, simulate
+from hhtscale._kernels import get_backend
+from hhtscale.emd import decompose
+
+seed, repeats, processes = int(sys.argv[1]), int(sys.argv[2]), json.loads(sys.argv[3])
+backend = get_backend("compiled")
+out = {"ms": {}, "digest": {}}
+for name, (shape, length) in processes.items():
+    x = simulate(SimConfig(process=name, length=length, seed=seed, **shape), 0).values
+    result = decompose(x, backend=backend)
+    digest = hashlib.sha256(result.imfs.tobytes() + result.residue.tobytes())
+    digest.update(repr((result.sift_counts, result.stop_reasons)).encode())
+    out["digest"][name] = digest.hexdigest()
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        decompose(x, backend=backend)
+        walls.append(time.perf_counter() - start)
+    out["ms"][name] = statistics.median(walls) * 1e3
+print(json.dumps(out))
+"""
+
+
+def run_side(tree: Path, seed: int, repeats: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), HHTSCALE_BACKEND="compiled")
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(seed), str(repeats), json.dumps(PROCESSES)],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    return json.loads(done.stdout)
+
+
+def quartiles(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--a", default="tree A", help="what tree A is")
+    parser.add_argument("--b", default="tree B", help="what tree B is")
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--repeats", type=int, default=9)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+
+    runs = {"a": [], "b": []}
+    for index in range(args.rounds):
+        order = ("a", "b") if index % 2 == 0 else ("b", "a")
+        for side in order:
+            tree = args.tree_a if side == "a" else args.tree_b
+            runs[side].append(run_side(tree.resolve(), args.seed, args.repeats))
+        print(f"round {index + 1}/{args.rounds} done", file=sys.stderr)
+
+    block = {
+        "a": args.a, "b": args.b, "rounds": args.rounds, "repeats": args.repeats,
+        "seed": args.seed,
+        "digests_equal": all(
+            ra["digest"] == rb["digest"] for ra in runs["a"] for rb in runs["b"]
+        ),
+    }
+    for name in [*PROCESSES, "sum"]:
+        per = {
+            side: [
+                sum(r["ms"].values()) if name == "sum" else r["ms"][name] for r in runs[side]
+            ]
+            for side in ("a", "b")
+        }
+        ratios = [b / a for a, b in zip(per["a"], per["b"])]
+        paired = quartiles(ratios)
+        del paired["runs"]
+        block[f"{name}_ms"] = {
+            "a": quartiles(per["a"]),
+            "b": quartiles(per["b"]),
+            "b_over_a_median": statistics.median(per["b"]) / statistics.median(per["a"]),
+            "rounds_b_faster": f"{sum(r < 1.0 for r in ratios)}/{args.rounds}",
+            "paired_b_over_a": paired,
+        }
+    print(json.dumps(block, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,12 +13,16 @@ it.  If that fails, one warning gives the reason and the numpy backend is
 used.  The ``HHTSCALE_BACKEND`` environment variable (``compiled`` or
 ``python``) forces a choice.
 
-One sift step's envelope mean has one entry, :func:`envelope_step`.  The
-compiled backend runs the whole step (scan, mirror padding, both
-envelopes, their mean) in one C call, ``Kernels.envelope_step``; the numpy
-backend, and any backend with only ``find_extrema`` and ``spline_eval``,
-runs the same step composed of those two kernels and ``common``'s mirror
-padding in Python, with the same bits.
+One component's sift has one entry, :func:`sift_to_gate`: sift steps
+from ``h`` until a step's input passes the oscillatory gate (every maximum
+positive, every minimum negative), runs out of extrema, or spends its step
+budget.  The compiled backend runs the whole loop in one C call,
+``Kernels.sift_component``; the numpy backend, and any backend with only
+``find_extrema`` and ``spline_eval``, runs the same loop over
+:func:`envelope_step`, the step composed of those two kernels and
+``common``'s mirror padding in Python, with the same bits.  The gate and
+the budget live here and in ``sift.c``; ``emd.decompose`` keeps the rest of
+the stop rule (the SD test, the iteration cap, the centering).
 """
 
 import logging
@@ -37,7 +41,7 @@ _HERE = Path(__file__).resolve().parent
 
 __all__ = [
     "MIRRORED_EXTREMA", "InsufficientExtremaError", "available_backends", "envelope_step",
-    "get_backend", "mirror_extrema",
+    "get_backend", "mirror_extrema", "sift_to_gate",
 ]
 
 
@@ -106,15 +110,11 @@ def get_backend(name=None):
 def envelope_step(h, backend):
     """``(env, oscillatory)``: the mean of ``h``'s upper and lower envelopes,
     each padded with ``MIRRORED_EXTREMA`` mirrored extrema at each end, and
-    whether every maximum of ``h`` is positive and every minimum negative.
-    A backend with an ``envelope_step`` runs it; any other composes it of
-    ``find_extrema``, ``common.mirror_extrema`` and two ``spline_eval``
-    calls, with the same bits.  Raises InsufficientExtremaError below two
+    whether every maximum of ``h`` is positive and every minimum negative,
+    composed of ``backend.find_extrema``, ``common.mirror_extrema`` and two
+    ``backend.spline_eval`` calls.  Raises InsufficientExtremaError below two
     maxima or two minima.
     """
-    step = getattr(backend, "envelope_step", None)
-    if step is not None:
-        return step(h)
     max_pos, max_val, min_pos, min_val = backend.find_extrema(h)
     if len(max_pos) < 2 or len(min_pos) < 2:
         raise InsufficientExtremaError.found(len(max_pos), len(min_pos))
@@ -128,3 +128,30 @@ def envelope_step(h, backend):
     env += backend.spline_eval(tmin, vmin, h.shape[0])
     env *= 0.5
     return env, oscillatory
+
+
+def sift_to_gate(h, backend, budget):
+    """Sift steps from ``h`` until a step's input is oscillatory (every
+    maximum positive, every minimum negative), ``h`` runs out of extrema, or
+    ``budget`` >= 1 steps are spent; each step that is not oscillatory
+    subtracts its envelope mean.  A backend with a ``sift_component`` runs
+    it; any other runs this loop over :func:`envelope_step`, with the same
+    bits.
+
+    Returns ``(steps, h, env)``: the steps run and, when the gate passed,
+    that step's input and its envelope mean, not yet subtracted; otherwise
+    ``env`` is None and ``h`` is what the steps left (the sift ran out of
+    extrema when ``steps < budget``).
+    """
+    component = getattr(backend, "sift_component", None)
+    if component is not None:
+        return component(h, budget)
+    for steps in range(budget):
+        try:
+            env, oscillatory = envelope_step(h, backend)
+        except InsufficientExtremaError:
+            return steps, h, None
+        if oscillatory:
+            return steps + 1, h, env
+        h = h - env
+    return budget, h, None

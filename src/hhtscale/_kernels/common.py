@@ -20,9 +20,9 @@ one rule bit for bit.  Only the ``nbsym + 1`` extrema nearest an end take
 part, so the rule runs on short Python lists.
 
 ``sift.c`` states the rule in C for ``MIRRORED_EXTREMA`` extrema (its static
-``mirror_extrema``) inside the compiled one-call sift step; this module
-pads every step composed of kernels, and it is the oracle the tests hold
-the C step to.
+``mirror_extrema``) inside the compiled component sift; this module pads
+every step composed of kernels, and it is the oracle the tests hold the C
+steps to.
 """
 
 import numpy as np

@@ -2,11 +2,13 @@
 
 ``find_extrema`` and ``spline_eval`` have ``numpy_backend``'s contract,
 signatures and return dtypes (see that module for the semantics), and
-``envelope_step`` is one sift step's envelope mean in one call, padded with
-``common.MIRRORED_EXTREMA`` mirrored extrema, which
-``_kernels.envelope_step`` runs where a backend has it.  Every array is
-made contiguous float64, checked for shape, or allocated here before its
-pointer reaches C.  A kernel with several outputs writes them into one
+``sift_component`` runs the sift steps of one component in one C call until
+a step's input passes the oscillatory gate, which
+``_kernels.sift_to_gate`` runs where a backend has it.  The gate and the
+step budget live in ``sift.c``; the SD test, the iteration cap and the
+centering stay in ``emd.decompose``.  Every array is made contiguous
+float64, checked for shape, or allocated here before its pointer reaches
+C.  A kernel with several outputs writes them into one
 buffer per dtype, and the arrays returned are views of it.
 """
 
@@ -15,14 +17,11 @@ import os
 
 import numpy as np
 
-from .common import InsufficientExtremaError
-
 __all__ = ["Kernels"]
 
 _PTR = ctypes.c_void_p
 _SIZE = ctypes.c_ssize_t  # ptrdiff_t in sift.c
 _COUNTS = _SIZE * 2
-_STEP_INFO = _SIZE * 3  # maxima, minima, oscillatory
 _MIRROR_ERRORS = {
     -1: "mirror padding failed to cover the series",
     -2: "mirror padding produced non-increasing knots",
@@ -43,9 +42,9 @@ class Kernels:
         self._spline = lib.hht_spline_eval
         self._spline.argtypes = [_PTR, _PTR, _SIZE, _PTR, _SIZE]
         self._spline.restype = ctypes.c_int
-        self._step = lib.hht_sift_step
-        self._step.argtypes = [_PTR, _SIZE, _PTR, _STEP_INFO]
-        self._step.restype = ctypes.c_int
+        self._component = lib.hht_sift_component
+        self._component.argtypes = [_PTR, _SIZE, _SIZE, _PTR, _PTR, ctypes.POINTER(_SIZE)]
+        self._component.restype = ctypes.c_int
 
     def find_extrema(self, x):
         """Locate local maxima/minima of a 1-D array (plateaus count once).
@@ -81,34 +80,36 @@ class Kernels:
             raise MemoryError(_SCRATCH_ERROR)
         return out
 
-    def envelope_step(self, h):
-        """The mean of the upper and lower envelopes of ``h``, in one call.
+    def sift_component(self, h, budget):
+        """Sift steps from ``h`` in one call, until a step's input passes the
+        oscillatory gate, runs out of extrema, or ``budget`` steps are spent.
 
-        The same bits as composing ``find_extrema``,
-        ``common.mirror_extrema`` and two ``spline_eval`` calls and taking ``(upper + lower) * 0.5``, with
-        the same RuntimeError and MemoryError.
+        The same bits, steps and errors as ``_kernels.sift_to_gate`` running
+        its loop over ``find_extrema``, ``common.mirror_extrema`` and two
+        ``spline_eval`` calls per step.
 
         Returns
         -------
-        (env, oscillatory) : (ndarray, bool)
-            The envelope mean, and whether every maximum of ``h`` is
-            positive and every minimum negative.
-
-        Raises
-        ------
-        InsufficientExtremaError
-            When ``h`` has fewer than two maxima or two minima.
+        (steps, h, env) : (int, ndarray, ndarray or None)
+            The steps run.  When a step's input has every maximum positive
+            and every minimum negative, ``h`` is that input and ``env`` its
+            envelope mean, not yet subtracted; otherwise ``env`` is None and
+            ``h`` is what the steps left: the sift ran out of extrema when
+            ``steps < budget``.
         """
         h = np.ascontiguousarray(h, dtype=np.float64)
         if h.ndim != 1:
-            raise ValueError("envelope_step expects a one-dimensional array")
+            raise ValueError("sift_component expects a one-dimensional array")
+        if budget < 1:
+            raise ValueError("sift_component needs a budget of at least one step")
+        out = np.empty(h.shape[0], dtype=np.float64)
         env = np.empty(h.shape[0], dtype=np.float64)
-        info = _STEP_INFO()
-        status = self._step(h.ctypes.data, h.shape[0], env.ctypes.data, info)
-        if status == 1:
-            raise InsufficientExtremaError.found(info[0], info[1])
+        steps = _SIZE()
+        status = self._component(
+            h.ctypes.data, h.shape[0], budget, out.ctypes.data, env.ctypes.data, steps
+        )
         if status == -3:
-            raise MemoryError(_SCRATCH_ERROR)
-        if status:
+            raise MemoryError("sift_component could not allocate its workspace")
+        if status < 0:
             raise RuntimeError(_MIRROR_ERRORS[status])
-        return env, bool(info[2])
+        return steps.value, out, env if status == 0 else None

@@ -1,6 +1,13 @@
 /* Compiled sift kernels: the extrema scan, natural-spline envelope
- * evaluation, and hht_sift_step, which runs the scan, the mirror padding of
- * the envelope knots and both envelopes for one sift step in one call.
+ * evaluation, and hht_sift_component, which sifts one component in one call
+ * until the oscillatory gate passes.
+ *
+ * Where the stop rule lives: this file holds its gate ("every maximum
+ * positive, every minimum negative", evaluated on each step's input) and
+ * the step budget; emd.decompose holds the rest (the SD test with numpy's
+ * dot, the iteration cap that sets the budget, the centering), and
+ * _kernels.sift_to_gate runs the same loop in Python for a backend without
+ * hht_sift_component.
  *
  * Plain C with no Python C-API, called through ctypes by compiled.py, which
  * validates shapes and allocates every output.  The contract (plateaus,
@@ -9,8 +16,8 @@
  * mirror_extrema applies it to the left end and to the extrema nearest the
  * right end reflected by t -> end - t, then reflects those knots back.
  * tests/test_kernels.py holds the two scans and the two splines to each
- * other, and hht_sift_step to the step composed of the scan, common.py's
- * mirror and two spline calls, bit for bit.
+ * other, and hht_sift_component to the loop composed of the scan,
+ * common.py's mirror and two spline calls per step, bit for bit.
  *
  * Built with the system C compiler by setup.py or, in a source checkout,
  * on first import (build.py).  Never build it with -ffast-math or with
@@ -319,78 +326,146 @@ static int mirror_extrema(const double *t[2], const double *v[2], const ptrdiff_
     return short_of_series ? -1 : stalls ? -2 : 0;
 }
 
-/* One sift step's envelope mean of x[0..n-1]: the extrema scan, Rilling's
- * mirror padding of MIRRORED_EXTREMA extrema past each end, both
- * natural-spline envelopes and env[i] = (upper[i] + lower[i]) * 0.5, each
- * value by the same operations as hht_find_extrema, mirror_extrema and
- * hht_spline_eval compose them.  Writes the counts of maxima and minima to
- * info[0..1] and to info[2] whether x swings through zero everywhere
- * (every maximum positive, every minimum negative).  Returns 0, 1 when x
- * has fewer than two maxima or two minima (env is then not written),
- * mirror_extrema's -1 or -2, or -3 when scratch memory cannot be
- * allocated. */
-int hht_sift_step(const double *x, ptrdiff_t n, double *env, ptrdiff_t *info)
+/* One component's workspace, one block for all its steps: the scan of the
+ * current h (positions, values and counts as hht_find_extrema writes them),
+ * its extrema positions as doubles, both envelopes' knots and spline
+ * scratch, the second h buffer, and both segment maps. */
+typedef struct {
+    ptrdiff_t cap, cnt[2], *pos, *first[2];
+    double *val, *tpos, *knots, *alt;
+} workspace;
+
+/* Points ws into one block for series of n samples; returns the block, to
+ * be freed, or NULL when it cannot be allocated.  The knots and scratch of
+ * one step take at most 14 (cap + 2 MIRRORED_EXTREMA) doubles: each kind's
+ * knot positions and values, and its spline's under 5 doubles a knot. */
+static void *workspace_begin(workspace *ws, ptrdiff_t n)
 {
-    ptrdiff_t i, q, knots, cnt[2], s[2] = {0, 0}, *pos, *first[2], cap = n / 2 + 1;
+    ptrdiff_t cap = n / 2 + 1, knots = 14 * (cap + 2 * MIRRORED_EXTREMA);
+    double *w = malloc((size_t)(4 * cap + knots + n) * sizeof(double)
+                       + (size_t)(2 * cap + 2 * (n + 1)) * sizeof(ptrdiff_t));
+
+    if (w == NULL)
+        return NULL;
+    ws->cap = cap;
+    ws->val = w;
+    ws->tpos = w + 2 * cap;
+    ws->knots = ws->tpos + 2 * cap;
+    ws->alt = ws->knots + knots;
+    ws->pos = (ptrdiff_t *)(ws->alt + n);
+    ws->first[0] = ws->pos + 2 * cap;
+    ws->first[1] = ws->first[0] + (n + 1);
+    return w;
+}
+
+/* The envelopes of h[0..n-1], whose extrema ws holds: Rilling's mirror
+ * padding of MIRRORED_EXTREMA extrema past each end, then the upper (sp[0])
+ * and lower (sp[1]) natural splines, solved, with their segment maps in
+ * ws->first, as mirror_extrema and hht_spline_eval compose them.  Writes to
+ * *oscillatory whether every maximum of h is positive and every minimum
+ * negative.  Returns 0, or mirror_extrema's -1 or -2. */
+static int envelopes(const workspace *ws, const double *h, ptrdiff_t n, spline sp[2],
+                     int *oscillatory)
+{
     const double *t[2], *v[2];
-    double *val, *w, *tpos, *kt[2], *kv[2], *scratch;
-    spline sp[2];
-    int status, oscillatory = 1;
+    double *tpos = ws->tpos, *scratch = ws->knots, *kt[2], *kv[2];
+    ptrdiff_t i, q, cnt[2];
+    int status;
 
-    /* the scan's positions and values, and later both segment maps */
-    pos = malloc((size_t)(2 * cap) * (sizeof(ptrdiff_t) + sizeof(double)));
-    if (pos == NULL)
-        return -3;
-    val = (double *)(pos + 2 * cap);
-    hht_find_extrema(x, n, cap, pos, val, info);
-    info[2] = 0;
-    if (info[0] < 2 || info[1] < 2) {
-        free(pos);
-        return 1;
-    }
-
-    /* one block sized to the at most `knots` knots of both envelopes: the
-     * positions as doubles, each knot's position and value, then both
-     * splines' scratch (under 5 doubles a knot) */
-    knots = info[0] + info[1] + 4 * MIRRORED_EXTREMA;
-    w = malloc((size_t)(info[0] + info[1] + 7 * knots) * sizeof(double));
-    if (w == NULL) {
-        free(pos);
-        return -3;
-    }
-    tpos = w;
-    scratch = w + info[0] + info[1];
+    *oscillatory = 1;
     for (q = 0; q < 2; q++) {
         t[q] = tpos;
-        v[q] = val + q * cap;
-        for (i = 0; i < info[q]; i++) {
-            tpos[i] = (double)pos[q * cap + i];
-            oscillatory &= q == 0 ? v[q][i] > 0.0 : v[q][i] < 0.0;
+        v[q] = ws->val + q * ws->cap;
+        for (i = 0; i < ws->cnt[q]; i++) {
+            tpos[i] = (double)ws->pos[q * ws->cap + i];
+            *oscillatory &= q == 0 ? v[q][i] > 0.0 : v[q][i] < 0.0;
         }
-        tpos += info[q];
+        tpos += ws->cnt[q];
         kt[q] = scratch;
-        kv[q] = kt[q] + info[q] + 2 * MIRRORED_EXTREMA;
-        scratch = kv[q] + info[q] + 2 * MIRRORED_EXTREMA;
+        kv[q] = kt[q] + ws->cnt[q] + 2 * MIRRORED_EXTREMA;
+        scratch = kv[q] + ws->cnt[q] + 2 * MIRRORED_EXTREMA;
     }
-    info[2] = oscillatory;
-    status = mirror_extrema(t, v, info, x[0], x[n - 1], n, kt, kv, cnt);
-    if (status == 0) {
-        /* mirror padding adds at least one knot of each kind at each end,
-         * so each envelope has k >= 4 knots */
-        for (q = 0; q < 2; q++)
-            scratch = spline_begin(&sp[q], kt[q], kv[q], cnt[q], scratch);
-        spline_solve(sp, 2);
-        for (q = 0; q < 2; q++) {
-            first[q] = pos + q * (n + 1);
-            segment_map(&sp[q], first[q], n);
+    status = mirror_extrema(t, v, ws->cnt, h[0], h[n - 1], n, kt, kv, cnt);
+    if (status != 0)
+        return status;
+    /* mirror padding adds at least one knot of each kind at each end, so
+     * each envelope has k >= 4 knots */
+    for (q = 0; q < 2; q++)
+        scratch = spline_begin(&sp[q], kt[q], kv[q], cnt[q], scratch);
+    spline_solve(sp, 2);
+    for (q = 0; q < 2; q++)
+        segment_map(&sp[q], ws->first[q], n);
+    return 0;
+}
+
+/* The mean of the envelopes sp on the grid 0 .. n - 1, out[i] =
+ * (upper[i] + lower[i]) * 0.5. */
+static void envelope_mean(const workspace *ws, const spline sp[2], ptrdiff_t n, double *out)
+{
+    const ptrdiff_t *first0 = ws->first[0], *first1 = ws->first[1];
+    ptrdiff_t i, s0 = 0, s1 = 0;
+
+    for (i = 0; i < n; i++) {
+        s0 += first0[i];
+        s1 += first1[i];
+        out[i] = (spline_at(&sp[0], s0, i) + spline_at(&sp[1], s1, i)) * 0.5;
+    }
+}
+
+/* Sifts x[0..n-1] toward one component.  Each step takes the envelope mean
+ * of its input h (the first h is x) as hht_find_extrema, mirror_extrema and
+ * two hht_spline_eval calls compose it and, unless h passes the oscillatory
+ * gate (every maximum positive, every minimum negative), subtracts it and
+ * scans the result for the next step.  Runs at most budget >= 1 steps.
+ * Returns
+ *   0 when a step finds its h oscillatory: h is that step's input and env
+ *     its envelope mean, not subtracted;
+ *   1 when h has fewer than two maxima or two minima (env is not written);
+ *   2 when the budget is spent: h is the last step's h - env;
+ * or mirror_extrema's -1 or -2, or -3 when the workspace cannot be
+ * allocated.  *steps gets the steps run, the passing one included.  h and
+ * env hold n doubles each and overlap neither x nor each other. */
+int hht_sift_component(const double *x, ptrdiff_t n, ptrdiff_t budget,
+                       double *h, double *env, ptrdiff_t *steps)
+{
+    workspace ws;
+    spline sp[2];
+    const double *cur = x;
+    double *next, *block = workspace_begin(&ws, n);
+    ptrdiff_t i;
+    int status, oscillatory;
+
+    if (block == NULL)
+        return -3;
+    *steps = 0;
+    hht_find_extrema(x, n, ws.cap, ws.pos, ws.val, ws.cnt);
+    for (;;) {
+        if (ws.cnt[0] < 2 || ws.cnt[1] < 2) {
+            status = 1;
+            break;
         }
-        for (i = 0; i < n; i++) {
-            s[0] += first[0][i];
-            s[1] += first[1][i];
-            env[i] = (spline_at(&sp[0], s[0], i) + spline_at(&sp[1], s[1], i)) * 0.5;
+        status = envelopes(&ws, cur, n, sp, &oscillatory);
+        if (status != 0)
+            break;
+        ++*steps;
+        if (oscillatory) {
+            envelope_mean(&ws, sp, n, env);
+            break;
+        }
+        /* h - env, alternately into h and the workspace's buffer */
+        next = cur == h ? ws.alt : h;
+        envelope_mean(&ws, sp, n, next);
+        for (i = 0; i < n; i++)
+            next[i] = cur[i] - next[i];
+        hht_find_extrema(next, n, ws.cap, ws.pos, ws.val, ws.cnt);
+        cur = next;
+        if (*steps >= budget) {
+            status = 2;
+            break;
         }
     }
-    free(w);
-    free(pos);
+    if (cur != h)
+        memcpy(h, cur, (size_t)n * sizeof(double));
+    free(block);
     return status;
 }

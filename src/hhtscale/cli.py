@@ -22,7 +22,8 @@ records every subcommand both come from these two tables.  Only
 ``simulate``, ``intraday`` and ``table`` take ``--seed`` and ``--threads``.
 
 Exit codes: 0 success, 1 data/runtime error (message names the offending
-file or row), 2 usage error.
+file or row), 2 usage error.  Each error is one ``hhtscale <cmd>: ...``
+line on stderr, argparse's own rejections included.
 """
 
 from __future__ import annotations
@@ -61,6 +62,15 @@ __all__ = ["main", "run"]
 
 class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line (a bad choice or type, an unknown
+    flag, a missing argument) as one ``<prog>: <message>`` line, the form of
+    the CLI's own usage errors, in place of argparse's usage block."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +196,8 @@ def _run_command(name: str, args) -> int:
         inputs={"input": file_digest(args.input)} if command.reads_input else {},
         seed=params.get("seed"),
         threads=params.get("threads"),
+        # the subcommands with a seed are the ones that draw random numbers
+        rng=RNG_NAME if "seed" in command.flags else None,
     )
     for file_name, schema, columns, rows, comments in outputs:
         _write_csv(out_dir / file_name, schema, columns, rows, comments)
@@ -513,7 +525,7 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hhtscale",
         description="Adaptive scaling and complexity analysis of time series",
     )
@@ -539,8 +551,15 @@ def run(argv) -> int:
     """Execute one subcommand; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            raise UsageError(
+                f"hhtscale {args.subcommand}: unrecognized arguments: {' '.join(extra)}"
+            )
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # --help and --version
         return int(exc.code) if exc.code is not None else 0
     try:
         return _run_command(args.subcommand, args)

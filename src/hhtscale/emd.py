@@ -17,6 +17,12 @@ mean is moved into the residue, so components oscillate around zero exactly.
 Extraction stops when the residue has fewer than four extrema, when
 envelopes can no longer be built, or at the component cap.
 
+Where the stop rule lives: the oscillatory gate runs with the steps, in
+``_kernels.sift_to_gate`` (one C call per component on the compiled
+backend, which subtracts every step that fails the gate); the SD test, the
+iteration cap and the centering are here.  Most steps fail the gate, so the
+SD test runs only on the few that pass it.
+
 The additive bookkeeping is exact by construction: components are obtained
 by running subtraction from the input, so ``sum(imfs) + residue``
 reconstructs the input to float rounding.
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import MIRRORED_EXTREMA, InsufficientExtremaError, envelope_step, get_backend
+from ._kernels import MIRRORED_EXTREMA, InsufficientExtremaError, get_backend, sift_to_gate
 
 __all__ = [
     "EmdConfig",
@@ -100,22 +106,11 @@ class ImfDecomposition:
         return self.imfs.sum(axis=0) + self.residue
 
 
-def _sift_step(h: np.ndarray, kernel):
-    """Envelope mean of ``h`` and what removing it does: (env, sd, oscillatory).
-
-    sd compares ``h`` with ``h - env``; their difference is exactly the
-    envelope mean.  ``oscillatory`` says whether ``h`` swings through zero
-    everywhere (every maximum positive, every minimum negative).
-
-    Raises
-    ------
-    InsufficientExtremaError
-        When ``h`` has fewer than two maxima or two minima.
-    """
-    env, oscillatory = envelope_step(h, kernel)
+def _sd(h: np.ndarray, env: np.ndarray) -> float:
+    """sd of the step from ``h`` to ``h - env``; their difference is exactly
+    the envelope mean."""
     denom = float(np.dot(h, h))
-    sd = float(np.dot(env, env)) / denom if denom > 0.0 else 0.0
-    return env, sd, oscillatory
+    return float(np.dot(env, env)) / denom if denom > 0.0 else 0.0
 
 
 def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecomposition:
@@ -154,19 +149,21 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
         h = residue  # each step makes a new array; residue is never written
         count = 0
         reason = STOP_MAX_ITER
-        for _ in range(MAX_SIFT_ITERATIONS):
-            try:
-                env, sd, oscillatory = _sift_step(h, kernel)
-            except InsufficientExtremaError:
-                reason = STOP_EXTREMA
+        while count < MAX_SIFT_ITERATIONS:
+            budget = MAX_SIFT_ITERATIONS - count
+            steps, h, env = sift_to_gate(h, kernel, budget)
+            count += steps
+            if env is None:
+                if steps < budget:
+                    reason = STOP_EXTREMA
                 break
-            h = h - env
-            count += 1
             # A finished component swings through zero everywhere: maxima
             # above it, minima below.  Without this gate broadband noise
             # converges after a sift or two and collapses into too few
-            # components.
-            if oscillatory and sd < cfg.sd_threshold:
+            # components.  The step that passed it is subtracted either way.
+            sd = _sd(h, env)
+            h = h - env
+            if sd < cfg.sd_threshold:
                 reason = STOP_SD
                 break
         if count == 0:

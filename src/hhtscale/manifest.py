@@ -2,8 +2,8 @@
 
 Each CSV an invocation writes gets a ``<file>.manifest`` sidecar recording
 the subcommand, every parameter's value (the flag given, else its default),
-seed and thread count (empty for subcommands without them), input digests,
-software version, and wall time.  Re-running the reconstructed command
+the random generator, seed and thread count (empty for subcommands that
+draw no random numbers), input digests, software version, and wall time.  Re-running the reconstructed command
 line reproduces the CSV byte-for-byte; only the duration line differs
 between such runs.
 """
@@ -39,7 +39,7 @@ class RunManifest:
     inputs: dict[str, str] = field(default_factory=dict)  # name -> sha256
     seed: int | None = None
     threads: int | None = 1
-    rng: str = "philox"
+    rng: str | None = None  # the generator's name, for runs that draw random numbers
     version: str = __version__
     duration_s: float = 0.0
 
@@ -48,7 +48,7 @@ class RunManifest:
             _HEADER,
             f"subcommand={self.subcommand}",
             f"version={self.version}",
-            f"rng={self.rng}",
+            f"rng={'' if self.rng is None else self.rng}",
             f"seed={'' if self.seed is None else self.seed}",
             f"threads={'' if self.threads is None else self.threads}",
             f"duration_s={self.duration_s!r}",
@@ -86,7 +86,7 @@ class RunManifest:
             inputs=inputs,
             seed=int(fields["seed"]) if fields.get("seed") else None,
             threads=int(fields["threads"]) if fields.get("threads") else None,
-            rng=fields.get("rng", "philox"),
+            rng=fields.get("rng") or None,
             version=fields.get("version", ""),
             duration_s=float(fields.get("duration_s", "0.0")),
         )

@@ -3,17 +3,33 @@
  * It includes sift.c, so it shares its declarations and can call its static
  * mirror_extrema.  tests/test_kernels.py (TestLoader) builds it alone under
  * AddressSanitizer and UndefinedBehaviorSanitizer, so an access outside a
- * buffer, a leak or an undefined operation aborts the run.  Each case also
- * holds hht_sift_step to the composition it replaces (hht_find_extrema,
- * mirror_extrema and two hht_spline_eval calls), bit for bit, and on the
- * walks mirror_extrema commutes with the reflection t -> end - t, as
- * common.mirror_extrema does.  Prints "ok" and exits 0 when every case
- * passes.
+ * buffer, a leak or an undefined operation aborts the run.  Each case holds
+ * one step of hht_sift_component (a budget of 1) to the composition it
+ * replaces (hht_find_extrema, mirror_extrema and two hht_spline_eval
+ * calls), bit for bit.  On the walks, peeled into components, each sift,
+ * whether it stops at the gate, at its budget or short of extrema, equals
+ * the chain of one-step calls, each of which scans its input afresh, so
+ * the extrema the loop carries from one step to the next are a fresh
+ * scan's, plateaus included.  And mirror_extrema commutes with the reflection
+ * t -> end - t, as common.mirror_extrema does.  Prints "ok" and exits 0
+ * when every case passes.
  */
 
 #include <stdio.h>
+#include <stdlib.h>
 
+/* sift.c's allocations, counted: a component's sift makes one */
+static long mallocs;
+
+static void *counted_malloc(size_t size)
+{
+    mallocs++;
+    return malloc(size);
+}
+
+#define malloc counted_malloc
 #include "../src/hhtscale/_kernels/sift.c"
+#undef malloc
 
 static int failures;
 
@@ -23,28 +39,28 @@ static void fail(const char *name, const char *what)
     failures++;
 }
 
-/* hht_sift_step on x[0..n-1] against its composition.  Buffers are sized
- * exactly, so that an access past one is caught. */
+/* One step of hht_sift_component (a budget of 1) on x[0..n-1] against its
+ * composition.  Buffers are sized exactly, so that an access past one is
+ * caught. */
 static void check_step(const char *name, const double *x, ptrdiff_t n)
 {
-    ptrdiff_t cap = n / 2 + 1, info[3], counts[2], cnt[2], i, nmax, nmin;
+    ptrdiff_t cap = n / 2 + 1, steps, counts[2], cnt[2], i, nmax, nmin;
     ptrdiff_t *pos = malloc((size_t)(2 * cap) * sizeof *pos);
     double *val = malloc((size_t)(2 * cap) * sizeof *val);
-    double *env = malloc((size_t)(n + 1) * sizeof *env);
+    double *h = malloc((size_t)(n + 1) * sizeof *h), *env = malloc((size_t)(n + 1) * sizeof *env);
     double *tpos, *knots, *upper, *lower;
     int status, oscillatory = 1;
 
-    status = hht_sift_step(x, n, env, info);
+    status = hht_sift_component(x, n, 1, h, env, &steps);
     hht_find_extrema(x, n, cap, pos, val, counts);
     nmax = counts[0];
     nmin = counts[1];
-    if (info[0] != nmax || info[1] != nmin)
-        fail(name, "extrema counts differ");
     if (nmax < 2 || nmin < 2) {
-        if (status != 1)
+        if (status != 1 || steps != 0)
             fail(name, "too few extrema not reported");
         free(pos);
         free(val);
+        free(h);
         free(env);
         return;
     }
@@ -73,18 +89,21 @@ static void check_step(const char *name, const double *x, ptrdiff_t n)
         if (mirrored != 0) {
             if (status != mirrored)
                 fail(name, "mirror failure not reported");
-        } else if (status != 0) {
-            fail(name, "step failed where its composition succeeds");
+        } else if (status != (oscillatory ? 0 : 2) || steps != 1) {
+            fail(name, "step status differs from the composition's gate");
         } else {
             if (hht_spline_eval(tmax, vmax, cnt[0], upper, n)
                 || hht_spline_eval(tmin, vmin, cnt[1], lower, n))
                 fail(name, "spline scratch allocation failed");
-            for (i = 0; i < n; i++)
+            for (i = 0; i < n; i++) {
                 upper[i] = (upper[i] + lower[i]) * 0.5;
-            if (memcmp(upper, env, (size_t)n * sizeof *env) != 0)
+                /* the gate passed: h is x and env the mean; else h is x - mean */
+                lower[i] = oscillatory ? x[i] : x[i] - upper[i];
+            }
+            if (oscillatory && memcmp(upper, env, (size_t)n * sizeof *env) != 0)
                 fail(name, "envelope mean differs from the composition");
-            if (info[2] != oscillatory)
-                fail(name, "oscillatory flag differs");
+            if (memcmp(lower, h, (size_t)n * sizeof *h) != 0)
+                fail(name, "sifted h differs from the composition");
         }
     }
     free(lower);
@@ -93,6 +112,74 @@ static void check_step(const char *name, const double *x, ptrdiff_t n)
     free(tpos);
     free(pos);
     free(val);
+    free(h);
+    free(env);
+}
+
+/* hht_sift_component on x[0..n-1] with the whole budget against the chain
+ * of one-step calls, each scanning its input afresh: the same status, step
+ * count, h and, where the gate passed, env, bit for bit, from one
+ * allocation. */
+static void check_component(const char *name, const double *x, ptrdiff_t n, ptrdiff_t budget)
+{
+    ptrdiff_t steps, one, chained = 0;
+    double *h = malloc((size_t)n * sizeof *h), *env = malloc((size_t)n * sizeof *env);
+    double *chain = malloc((size_t)n * sizeof *chain), *cenv = malloc((size_t)n * sizeof *cenv);
+    double *next = malloc((size_t)n * sizeof *next), *swap;
+    int status, link;
+
+    mallocs = 0;
+    status = hht_sift_component(x, n, budget, h, env, &steps);
+    if (mallocs != 1)
+        fail(name, "component sift did not allocate exactly once");
+
+    memcpy(chain, x, (size_t)n * sizeof *chain);
+    for (;;) {
+        link = hht_sift_component(chain, n, 1, next, cenv, &one);
+        chained += one;
+        swap = chain;
+        chain = next;
+        next = swap;
+        if (link != 2 || chained == budget)
+            break;
+    }
+    if (status != link || steps != chained)
+        fail(name, "component sift differs from the one-step chain");
+    else if (status >= 0 && memcmp(h, chain, (size_t)n * sizeof *h) != 0)
+        fail(name, "component h differs from the one-step chain");
+    else if (status == 0 && memcmp(env, cenv, (size_t)n * sizeof *env) != 0)
+        fail(name, "component env differs from the one-step chain");
+    free(h);
+    free(env);
+    free(chain);
+    free(cenv);
+    free(next);
+}
+
+/* Peels components off x[0..n-1] as decompose does, without its SD test and
+ * centering: each component's sift, checked by check_component with the
+ * whole budget and with a budget of 3, is subtracted from the residue,
+ * until a sift finds too few extrema.  Late residues run out of extrema
+ * partway through a sift. */
+static void check_peel(const char *name, const double *x, ptrdiff_t n)
+{
+    ptrdiff_t steps, i, c;
+    double *r = malloc((size_t)n * sizeof *r), *h = malloc((size_t)n * sizeof *h);
+    double *env = malloc((size_t)n * sizeof *env);
+    int status;
+
+    memcpy(r, x, (size_t)n * sizeof *r);
+    for (c = 0; c < 12; c++) {
+        check_component(name, r, n, 100);
+        check_component(name, r, n, 3);
+        status = hht_sift_component(r, n, 100, h, env, &steps);
+        if (status < 0 || steps == 0)
+            break;
+        for (i = 0; i < n; i++)
+            r[i] -= status == 0 ? h[i] - env[i] : h[i];
+    }
+    free(r);
+    free(h);
     free(env);
 }
 
@@ -217,6 +304,7 @@ int main(void)
     for (i = 0; i < 400; i++)
         x[i] = (i / 25) % 2 ? 1.0 + (double)(i / 50) : -1.0 - (double)(i / 50);
     check_step("plateaus", x, 400);
+    check_component("plateaus", x, 400, 100);
 
     /* zigzags: every interior sample is an extremum, the most the scan can
      * store; at odd n the segment maps fill the scan's block exactly.  Each
@@ -228,6 +316,7 @@ int main(void)
         for (n = 0; n < lengths[i]; n++)
             z[n] = (n % 2 ? 1.0 : -1.0) * (1.0 + 0.01 * (double)(n % 7));
         check_step("zigzag", z, lengths[i]);
+        check_component("zigzag", z, lengths[i], 100);
         free(z);
     }
 
@@ -236,10 +325,24 @@ int main(void)
         n = 16 + (ptrdiff_t)(seed * 37 % 385);
         walk(x, n, seed, 0.0);
         check_step("walk", x, n);
+        check_peel("walk", x, n);
         check_reflection("walk", x, n);
         walk(x, n, seed, 0.5);
         check_step("ticks", x, n);
+        check_peel("ticks", x, n);
         check_reflection("ticks", x, n);
+    }
+
+    /* a walk, then a square wave of runs of four samples at +-1: far from
+     * the walk the envelope mean is below half an ulp of 1, so each step
+     * keeps the wave's plateaus, and the extrema carried from step to step
+     * must place them as hht_find_extrema does */
+    for (n = 16; n <= 400; n += 64) {
+        walk(x, 400, (unsigned long long)n, 0.0);
+        for (i = n; i < 400; i++)
+            x[i] = (i / 4) % 2 ? 1.0 : -1.0;
+        check_step("kept plateaus", x, 400);
+        check_component("kept plateaus", x, 400, 100);
     }
 
     check_mirror("short of the series", out_t, minus_ones, out_min_t, minus_ones, 9, -1);

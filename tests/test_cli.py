@@ -120,16 +120,16 @@ class TestExitCodes:
         [
             (-1, "decompose", "mirror padding failed to cover the series"),
             (-2, "spectral", "mirror padding produced non-increasing knots"),
-            (-3, "scaling", "spline_eval could not allocate its scratch space"),
+            (-3, "scaling", "sift_component could not allocate its workspace"),
         ],
     )
     def test_fused_step_failure_is_a_data_error(
         self, status, command, message, tmp_path, price_csv, capsys, monkeypatch
     ):
-        # the compiled backend's one call per sift step reports each failure
-        # by its status
+        # the compiled backend's one call per component sift reports each
+        # failure by its status
         monkeypatch.setenv("HHTSCALE_BACKEND", "compiled")
-        monkeypatch.setattr(get_backend("compiled"), "_step", lambda *args: status)
+        monkeypatch.setattr(get_backend("compiled"), "_component", lambda *args: status)
         argv = [command, str(price_csv), "--out-dir", str(tmp_path / "out")]
         self._assert_one_line_exit_1(argv, capsys, message)
 
@@ -264,7 +264,8 @@ class TestSimulate:
                 # later --out-dir wins, steering the replay away from the original
                 assert run(manifest.to_argv() + ["--out-dir", str(replay_dir)]) == 0
                 assert (first / name).read_bytes() == (replay_dir / name).read_bytes(), argv
-        assert RunManifest.load(tmp_path / "first0" / "paths.csv.manifest").seed == 11
+        simulated = RunManifest.load(tmp_path / "first0" / "paths.csv.manifest")
+        assert (simulated.seed, simulated.rng) == (11, "philox")
 
 
 class TestSeriesSubcommands:
@@ -481,6 +482,7 @@ class TestArtifactHygiene:
             loaded = RunManifest.load(sidecar)
             assert loaded.subcommand == "spectral"
             assert "input" in loaded.inputs and len(loaded.inputs["input"]) == 64
+            assert loaded.rng is None  # the run draws no random numbers
 
     def test_schema_comment_leads_every_csv(self, tmp_path, price_csv):
         out = tmp_path / "dec"
@@ -536,49 +538,56 @@ class TestCliSurface:
             assert [a.dest for a in sub._actions if not a.option_strings] == positionals
 
     # test id -> (argv, exit code); the first eighteen ids are the ones
-    # these rows have always run under
-    # stderr of each row: "own" is the CLI's one line; "argparse" is argparse's
-    # usage block ending in its bad-value error; "unknown" ends in argparse's
-    # error for a flag the subcommand lacks, which names the bare program
+    # these rows have always run under.  Every row's stderr is one line of
+    # the CLI's own, argparse's rejections (a bad choice or type, an unknown
+    # flag) included.
     BAD_VALUES = {
-        "argv0-measure=bogus-2": (["intraday", "{csv}", "--measure", "bogus"], 2, "argparse"),
-        "argv1-None-2": (["table", "--h-grid", "0.5"], 2, "own"),
-        "argv2-process=bogus-2": (["simulate", "--process", "bogus"], 2, "argparse"),
-        "argv3-length=ten-2": (["simulate", "--process", "bm", "--length", "ten"], 2, "argparse"),
-        "argv4-table=maybe-2": (["simulate", "--process", "bm", "--table", "maybe"], 2, "unknown"),
-        "argv5-None-2": (["decompose", "{csv}", "--max-imfs", "0"], 2, "own"),
-        "argv6-fill=bogus-2": (["decompose", "{csv}", "--fill", "bogus"], 2, "argparse"),
-        "argv7-weight=bogus-2": (["complexity", "{csv}", "--weight", "bogus"], 2, "argparse"),
-        "argv8-None-1": (["spectral", "{csv}", "--trim-fraction", "0.7"], 1, "own"),
-        "argv9-band_sims=5-1": (["intraday", "{csv}", "--band-sims", "5"], 1, "own"),
-        "argv10-None-2": (["table", "--process", "fbm", "--h-grid", "0.1:inf:0.1"], 2, "own"),
-        "argv11-None-2": (["table", "--process", "fbm", "--h-grid", "nan:1:0.1"], 2, "own"),
-        "argv12-trim_fration=0.2-2": (["decompose", "{csv}", "--trim-fration", "0.2"], 2, "unknown"),
-        "argv13-None-2": (["table", "--process", "fbm", "--h-grid", ","], 2, "own"),
-        "argv14-None-2": (["table", "--process", "fbm", "--h-grid", "0:1e308:1e-308"], 2, "own"),
-        "argv15-None-2": (["table", "--process", "fbm", "--h-grid", "0:1:1e-12"], 2, "own"),
-        "argv16-None-2": (["table", "--process", "fbm", "--h-grid", "0.5:0.5000000001:1e-13"], 2, "own"),
-        "argv17-None-2": (["table", "--process", "fbm", "--h-grid", "0.5,0.5,0.50"], 2, "own"),
-        "scaling-tau-max-1": (["scaling", "{csv}", "--tau-max", "1"], 2, "own"),
-        "table-tau-max-1": (["table", "--process", "bm", "--tau-max", "1"], 2, "own"),
-        "decompose-seed": (["decompose", "{csv}", "--seed", "1"], 2, "unknown"),
-        "spectral-threads": (["spectral", "{csv}", "--threads", "2"], 2, "unknown"),
+        "argv0-measure=bogus-2": (["intraday", "{csv}", "--measure", "bogus"], 2),
+        "argv1-None-2": (["table", "--h-grid", "0.5"], 2),
+        "argv2-process=bogus-2": (["simulate", "--process", "bogus"], 2),
+        "argv3-length=ten-2": (["simulate", "--process", "bm", "--length", "ten"], 2),
+        "argv4-table=maybe-2": (["simulate", "--process", "bm", "--table", "maybe"], 2),
+        "argv5-None-2": (["decompose", "{csv}", "--max-imfs", "0"], 2),
+        "argv6-fill=bogus-2": (["decompose", "{csv}", "--fill", "bogus"], 2),
+        "argv7-weight=bogus-2": (["complexity", "{csv}", "--weight", "bogus"], 2),
+        "argv8-None-1": (["spectral", "{csv}", "--trim-fraction", "0.7"], 1),
+        "argv9-band_sims=5-1": (["intraday", "{csv}", "--band-sims", "5"], 1),
+        "argv10-None-2": (["table", "--process", "fbm", "--h-grid", "0.1:inf:0.1"], 2),
+        "argv11-None-2": (["table", "--process", "fbm", "--h-grid", "nan:1:0.1"], 2),
+        "argv12-trim_fration=0.2-2": (["decompose", "{csv}", "--trim-fration", "0.2"], 2),
+        "argv13-None-2": (["table", "--process", "fbm", "--h-grid", ","], 2),
+        "argv14-None-2": (["table", "--process", "fbm", "--h-grid", "0:1e308:1e-308"], 2),
+        "argv15-None-2": (["table", "--process", "fbm", "--h-grid", "0:1:1e-12"], 2),
+        "argv16-None-2": (["table", "--process", "fbm", "--h-grid", "0.5:0.5000000001:1e-13"], 2),
+        "argv17-None-2": (["table", "--process", "fbm", "--h-grid", "0.5,0.5,0.50"], 2),
+        "scaling-tau-max-1": (["scaling", "{csv}", "--tau-max", "1"], 2),
+        "table-tau-max-1": (["table", "--process", "bm", "--tau-max", "1"], 2),
+        "decompose-seed": (["decompose", "{csv}", "--seed", "1"], 2),
+        "spectral-threads": (["spectral", "{csv}", "--threads", "2"], 2),
     }
 
-    @pytest.mark.parametrize("argv, code, form", BAD_VALUES.values(), ids=BAD_VALUES)
-    def test_bad_values_exit_codes(self, tmp_path, price_csv, capsys, argv, code, form):
+    @pytest.mark.parametrize("argv, code", BAD_VALUES.values(), ids=BAD_VALUES)
+    def test_bad_values_exit_codes(self, tmp_path, price_csv, capsys, argv, code):
         argv = [a.replace("{csv}", str(price_csv)) for a in argv]
         assert run(argv + ["--out-dir", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
-        if form == "own":
-            assert err.startswith(f"hhtscale {argv[0]}: ") and len(err.splitlines()) == 1
-        else:
-            assert err.startswith("usage: hhtscale ")
-            last = {
-                "argparse": f"hhtscale {argv[0]}: error: argument ",
-                "unknown": "hhtscale: error: unrecognized arguments: ",
-            }[form]
-            assert err.splitlines()[-1].startswith(last)
+        assert err.startswith(f"hhtscale {argv[0]}: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, line", [
+        ([], "hhtscale: the following arguments are required: subcommand"),
+        (["bogus"], "hhtscale: argument subcommand: invalid choice: 'bogus'"),
+        (["--bogus"], "hhtscale: the following arguments are required: subcommand"),
+        (["decompose"], "hhtscale decompose: the following arguments are required: input"),
+    ])
+    def test_missing_or_unknown_subcommand_is_one_line(self, capsys, argv, line):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith(line)
+
+    def test_help_keeps_argparse_usage(self, capsys):
+        assert run(["simulate", "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: hhtscale simulate ") and err == ""
 
 
 _MUTATIONS = ("trailing comma", "truncated row", "blank line", "zero price",

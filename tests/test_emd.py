@@ -46,8 +46,9 @@ class TestConfig:
 def sift_step(h):
     """(envelope mean, sd) of one sift step of ``decompose`` on the default
     backend."""
-    env, sd, _ = emd._sift_step(np.asarray(h, dtype=np.float64), get_backend())
-    return env, sd
+    h = np.asarray(h, dtype=np.float64)
+    env, _ = envelope_step(h, get_backend())
+    return env, emd._sd(h, env)
 
 
 class TestEnvelopeMean:

@@ -19,7 +19,7 @@ import hhtscale
 from hhtscale import SimConfig, emd, simulate
 from hhtscale._kernels import (
     InsufficientExtremaError, available_backends, build, common, envelope_step, get_backend,
-    mirror_extrema, numpy_backend,
+    mirror_extrema, numpy_backend, sift_to_gate,
 )
 
 
@@ -306,18 +306,49 @@ class _TwoKernels:
         return self._spline_eval(knot_t, knot_v, n_out)
 
 
-def _step_outcome(step, x):
+class _CountingComponent:
+    """The compiled backend, counting its ``sift_component`` calls."""
+
+    def __init__(self, inner):
+        self.name = inner.name
+        self.find_extrema = inner.find_extrema
+        self.spline_eval = inner.spline_eval
+        self._sift_component = inner.sift_component
+        self.component_calls = 0
+
+    def sift_component(self, h, budget):
+        self.component_calls += 1
+        return self._sift_component(h, budget)
+
+
+def _sift_outcome(sift, x):
     try:
-        env, oscillatory = step(x)
+        steps, h, env = sift(x)
     except (InsufficientExtremaError, RuntimeError) as exc:
         return type(exc), str(exc)
-    assert env.dtype == np.float64
-    return env.tobytes(), oscillatory
+    assert h.dtype == np.float64
+    return steps, h.tobytes(), None if env is None else env.tobytes()
+
+
+def _decompose_case(case):
+    """(series, config) of one case of the decomposition comparisons."""
+    if case == "ticks":  # tick-quantized: plateaus in the input
+        walk = np.cumsum(np.random.default_rng(4).standard_normal(2000))
+        return np.round(4.0 * walk) / 4.0, None
+    if case == "slm-capped":  # its first component stops at the step cap
+        return simulate(SimConfig(process="slm", length=3000, seed=1, alpha=1.0 / 0.7)).values, None
+    if case == "exhausted":  # the last component runs out of extrema after a step
+        return np.cumsum(np.random.default_rng(6).standard_normal(200)), None
+    if case == "resume":  # the gate passes with sd above the threshold
+        x = simulate(SimConfig(process="fbm", length=2000, seed=9, hurst=0.5)).values
+        return x, emd.EmdConfig(sd_threshold=1e-9)
+    process, shape = case
+    return simulate(SimConfig(process=process, length=2000, seed=9, **shape)).values, None
 
 
 @pytest.mark.skipif("compiled" not in available_backends(), reason="no compiled kernels")
 class TestEnvelopeStep:
-    """The fused ``envelope_step`` against the step composed of
+    """The compiled component sift against the loop of steps composed of
     ``find_extrema``, ``mirror_extrema`` and two ``spline_eval`` calls."""
 
     @settings(max_examples=300, deadline=None)
@@ -336,33 +367,53 @@ class TestEnvelopeStep:
     # left end outside, right end inside
     @example(np.array([5, 7, 6, 6, 9, 3, 11, 8, 5, 10, 13, 18, 23, 24, 19, 17]) / 4.0)
     def test_matches_the_composed_step_bit_for_bit(self, x):
+        # a budget of one step
         compiled = get_backend("compiled")
         composed = _TwoKernels(compiled)
-        want = _step_outcome(lambda h: envelope_step(h, composed), x)
-        assert _step_outcome(compiled.envelope_step, x) == want
+        want = _sift_outcome(lambda h: sift_to_gate(h, composed, 1), x)
+        assert _sift_outcome(lambda h: compiled.sift_component(h, 1), x) == want
         # and the NumPy kernels compose the same bits
-        assert _step_outcome(lambda h: envelope_step(h, numpy_backend), x) == want
+        assert _sift_outcome(lambda h: sift_to_gate(h, numpy_backend, 1), x) == want
 
     def test_too_few_extrema_names_the_counts(self):
         with pytest.raises(InsufficientExtremaError, match="found 1/0"):
-            get_backend("compiled").envelope_step(_TWO_EACH[:4])
+            envelope_step(_TWO_EACH[:4], numpy_backend)
+        # the component sift reports no step and hands the input back
+        steps, h, env = get_backend("compiled").sift_component(_TWO_EACH[:4], 5)
+        assert (steps, h.tobytes(), env) == (0, _TWO_EACH[:4].tobytes(), None)
 
-    @pytest.mark.parametrize(
-        "process, shape", [("fbm", {"hurst": 0.5}), ("slm", {"alpha": 1.0 / 0.7})]
-    )
-    def test_decompose_through_the_two_kernel_interface(self, process, shape):
-        compiled = get_backend("compiled")
-        x = simulate(SimConfig(process=process, length=2000, seed=9, **shape)).values
-        fused = emd.decompose(x, backend=compiled)
-        wrapper = _TwoKernels(compiled)
-        composed = emd.decompose(x, backend=wrapper)
-        assert composed.imfs.tobytes() == fused.imfs.tobytes()
-        assert composed.residue.tobytes() == fused.residue.tobytes()
-        assert (composed.sift_counts, composed.stop_reasons) == (
-            fused.sift_counts, fused.stop_reasons,
-        )
+    @pytest.mark.parametrize("case", [
+        pytest.param(("fbm", {"hurst": 0.5}), id="fbm-shape0"),
+        pytest.param(("slm", {"alpha": 1.0 / 0.7}), id="slm-shape1"),
+        "ticks", "slm-capped", "exhausted", "resume",
+    ])
+    def test_decompose_through_the_two_kernel_interface(self, case):
+        x, config = _decompose_case(case)
+        compiled = _CountingComponent(get_backend("compiled"))
+        fused = emd.decompose(x, config, backend=compiled)
+        wrapper = _TwoKernels(get_backend("compiled"))
+        for other in (emd.decompose(x, config, backend=wrapper),
+                      emd.decompose(x, config, backend=numpy_backend)):
+            assert other.imfs.tobytes() == fused.imfs.tobytes()
+            assert other.residue.tobytes() == fused.residue.tobytes()
+            assert (other.sift_counts, other.stop_reasons) == (
+                fused.sift_counts, fused.stop_reasons,
+            )
         # perfbench's traced check: two envelopes per sift iteration
-        assert wrapper.spline_calls == 2 * sum(composed.sift_counts)
+        assert wrapper.spline_calls == 2 * sum(fused.sift_counts)
+        # one component call per component, and one more for a residue
+        # with too few extrema; the resume branch adds calls
+        sifted = fused.n_imfs + (fused.n_imfs < emd.default_max_imfs(len(x)))
+        if case == "resume":
+            assert compiled.component_calls > sifted
+        else:
+            assert fused.n_imfs <= compiled.component_calls <= sifted
+        if case == "ticks":
+            assert np.any(np.diff(x) == 0.0)
+        if case == "slm-capped":
+            assert fused.stop_reasons[0] == emd.STOP_MAX_ITER
+        if case == "exhausted":
+            assert fused.stop_reasons[-1] == emd.STOP_EXTREMA and fused.sift_counts[-1] > 0
 
 
 def _have_compiler():
@@ -471,6 +522,19 @@ class TestLoader:
         ran = subprocess.run([str(driver)], capture_output=True, text=True, timeout=300)
         assert ran.returncode == 0, ran.stdout + ran.stderr
         assert ran.stdout == "ok\n"
+
+    @pytest.mark.skipif(
+        not _have_compiler() or shutil.which("nm") is None, reason="no C compiler or nm"
+    )
+    def test_library_exports_three_entries(self, tmp_path):
+        # the scan, the spline and the component sift; every helper is static
+        library = build.build_library(tmp_path)
+        listed = subprocess.run(
+            ["nm", "-D", "--defined-only", str(library)], capture_output=True, text=True,
+            timeout=60, check=True,
+        ).stdout
+        functions = {line.split()[-1] for line in listed.splitlines() if line.split()[1] == "T"}
+        assert functions == {"hht_find_extrema", "hht_spline_eval", "hht_sift_component"}
 
     def test_compile_error_is_reported_and_cleaned_up(self, tmp_path):
         failing_cc = [sys.executable, "-c", "import sys; sys.exit('sift.c:9: error: boom')"]

@@ -44,6 +44,19 @@ class TestRoundTrip:
         m = RunManifest(subcommand="table", seed=None)
         assert RunManifest.from_text(m.to_text()).seed is None
 
+    def test_rng_is_empty_unless_given(self):
+        m = RunManifest(subcommand="decompose")
+        assert "rng=\n" in m.to_text()
+        assert RunManifest.from_text(m.to_text()).rng is None
+        named = RunManifest(subcommand="simulate", rng="philox")
+        assert RunManifest.from_text(named.to_text()).rng == "philox"
+
+    def test_older_manifest_with_rng_loads(self):
+        # manifests of every subcommand once recorded rng=philox
+        text = "subcommand=decompose\nversion=0.1.0\nrng=philox\nseed=\nthreads=\n"
+        m = RunManifest.from_text(text)
+        assert (m.subcommand, m.rng, m.seed, m.threads) == ("decompose", "philox", None, None)
+
     def test_header_and_ordering(self):
         text = sample_manifest().to_text()
         lines = text.splitlines()
