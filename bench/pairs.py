@@ -12,7 +12,7 @@ change of the median and the parent's IQR; beside them, per pair, the raw
 digests of the same op index are compared within each pair.
 
     python3 bench/pairs.py PARENT_TREE CHANGE_TREE --pairs 10 --seed 18 \\
-        --lever bench_levers.json --out BENCH_18.json
+        --commits PARENT_SHA CHANGE_SHA --lever c_loop.json --out BENCH_18.json
 
 ``--lever`` adds a JSON block written by ``bench/ab_decompose.py`` (one per
 file, keyed by the file's stem) under ``levers_in_process``.
@@ -91,10 +91,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--lever", type=Path, action="append", default=[])
+    parser.add_argument("--commits", nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="the trees' commits, for trees made by git archive")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    bounds = {m["name"]: m for m in json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
+    declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    bounds = {metric["name"]: metric for metric in declared["end_to_end"]}
 
     records = {w: {"parent": [], "change": []} for w in WORKLOADS}
     for pair in range(1, args.pairs + 1):
@@ -106,12 +109,14 @@ def main(argv=None) -> int:
                 )
         print(f"pair {pair}/{args.pairs} done", file=sys.stderr)
 
+    commits = args.commits or [records[WORKLOADS[0]][side][0]["commit"] for side in trees]
     bench = {
-        "what": f"End-to-end metrics from `python3 perfbench/run.py --workload W --seed {args.seed} "
-                f"--seconds {args.seconds:g} --trace 0`, run in a copy of each commit's files, "
-                "parent and change alternated; traced runs are one `--trace 1` run per side.",
-        "parent_commit": records[WORKLOADS[0]]["parent"][0]["commit"],
-        "change_commit": records[WORKLOADS[0]]["change"][0]["commit"],
+        "what": "End-to-end metrics from `python3 perfbench/run.py --workload W "
+                f"--seed {args.seed} --seconds {args.seconds:g} --trace 0`, run in a copy of "
+                "each commit's files, parent and change alternated; traced runs are one "
+                "`--trace 1` run per side.",
+        "parent_commit": commits[0],
+        "change_commit": commits[1],
         "workloads": {},
     }
     for workload in WORKLOADS:
@@ -143,7 +148,9 @@ def main(argv=None) -> int:
         bench["levers_in_process"] = {
             path.stem: json.loads(path.read_text()) for path in args.lever
         }
-    bench["harness_machine"] = {"python": platform.python_version(), "platform": platform.platform()}
+    bench["harness_machine"] = {
+        "python": platform.python_version(), "platform": platform.platform(),
+    }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 

@@ -8,8 +8,10 @@ a step's input passes the oscillatory gate, which
 step budget live in ``sift.c``; the SD test, the iteration cap and the
 centering stay in ``emd.decompose``.  Every array is made contiguous
 float64, checked for shape, or allocated here before its pointer reaches
-C.  A kernel with several outputs writes them into one
-buffer per dtype, and the arrays returned are views of it.
+C.  ``find_extrema`` writes its outputs into one buffer per dtype, and the
+arrays it returns are views of it; ``sift_component`` returns ``h`` and
+``env`` in arrays of their own, so that a kept component holds no more
+memory than its samples.
 """
 
 import ctypes

@@ -3,9 +3,9 @@
 Each CSV an invocation writes gets a ``<file>.manifest`` sidecar recording
 the subcommand, every parameter's value (the flag given, else its default),
 the random generator, seed and thread count (empty for subcommands that
-draw no random numbers), input digests, software version, and wall time.  Re-running the reconstructed command
-line reproduces the CSV byte-for-byte; only the duration line differs
-between such runs.
+draw no random numbers), input digests, software version, and wall time.
+Re-running the reconstructed command line reproduces the CSV byte-for-byte;
+only the duration line differs between such runs.
 """
 
 from __future__ import annotations
