@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .emd import (  # noqa: E402
     EmdConfig,
     ImfDecomposition,
-    InsufficientExtremaError,
     decompose,
     default_max_imfs,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "EnsembleStats",
     "GheResult",
     "ImfDecomposition",
-    "InsufficientExtremaError",
     "IntradayPanel",
     "RunManifest",
     "ScalingTrack",

@@ -21,6 +21,11 @@ outputs.  The argparse flags and the one runner that computes, writes and
 records every subcommand both come from these two tables.  Only
 ``simulate``, ``intraday`` and ``table`` take ``--seed`` and ``--threads``.
 
+Each output is one table: a mapping from column name to a column (a NumPy
+array, a ``range`` or a list), all of one length.  ``_write_csv`` is the one
+place where cells become text; the header is the table's keys, so it cannot
+drift from the rows.
+
 Exit codes: 0 success, 1 data/runtime error (message names the offending
 file or row), 2 usage error.  Each error is one ``hhtscale <cmd>: ...``
 line on stderr, argparse's own rejections included.
@@ -29,6 +34,7 @@ line on stderr, argparse's own rejections included.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -67,7 +73,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Reports a rejected command line (a bad choice or type, an unknown
     flag, a missing argument) as one ``<prog>: <message>`` line, the form of
-    the CLI's own usage errors, in place of argparse's usage block."""
+    the CLI's own usage errors, in place of argparse's usage block.  Like
+    Python 3.13's argparse, it reads ``-`` or ``-.`` then a digit as a value
+    (``--d-grid -0.2:0.2:0.2``), which is safe: no flag starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -106,8 +118,8 @@ PARAMS = {
     "alpha": Param(float, help="stability index (slm)"),
     "d": Param(float, help="memory parameter (arfima)"),
     "h_grid": Param(str, help="start:stop:step or comma list of Hurst exponents"),
-    "alpha_grid": Param(str),
-    "d_grid": Param(str),
+    "alpha_grid": Param(str, help="start:stop:step or comma list of stability indices"),
+    "d_grid": Param(str, help="start:stop:step or comma list of memory parameters"),
     "sd_threshold": Param(float, EmdConfig.sd_threshold),
     "max_imfs": Param(int),
     "rolling_window": Param(int),
@@ -137,7 +149,8 @@ _SHAPES = {
 @dataclass(frozen=True)
 class Command:
     """A subcommand: its own parameters and ``compute(params[, series,
-    calendar]) -> [(file name, schema, columns, rows, comments), ...]``."""
+    calendar]) -> [(file name, schema, table, comments), ...]``, where
+    ``table`` maps each column name to one column of the file."""
 
     help: str
     params: tuple[str, ...]
@@ -155,23 +168,21 @@ class Command:
 
 
 def _fmt(value) -> str:
-    """Full round-trip decimal text for one CSV cell."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    """Full round-trip decimal text for one CSV cell or manifest value."""
+    if isinstance(value, (str, int)):
+        return str(value)
     return repr(float(value))
 
 
-def _write_csv(path: Path, schema: str, columns, rows, comments=()) -> None:
+def _write_csv(path: Path, schema: str, table: dict, comments=()) -> None:
+    """Write ``table`` (column name -> column) under its comment lines.  A
+    column shorter than the others raises ValueError and writes no file."""
+    cells = [map(_fmt, c.tolist() if isinstance(c, np.ndarray) else c) for c in table.values()]
+    head = [f"schema: {schema} v1", f"generator: hhtscale {__version__}", *comments]
+    lines = [f"# {line}" for line in head] + [",".join(table)]
+    lines += map(",".join, zip(*cells, strict=True))
     with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {schema} v1\n")
-        fh.write(f"# generator: hhtscale {__version__}\n")
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _run_command(name: str, args) -> int:
@@ -199,8 +210,8 @@ def _run_command(name: str, args) -> int:
         # the subcommands with a seed are the ones that draw random numbers
         rng=RNG_NAME if "seed" in command.flags else None,
     )
-    for file_name, schema, columns, rows, comments in outputs:
-        _write_csv(out_dir / file_name, schema, columns, rows, comments)
+    for file_name, schema, table, comments in outputs:
+        _write_csv(out_dir / file_name, schema, table, comments)
     manifest.duration_s = time.time() - started
     for file_name, *_ in outputs:
         manifest.write(out_dir / (file_name + ".manifest"))
@@ -324,13 +335,17 @@ def _parse_grid(text: str) -> list[float]:
 # subcommand outputs
 
 
+def _numbered(prefix: str, columns, start: int) -> dict:
+    """Columns named ``<prefix>_<start>``, ``<prefix>_<start + 1>``, ..."""
+    return {f"{prefix}_{k}": column for k, column in enumerate(columns, start)}
+
+
 def _simulate_outputs(params):
     sim = _sim_config(params)
-    paths = [simulate(sim, path_index=i).values for i in range(sim.paths)]
-    columns = ["t"] + [f"path_{i}" for i in range(sim.paths)]
-    rows = ((t, *(p[t] for p in paths)) for t in range(sim.length))
+    paths = (simulate(sim, path_index=i).values for i in range(sim.paths))
+    table = {"t": range(sim.length), **_numbered("path", paths, 0)}
     comments = [f"process={sim.process}", f"rng={RNG_NAME}", f"seed={sim.seed}"]
-    return [("paths.csv", "simulated-paths", columns, rows, comments)]
+    return [("paths.csv", "simulated-paths", table, comments)]
 
 
 def _table_outputs(params):
@@ -344,65 +359,55 @@ def _table_outputs(params):
         if params[grid_key] is None:
             raise UsageError(f"{process} requires --{grid_key.replace('_', '-')}")
         grid_values = _parse_grid(params[grid_key])
-    rows = []
-    for value in grid_values:
-        point = params if shape is None else {**params, shape: value}
-        stats = monte_carlo_ensemble(
-            _sim_config(point),
+    stats = [
+        monte_carlo_ensemble(
+            _sim_config(params if shape is None else {**params, shape: value}),
             tau_max=tau_max,
             trim_fraction=params["trim_fraction"],
             threads=params["threads"],
         )
-        rows.append(
-            (
-                nominal(value),
-                stats.grand_mean,
-                stats.grand_std,
-                stats.mean_r2,
-                stats.ghe_mean,
-                stats.ghe_std,
-            )
-        )
+        for value in grid_values
+    ]
+    table = {
+        "H": [nominal(value) for value in grid_values],
+        "mean_Hstar": [s.grand_mean for s in stats],
+        "std_Hstar": [s.grand_std for s in stats],
+        "mean_R2": [s.mean_r2 for s in stats],
+        "mean_HG": [s.ghe_mean for s in stats],
+        "std_HG": [s.ghe_std for s in stats],
+    }
     comments = [
         f"process={process}",
         f"paths={params['paths']}",
         f"length={params['length']}",
         f"rng={RNG_NAME}",
     ]
-    columns = ["H", "mean_Hstar", "std_Hstar", "mean_R2", "mean_HG", "std_HG"]
-    return [("table.csv", "ensemble-table", columns, rows, comments)]
+    return [("table.csv", "ensemble-table", table, comments)]
 
 
 def _decompose_outputs(params, series, calendar):
     result = _components(series, params)
-    n = result.n_imfs
-    columns = ["t"] + [f"imf_{k + 1}" for k in range(n)] + ["residue"]
-    rows = (
-        (t, *(result.imfs[k, t] for k in range(n)), result.residue[t])
-        for t in range(result.length)
-    )
+    imfs = _numbered("imf", result.imfs, 1)
+    table = {"t": range(result.length), **imfs, "residue": result.residue}
     comments = [
         f"sift_counts={','.join(str(c) for c in result.sift_counts)}",
         f"stop_reasons={','.join(result.stop_reasons)}",
         f"dt={_fmt(series.dt)}",
     ]
-    return [("imfs.csv", "imf-matrix", columns, rows, comments)]
+    return [("imfs.csv", "imf-matrix", table, comments)]
 
 
 def _spectral_outputs(params, series, calendar):
     track = _track(series, params)
-    n = track.n_imfs
-    columns = ["t"] + [f"imf_{k + 1}" for k in range(n)]
     comments = [f"dt={_fmt(series.dt)}", "frequency_units=radians_per_sample"]
     # a sample with no valid component (inside the trimmed margin) is undefined
     undefined = ~track.validity.any(axis=0)
-    amplitudes = np.where(undefined, np.nan, track.amplitudes)
-    frequencies = np.where(undefined, np.nan, track.frequencies)
-    amp_rows = ((t, *(amplitudes[k, t] for k in range(n))) for t in range(track.length))
-    freq_rows = ((t, *(frequencies[k, t] for k in range(n))) for t in range(track.length))
+    t = range(track.length)
+    amplitudes = _numbered("imf", np.where(undefined, np.nan, track.amplitudes), 1)
+    frequencies = _numbered("imf", np.where(undefined, np.nan, track.frequencies), 1)
     return [
-        ("spectral_amplitude.csv", "amplitude-matrix", columns, amp_rows, comments),
-        ("spectral_frequency.csv", "frequency-matrix", columns, freq_rows, comments),
+        ("spectral_amplitude.csv", "amplitude-matrix", {"t": t, **amplitudes}, comments),
+        ("spectral_frequency.csv", "frequency-matrix", {"t": t, **frequencies}, comments),
     ]
 
 
@@ -423,20 +428,16 @@ def _scaling_outputs(params, series, calendar):
         comments.append(f"ghe_q1=nan ({exc})")
     if window is not None:
         comments.append(f"rolling_window={window}")
-    columns = ("t", "h_star", "r2", "points_used")
-    rows = (
-        (t, st.h_star[t], st.r_squared[t], int(st.points_used[t]))
-        for t in range(st.length)
-    )
-    return [("scaling.csv", "scaling-track", columns, rows, comments)]
+    table = {"t": range(st.length), "h_star": st.h_star, "r2": st.r_squared,
+             "points_used": st.points_used}
+    return [("scaling.csv", "scaling-track", table, comments)]
 
 
 def _complexity_outputs(params, series, calendar):
     ct = complexity(_track(series, params), weight=params["weight"])
-    columns = ("t", "c_star")
-    rows = ((t, ct.c_star[t]) for t in range(ct.length))
+    table = {"t": range(ct.length), "c_star": ct.c_star}
     comments = [f"weight={params['weight']}", f"n_imfs={ct.n_imfs}"]
-    return [("complexity.csv", "complexity-track", columns, rows, comments)]
+    return [("complexity.csv", "complexity-track", table, comments)]
 
 
 def _intraday_outputs(params, series, calendar):
@@ -462,19 +463,12 @@ def _intraday_outputs(params, series, calendar):
     comments = [f"measure={params['measure']}", f"band_sims={params['band_sims']}"]
     if panel.lunch_gap is not None:
         comments.append(f"lunch_gap={panel.lunch_gap[0]}:{panel.lunch_gap[1]}")
-    panel_columns = ["day_id"] + [f"c_{j}" for j in range(panel.width)]
-    panel_rows = (
-        (calendar.day_ids[i], *(panel.matrix[i, j] for j in range(panel.width)))
-        for i in range(panel.n_days)
-    )
-    profile_columns = ("index", "day_mean", "band_lo", "band_hi", "likelihood")
-    profile_rows = (
-        (j, panel.day_mean[j], band_lo[j], band_hi[j], likelihood[j])
-        for j in range(panel.width)
-    )
+    panel_table = {"day_id": calendar.day_ids, **_numbered("c", panel.matrix.T, 0)}
+    profile_table = {"index": range(panel.width), "day_mean": panel.day_mean,
+                     "band_lo": band_lo, "band_hi": band_hi, "likelihood": likelihood}
     return [
-        ("intraday_panel.csv", "intraday-panel", panel_columns, panel_rows, comments),
-        ("intraday_profile.csv", "intraday-profile", profile_columns, profile_rows, comments),
+        ("intraday_panel.csv", "intraday-panel", panel_table, comments),
+        ("intraday_profile.csv", "intraday-profile", profile_table, comments),
     ]
 
 

@@ -35,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import MIRRORED_EXTREMA, InsufficientExtremaError, get_backend, sift_to_gate
+from ._kernels import MIRRORED_EXTREMA, get_backend, sift_to_gate
 
 __all__ = [
     "EmdConfig",
     "ImfDecomposition",
-    "InsufficientExtremaError",
     "decompose",
     "default_max_imfs",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 import hhtscale
 from hhtscale import RunManifest, ingest_prices
 from hhtscale._kernels import available_backends, get_backend
-from hhtscale.cli import build_parser, run
+from hhtscale.cli import _write_csv, build_parser, run
 
 from conftest import build_price_csv
 
@@ -442,6 +443,17 @@ class TestTable:
         manifest = RunManifest.load(out / "table.csv.manifest")
         assert manifest.params["d_grid"] == "-0.2,0.2"
 
+    @pytest.mark.parametrize("grid", ["-0.2:0.2:0.2", "-0.2,0.2"])
+    def test_grid_may_start_below_zero(self, tmp_path, grid):
+        # "--d-grid -0.2:..." is the flag's value, as "--d-grid=-0.2:..." is
+        base = ["table", "--process", "arfima", "--paths", "2", "--length", "256"]
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert run(base + ["--d-grid", grid, "--out-dir", str(spaced)]) == 0
+        assert run(base + [f"--d-grid={grid}", "--out-dir", str(joined)]) == 0
+        assert (spaced / "table.csv").read_bytes() == (joined / "table.csv").read_bytes()
+        manifest = RunManifest.load(spaced / "table.csv.manifest")
+        assert f"--d-grid={grid}" in manifest.to_argv()
+
     def test_nominal_exponent_of_each_process(self, tmp_path):
         # H = alpha^-1 for slm, 1/2 for bm (fbm and arfima are checked above)
         for process, grid, nominal in (
@@ -489,6 +501,91 @@ class TestArtifactHygiene:
         assert run(["decompose", str(price_csv), "--out-dir", str(out)]) == 0
         first = (out / "imfs.csv").read_text().splitlines()[0]
         assert first.startswith("# schema: imf-matrix v1")
+
+
+class TestCsvBytes:
+    """Every subcommand's CSVs, byte for byte.
+
+    Manifest replay runs the same writer on both sides, so it cannot see a
+    change in how cells become text; these SHA-256 digests can.  They were
+    recorded on x86-64 Linux with the compiled backend, whose bits the NumPy
+    backend shares.
+    """
+
+    RUNS = {
+        "decompose": (
+            ["decompose", "{prices}"],
+            {"imfs.csv": "34d7c14e48bba3db7f8129249897bd7c36e3ae267403faa8c8047df7128fe26b"},
+        ),
+        "decompose-values-col": (
+            ["decompose", "{values}", "--values-col", "x", "--max-imfs", "4"],
+            {"imfs.csv": "e270691e2428e08cef4ce2a536e5170d95e1bddccbf5512e58e44a5f328a4e2e"},
+        ),
+        "spectral-trim": (
+            ["spectral", "{prices}", "--trim-fraction", "0.05"],
+            {
+                "spectral_amplitude.csv": "d1246854d984e237a640f2643aa2887aceb14132b5803f4c6bd5c5daf8cb912e",
+                "spectral_frequency.csv": "f8146c35f1609fc5d6442392af99fc080339d0abc8288ad814f0c0f4ffe0794e",
+            },
+        ),
+        "scaling": (
+            ["scaling", "{prices}"],
+            {"scaling.csv": "2d6d972c04980c21e9da6a81e39eb301d9bc7c7d5f89e0f1a2035b5209ad7289"},
+        ),
+        "scaling-rolling": (
+            ["scaling", "{prices}", "--rolling-window", "30"],
+            {"scaling.csv": "3c7e20d70ac8c933c26d11490f3ab9fd0fbdec5a0fa4070de5b83bf07cb5b927"},
+        ),
+        "complexity-linear": (
+            ["complexity", "{prices}", "--weight", "linear"],
+            {"complexity.csv": "f998f515a40ddda01328a547688c43a1151e3f747cee3278dd301ce95cbd21e7"},
+        ),
+        "intraday-cstar": (
+            ["intraday", "{prices}", "--measure", "cstar", "--band-sims", "10"],
+            {
+                "intraday_panel.csv": "4a56345560a672dfbd75753699a64195dcf7485eb94abf2d12ef921eebf1bfaf",
+                "intraday_profile.csv": "4086a8f032f56e545511ff6a269db4c1a06a0e1f0ff7c918d7db8bf73aca690e",
+            },
+        ),
+        "simulate-fbm": (
+            ["simulate", "--process", "fbm", "--h", "0.7", "--length", "64", "--paths", "2",
+             "--seed", "5"],
+            {"paths.csv": "0bfe677c9d48fd94d2eef1b756223fb068c89adbfc054ccd8cf4bce7319c1753"},
+        ),
+        "table-arfima": (
+            ["table", "--process", "arfima", "--d-grid=-0.2,0.2", "--paths", "2",
+             "--length", "256", "--seed", "3"],
+            {"table.csv": "6867b32c03e232de42dd92a84043db75b31cee5790237c889a1bb2267ad4274b"},
+        ),
+        "table-bm": (
+            ["table", "--process", "bm", "--paths", "2", "--length", "256"],
+            {"table.csv": "417d4c0d494149bc2f789d6f9ebcd32305559d216b410101c551ed59359c83f5"},
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        prices, values = root / "prices.csv", root / "values.csv"
+        build_price_csv(prices, n_days=4, per_session=60, seed=19)
+        walk = np.cumsum(np.random.default_rng(7).standard_normal(300))
+        values.write_text("x\n" + "\n".join(repr(float(v)) for v in walk) + "\n")
+        return {"{prices}": str(prices), "{values}": str(values)}
+
+    def test_short_column_raises_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "short.csv"
+        table = {"t": range(3), "x": np.zeros(3), "y": [1.5, 2.5]}
+        with pytest.raises(ValueError):
+            _write_csv(path, "short", table)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv, digests", RUNS.values(), ids=RUNS)
+    def test_digests(self, tmp_path, inputs, argv, digests):
+        argv = [inputs.get(a, a) for a in argv]
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(digests)
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 _INGEST_OPTIONS = {

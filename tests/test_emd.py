@@ -13,11 +13,15 @@ from hhtscale.emd import (
     STOP_MAX_ITER,
     STOP_SD,
     EmdConfig,
-    InsufficientExtremaError,
     decompose,
     default_max_imfs,
 )
-from hhtscale._kernels import available_backends, envelope_step, get_backend
+from hhtscale._kernels import (
+    InsufficientExtremaError,
+    available_backends,
+    envelope_step,
+    get_backend,
+)
 
 
 def tone(length, period, amplitude=1.0, phase=0.0):

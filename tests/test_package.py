@@ -14,7 +14,6 @@ PUBLIC = {
     "EnsembleStats",
     "GheResult",
     "ImfDecomposition",
-    "InsufficientExtremaError",
     "IntradayPanel",
     "RunManifest",
     "ScalingTrack",
