@@ -1,4 +1,5 @@
-"""Alternated A/B of ``decompose`` between two source trees.
+"""Alternated A/B of ``decompose`` and of a whole ensemble path between two
+source trees.
 
 Each round runs one fresh process per tree, in alternating order (tree A
 first in even rounds).  A process imports ``hhtscale`` from its tree's
@@ -6,13 +7,19 @@ first in even rounds).  A process imports ``hhtscale`` from its tree's
 of ``--seed`` for bm, fBm H = 0.7, ARFIMA d = 0.2 (T = 10,000) and SLM
 alpha = 1.5 (T = 10,384), sifts each path once to warm up, then times
 ``--repeats`` calls of ``decompose`` per path on the compiled backend and
-reports their median.  The per-round ``sum`` is the four medians added.
+reports their median.  It then runs the same path as a one-path
+``monte_carlo_ensemble`` (``threads=1``: simulate, sift, spectral track,
+``H*`` and GHE) once to warm up and ``--repeats`` times more, and reports
+that median too.  Last it reports its own peak resident set
+(``ru_maxrss``).  The per-round ``sum`` is the four medians added.
 
-Prints one JSON block: per process and for the sum, each tree's median,
-quartiles and runs, the rounds B was faster, the paired B/A ratios, and
-whether every output digest (components, residue, sift counts, stop
-reasons) was equal on both sides.  A lever is kept when B wins at least 9
-of 10 rounds of the sum.
+Prints one JSON block: per process and for the sum, for ``decompose``
+(``<name>_ms``) and for the whole path (``<name>_path_ms``), each tree's
+median, quartiles and runs, the rounds B was lower, and the paired B/A
+ratios; the same for each side's ``peak_rss_mb``; and whether every output
+digest (components, residue, sift counts, stop reasons, and the path's
+``mean_hstar_t``) was equal on both sides.  A lever is kept when B wins at
+least 9 of 10 rounds of the sum.
 
     python3 bench/ab_decompose.py TREE_A TREE_B --rounds 10 --a "..." --b "..."
 """
@@ -35,16 +42,17 @@ PROCESSES = {
 }
 
 CHILD = r"""
-import hashlib, json, statistics, sys, time
-from hhtscale import SimConfig, simulate
+import hashlib, json, resource, statistics, sys, time
+from hhtscale import SimConfig, monte_carlo_ensemble, simulate
 from hhtscale._kernels import get_backend
 from hhtscale.emd import decompose
 
 seed, repeats, processes = int(sys.argv[1]), int(sys.argv[2]), json.loads(sys.argv[3])
 backend = get_backend("compiled")
-out = {"ms": {}, "digest": {}}
+out = {"ms": {}, "path_ms": {}, "digest": {}}
 for name, (shape, length) in processes.items():
-    x = simulate(SimConfig(process=name, length=length, seed=seed, **shape), 0).values
+    config = SimConfig(process=name, length=length, seed=seed, paths=1, **shape)
+    x = simulate(config, 0).values
     result = decompose(x, backend=backend)
     digest = hashlib.sha256(result.imfs.tobytes() + result.residue.tobytes())
     digest.update(repr((result.sift_counts, result.stop_reasons)).encode())
@@ -55,6 +63,15 @@ for name, (shape, length) in processes.items():
         decompose(x, backend=backend)
         walls.append(time.perf_counter() - start)
     out["ms"][name] = statistics.median(walls) * 1e3
+    stats = monte_carlo_ensemble(config, threads=1)
+    out["digest"][name + "_path"] = hashlib.sha256(stats.mean_hstar_t.tobytes()).hexdigest()
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        monte_carlo_ensemble(config, threads=1)
+        walls.append(time.perf_counter() - start)
+    out["path_ms"][name] = statistics.median(walls) * 1e3
+out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps(out))
 """
 
@@ -71,6 +88,20 @@ def run_side(tree: Path, seed: int, repeats: int) -> dict:
 def quartiles(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(a: list, b: list) -> dict:
+    """Both sides' per-round values, and how B's compare with A's."""
+    ratios = [vb / va for va, vb in zip(a, b)]
+    paired = quartiles(ratios)
+    del paired["runs"]
+    return {
+        "a": quartiles(a),
+        "b": quartiles(b),
+        "b_over_a_median": statistics.median(b) / statistics.median(a),
+        "rounds_b_lower": f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}",
+        "paired_b_over_a": paired,
+    }
 
 
 def main(argv=None) -> int:
@@ -99,23 +130,16 @@ def main(argv=None) -> int:
             ra["digest"] == rb["digest"] for ra in runs["a"] for rb in runs["b"]
         ),
     }
-    for name in [*PROCESSES, "sum"]:
-        per = {
-            side: [
-                sum(r["ms"].values()) if name == "sum" else r["ms"][name] for r in runs[side]
-            ]
-            for side in ("a", "b")
-        }
-        ratios = [b / a for a, b in zip(per["a"], per["b"])]
-        paired = quartiles(ratios)
-        del paired["runs"]
-        block[f"{name}_ms"] = {
-            "a": quartiles(per["a"]),
-            "b": quartiles(per["b"]),
-            "b_over_a_median": statistics.median(per["b"]) / statistics.median(per["a"]),
-            "rounds_b_faster": f"{sum(r < 1.0 for r in ratios)}/{args.rounds}",
-            "paired_b_over_a": paired,
-        }
+    for key in ("ms", "path_ms"):
+        for name in [*PROCESSES, "sum"]:
+            per = {
+                side: [
+                    sum(r[key].values()) if name == "sum" else r[key][name] for r in runs[side]
+                ]
+                for side in ("a", "b")
+            }
+            block[f"{name}_{key}"] = compare(per["a"], per["b"])
+    block["peak_rss_mb"] = compare(*([r["peak_rss_mb"] for r in runs[side]] for side in "ab"))
     print(json.dumps(block, indent=1))
     return 0
 

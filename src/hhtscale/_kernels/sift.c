@@ -70,9 +70,10 @@ void hht_find_extrema(const double *x, ptrdiff_t n, ptrdiff_t cap,
 }
 
 /* One natural cubic spline through k >= 2 knots (t, v), t ascending, and
- * its 5k - 6 doubles of scratch: h, sl [k - 1], m [k], cp, dp [k - 2].  Once
- * solved, the segment coefficients overwrite the scratch: c1 in sl, c2 in
- * cp (and on into dp), c3 in h. */
+ * its 5k - 5 doubles of scratch: h, sl [k - 1], m [k], cp [k - 2], dp
+ * [k - 1], one more than the sweep uses, so that the k - 1 values of c2
+ * fit when k = 2.  Once solved, the segment coefficients overwrite the
+ * scratch: c1 in sl, c2 in cp (and on into dp), c3 in h. */
 typedef struct {
     const double *t, *v;
     ptrdiff_t k;
@@ -108,7 +109,7 @@ static double *spline_begin(spline *sp, const double *t, const double *v, ptrdif
     }
     sp->m[0] = 0.0;
     sp->m[k - 1] = 0.0;
-    return sp->dp + (k - 2);
+    return sp->dp + (k - 1);
 }
 
 /* Step idx (1 <= idx < k - 2) of sp's forward sweep. */
@@ -210,7 +211,7 @@ int hht_spline_eval(const double *t, const double *v, ptrdiff_t k,
     spline sp;
 
     /* one block: the spline's scratch, then the segment map */
-    w = malloc((size_t)(5 * k - 6) * sizeof(double) + (size_t)(n_out + 1) * sizeof(ptrdiff_t));
+    w = malloc((size_t)(5 * k - 5) * sizeof(double) + (size_t)(n_out + 1) * sizeof(ptrdiff_t));
     if (w == NULL)
         return -1;
     first = (ptrdiff_t *)spline_begin(&sp, t, v, k, w);
@@ -338,7 +339,7 @@ typedef struct {
 /* Points ws into one block for series of n samples; returns the block, to
  * be freed, or NULL when it cannot be allocated.  The knots and scratch of
  * one step take at most 14 (cap + 2 MIRRORED_EXTREMA) doubles: each kind's
- * knot positions and values, and its spline's under 5 doubles a knot. */
+ * knot positions and values, and its spline's 5k - 5 for k knots. */
 static void *workspace_begin(workspace *ws, ptrdiff_t n)
 {
     ptrdiff_t cap = n / 2 + 1, knots = 14 * (cap + 2 * MIRRORED_EXTREMA);

@@ -175,7 +175,7 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
 
     stack = np.array(imfs) if imfs else np.empty((0, x.shape[0]), dtype=np.float64)
     return ImfDecomposition(
-        imfs=np.ldexp(stack, exponent),
+        imfs=np.ldexp(stack, exponent, out=stack),
         residue=np.ldexp(residue, exponent),
         sift_counts=sift_counts,
         stop_reasons=stop_reasons,

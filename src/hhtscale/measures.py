@@ -75,27 +75,44 @@ class GheResult:
     r_squared: float
 
 
+def _row_log(values, mask):
+    """ln of ``values`` where ``mask`` holds, 0 (ln 1) elsewhere, built one
+    row at a time."""
+    out = np.empty(values.shape)
+    for row, value, use in zip(out, values, mask):
+        np.log(np.where(use, value, 1.0), out=row)
+    return out
+
+
 def _column_regression(ln_a, ln_tau, valid):
     """Per-column OLS of ln_a on ln_tau over rows flagged valid.
 
     Returns (slope, r_squared, count, defined); slope/r2 are NaN where
-    undefined.
+    undefined.  Each column sum adds the rows one at a time, in row order,
+    as a reduction over axis 0 adds them, so the sums have its bits without
+    its whole-stack temporaries; they start from -0.0, which leaves the
+    first row's values unchanged.
     """
+    length = valid.shape[1]
     count = valid.sum(axis=0)
     safe = np.maximum(count, 1)
-    xa = np.where(valid, ln_tau, 0.0)
-    ya = np.where(valid, ln_a, 0.0)
-    mean_x = xa.sum(axis=0) / safe
-    mean_y = ya.sum(axis=0) / safe
-    dx = np.where(valid, ln_tau - mean_x, 0.0)
-    dy = np.where(valid, ln_a - mean_y, 0.0)
-    sxx = (dx * dx).sum(axis=0)
-    syy = (dy * dy).sum(axis=0)
-    sxy = (dx * dy).sum(axis=0)
+    sum_x, sum_y = np.full(length, -0.0), np.full(length, -0.0)
+    for x, y, use in zip(ln_tau, ln_a, valid):
+        sum_x += np.where(use, x, 0.0)
+        sum_y += np.where(use, y, 0.0)
+    mean_x = sum_x / safe
+    mean_y = sum_y / safe
+    sxx, syy, sxy = np.full((3, length), -0.0)
+    for x, y, use in zip(ln_tau, ln_a, valid):
+        dx = np.where(use, x - mean_x, 0.0)
+        dy = np.where(use, y - mean_y, 0.0)
+        sxx += dx * dx
+        syy += dy * dy
+        sxy += dx * dy
 
     defined = (count >= MIN_REGRESSION_POINTS) & (sxx > 0.0)
-    slope = np.full(ln_a.shape[1], np.nan)
-    r2 = np.full(ln_a.shape[1], np.nan)
+    slope = np.full(length, np.nan)
+    r2 = np.full(length, np.nan)
     np.divide(sxy, sxx, out=slope, where=defined)
     denom = sxx * syy
     ok = defined & (denom > 0.0)
@@ -119,8 +136,8 @@ def scaling_exponent(track: SpectralTrack) -> ScalingTrack:
             f"got {track.n_imfs}"
         )
     valid = track.validity & (track.amplitudes > 0.0)
-    ln_a = np.log(np.where(valid, track.amplitudes, 1.0))
-    ln_tau = np.log(np.where(valid, track.periods, 1.0))
+    ln_a = _row_log(track.amplitudes, valid)
+    ln_tau = _row_log(track.periods, valid)
     slope, r2, count, defined = _column_regression(ln_a, ln_tau, valid)
     return ScalingTrack(h_star=slope, r_squared=r2, points_used=count, defined=defined)
 
@@ -157,8 +174,8 @@ def rolling_scaling_exponent(track: SpectralTrack, window: int) -> ScalingTrack:
     usable = have & (amp_bar > 0.0)
     usable[:, : window - 1] = False  # incomplete trailing windows
     usable[:, ~track.validity.any(axis=0)] = False
-    ln_a = np.log(np.where(usable, amp_bar, 1.0))
-    ln_tau = np.log(np.where(usable, per_bar, 1.0))
+    ln_a = _row_log(amp_bar, usable)
+    ln_tau = _row_log(per_bar, usable)
     slope, r2, count, defined = _column_regression(ln_a, ln_tau, usable)
     return ScalingTrack(h_star=slope, r_squared=r2, points_used=count, defined=defined)
 

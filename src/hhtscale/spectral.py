@@ -10,6 +10,12 @@ where the estimated frequency is non-positive — phase briefly running
 backwards, a known artifact of the discrete transform — are flagged
 invalid, as is an optional margin at both ends where boundary distortion
 dominates.
+
+The tracks are built one component at a time: each analytic signal is
+transformed, measured and scaled in its own row of one preallocated
+complex stack, so no whole-stack temporary of the transform is ever made.
+Only the neighbour product runs over the whole stack at once, and the
+stack is dropped as soon as the phase steps are taken from it.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ __all__ = ["SpectralTrack", "hilbert_transform", "spectral_track"]
 
 
 def _analytic(x: np.ndarray) -> np.ndarray:
-    """Analytic signal of each row of ``x`` (along the last axis)."""
-    n = x.shape[-1]
+    """Analytic signal of the real 1-D series ``x``."""
+    n = x.shape[0]
     if n < 4:
         raise ValueError("need at least 4 samples")
     if not np.all(np.isfinite(x)):
@@ -95,26 +101,37 @@ def spectral_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) 
     if not (0.0 <= trim_fraction < 0.5):
         raise ValueError("trim_fraction must be in [0, 0.5)")
     length = decomposition.length
-    analytic = _analytic(np.asarray(decomposition.imfs, dtype=np.float64))  # one FFT for all rows
-    amplitudes = np.abs(analytic)
-    # Scale each row by a power of two (largest amplitude in [0.5, 1), at most
-    # 2**1023 for subnormal rows) so the products of neighbours below neither
-    # overflow nor underflow; the scaling is exact and leaves angles alone.
-    exponent = np.frexp(amplitudes.max(axis=1))[1]
-    z = analytic * np.ldexp(1.0, np.minimum(-exponent, 1023))[:, None]
-    # one-step phase change, wrapped into (-pi, pi]
+    imfs = np.asarray(decomposition.imfs, dtype=np.float64)
+    z = np.empty(imfs.shape, dtype=np.complex128)
+    amplitudes = np.empty(imfs.shape)
+    for row, amplitude, imf in zip(z, amplitudes, imfs):
+        row[...] = _analytic(imf)
+        np.abs(row, out=amplitude)
+        # Scale the row by a power of two (largest amplitude in [0.5, 1), at
+        # most 2**1023 for a subnormal row) so the products of neighbours
+        # below neither overflow nor underflow; the scaling is exact and
+        # leaves angles alone.
+        row *= np.ldexp(1.0, min(-np.frexp(amplitude.max())[1], 1023))
+    # One-step phase change, wrapped into (-pi, pi].  Kept batched and as
+    # written: once the conj temporary reaches 256 KiB (K (T - 1) 16 bytes),
+    # NumPy's temporary elision writes the product into it as conj(z0) * z1,
+    # below that as z1 * conj(z0), and the complex multiply is not
+    # commutative in the last bit on every SIMD target.  A per-row product
+    # would take one order for every stack and so change the others' bits.
     step = np.angle(z[:, 1:] * z[:, :-1].conj())
+    del z
     # central differences of the phase inside, one-sided at the ends
     frequencies = np.empty_like(amplitudes)
-    frequencies[:, 1:-1] = 0.5 * (step[:, :-1] + step[:, 1:])
+    np.add(step[:, :-1], step[:, 1:], out=frequencies[:, 1:-1])
+    frequencies[:, 1:-1] *= 0.5
     frequencies[:, 0] = step[:, 0]
     frequencies[:, -1] = step[:, -1]
+    del step
 
-    positive = frequencies > 0.0
+    validity = frequencies > 0.0
     periods = np.full_like(frequencies, np.nan)
-    periods[positive] = 2.0 * np.pi / frequencies[positive]
+    np.divide(2.0 * np.pi, frequencies, out=periods, where=validity)
 
-    validity = positive.copy()
     margin = int(trim_fraction * length)
     if margin > 0:
         validity[:, :margin] = False

@@ -256,6 +256,34 @@ static void check_reflection(const char *name, const double *x, ptrdiff_t n)
     free(pos);
 }
 
+/* Natural splines of k = 2, 3 and 4 knots, each solved in scratch malloc'd
+ * at exactly the 5k - 5 doubles that spline_begin declares, so that a
+ * coefficient written past it is caught; each must pass through its knots. */
+static void check_spline_scratch(void)
+{
+    static const double t[4] = {0.0, 2.0, 3.0, 7.0}, v[4] = {0.5, -1.0, 2.0, 0.25};
+    ptrdiff_t k, s;
+    double *w, d;
+    spline sp;
+
+    for (k = 2; k <= 4; k++) {
+        w = malloc((size_t)(5 * k - 5) * sizeof *w);
+        if (w == NULL) {
+            fail("spline scratch", "allocation failed");
+            continue;
+        }
+        if (spline_begin(&sp, t, v, k, w) != w + (5 * k - 5))
+            fail("spline scratch", "scratch is not 5k - 5 doubles");
+        spline_solve(&sp, 1);
+        for (s = 0; s < k - 1; s++) {
+            d = spline_at(&sp, s, (ptrdiff_t)t[s + 1]) - v[s + 1];
+            if (spline_at(&sp, s, (ptrdiff_t)t[s]) != v[s] || d > 1e-12 || d < -1e-12)
+                fail("spline scratch", "spline misses a knot");
+        }
+        free(w);
+    }
+}
+
 /* A seeded walk of n steps in [-1, 1), rounded to multiples of tick when
  * tick > 0, from a 64-bit linear congruential generator. */
 static void walk(double *x, ptrdiff_t n, unsigned long long seed, double tick)
@@ -353,6 +381,7 @@ int main(void)
     if (hht_spline_eval(t3, v3, 3, out, 16) || hht_spline_eval(t3_right, v3, 3, out, 16)
         || hht_spline_eval(t3, v3, 2, out, 16) || hht_spline_eval(t3, v3, 3, out, 0))
         fail("spline", "scratch allocation failed");
+    check_spline_scratch();
 
     if (failures)
         return 1;
