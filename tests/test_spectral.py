@@ -202,8 +202,8 @@ class TestSpectralTrack:
             assert field.shape == (dec.n_imfs, 300)
 
     def test_stack_transform_matches_each_row(self):
-        # the whole component stack goes through one FFT; each row must be
-        # what _analytic gives for that component alone
+        # each component's row of the stack must be what _analytic gives
+        # for that component alone
         for length in (777, 1950):
             dec = decompose(np.cumsum(np.random.default_rng(length).standard_normal(length)))
             track = spectral_track(dec)
