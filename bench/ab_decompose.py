@@ -10,7 +10,10 @@ alpha = 1.5 (T = 10,384), sifts each path once to warm up, then times
 reports their median.  It then runs the same path as a one-path
 ``monte_carlo_ensemble`` (``threads=1``: simulate, sift, spectral track,
 ``H*`` and GHE) once to warm up and ``--repeats`` times more, and reports
-that median too.  Last it reports its own peak resident set
+that median too.  From the warm-up ``decompose`` it reports, per process,
+the sift steps of the path (``sum(sift_counts)``) and the share of its
+components that stopped at the step cap (stop reason
+``"max-iterations"``).  Last it reports its own peak resident set
 (``ru_maxrss``).  The per-round ``sum`` is the four medians added.
 
 Prints one JSON block: per process and for the sum, for ``decompose``
@@ -18,8 +21,9 @@ Prints one JSON block: per process and for the sum, for ``decompose``
 median, quartiles and runs, the rounds B was lower, and the paired B/A
 ratios; the same for each side's ``peak_rss_mb``; and whether every output
 digest (components, residue, sift counts, stop reasons, and the path's
-``mean_hstar_t``) was equal on both sides.  A lever is kept when B wins at
-least 9 of 10 rounds of the sum.
+``mean_hstar_t``) was equal on both sides; and each tree's sift steps and
+cap share per process, which every round of a tree reproduces.  A lever is
+kept when B wins at least 9 of 10 rounds of the sum.
 
     python3 bench/ab_decompose.py TREE_A TREE_B --rounds 10 --a "..." --b "..."
 """
@@ -49,7 +53,7 @@ from hhtscale.emd import decompose
 
 seed, repeats, processes = int(sys.argv[1]), int(sys.argv[2]), json.loads(sys.argv[3])
 backend = get_backend("compiled")
-out = {"ms": {}, "path_ms": {}, "digest": {}}
+out = {"ms": {}, "path_ms": {}, "digest": {}, "sift_steps": {}, "cap_share": {}}
 for name, (shape, length) in processes.items():
     config = SimConfig(process=name, length=length, seed=seed, paths=1, **shape)
     x = simulate(config, 0).values
@@ -57,6 +61,9 @@ for name, (shape, length) in processes.items():
     digest = hashlib.sha256(result.imfs.tobytes() + result.residue.tobytes())
     digest.update(repr((result.sift_counts, result.stop_reasons)).encode())
     out["digest"][name] = digest.hexdigest()
+    out["sift_steps"][name] = sum(result.sift_counts)
+    reasons = result.stop_reasons
+    out["cap_share"][name] = reasons.count("max-iterations") / len(reasons) if reasons else 0.0
     walls = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -140,6 +147,11 @@ def main(argv=None) -> int:
             }
             block[f"{name}_{key}"] = compare(per["a"], per["b"])
     block["peak_rss_mb"] = compare(*([r["peak_rss_mb"] for r in runs[side]] for side in "ab"))
+    for key in ("sift_steps", "cap_share"):
+        block[key] = {side: runs[side][0][key] for side in "ab"}
+        block[key]["same_every_round"] = all(
+            r[key] == runs[side][0][key] for side in "ab" for r in runs[side]
+        )
     print(json.dumps(block, indent=1))
     return 0
 

@@ -21,8 +21,9 @@ budget.  The compiled backend runs the whole loop in one C call,
 ``find_extrema`` and ``spline_eval``, runs the same loop over
 :func:`envelope_step`, the step composed of those two kernels and
 ``common``'s mirror padding in Python, with the same bits.  The gate and
-the budget live here and in ``sift.c``; ``emd.decompose`` keeps the rest of
-the stop rule (the SD test, the iteration cap, the centering).
+the budget live here and in ``sift.c``; ``emd.decompose`` sets the budget
+(``MAX_SIFT_ITERATIONS``), subtracts the step that passed the gate and
+centers the component.
 """
 
 import logging

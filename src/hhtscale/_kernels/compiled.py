@@ -5,8 +5,8 @@ signatures and return dtypes (see that module for the semantics), and
 ``sift_component`` runs the sift steps of one component in one C call until
 a step's input passes the oscillatory gate, which
 ``_kernels.sift_to_gate`` runs where a backend has it.  The gate and the
-step budget live in ``sift.c``; the SD test, the iteration cap and the
-centering stay in ``emd.decompose``.  Every array is made contiguous
+step budget live in ``sift.c``; the iteration cap that sets the budget and
+the centering stay in ``emd.decompose``.  Every array is made contiguous
 float64, checked for shape, or allocated here before its pointer reaches
 C.  ``find_extrema`` writes its outputs into one buffer per dtype, and the
 arrays it returns are views of it; ``sift_component`` returns ``h`` and

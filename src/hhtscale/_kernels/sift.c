@@ -4,10 +4,10 @@
  *
  * Where the stop rule lives: this file holds its gate ("every maximum
  * positive, every minimum negative", evaluated on each step's input) and
- * the step budget; emd.decompose holds the rest (the SD test with numpy's
- * dot, the iteration cap that sets the budget, the centering), and
- * _kernels.sift_to_gate runs the same loop in Python for a backend without
- * hht_sift_component.
+ * the step budget; emd.decompose holds the rest (the iteration cap that
+ * sets the budget, the subtraction of the step that passed the gate, the
+ * centering), and _kernels.sift_to_gate runs the same loop in Python for a
+ * backend without hht_sift_component.
  *
  * Plain C with no Python C-API, called through ctypes by compiled.py, which
  * validates shapes and allocates every output.  The contract (plateaus,

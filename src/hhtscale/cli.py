@@ -120,7 +120,6 @@ PARAMS = {
     "h_grid": Param(str, help="start:stop:step or comma list of Hurst exponents"),
     "alpha_grid": Param(str, help="start:stop:step or comma list of stability indices"),
     "d_grid": Param(str, help="start:stop:step or comma list of memory parameters"),
-    "sd_threshold": Param(float, EmdConfig.sd_threshold),
     "max_imfs": Param(int),
     "rolling_window": Param(int),
     "tau_max": Param(int, 19),
@@ -243,9 +242,7 @@ def _read_input(path: str, params: dict):
 def _components(series, params: dict):
     """The decomposition of the input, with the sifting flags the command has."""
     try:
-        config = EmdConfig(
-            **{key: params[key] for key in ("sd_threshold", "max_imfs") if key in params}
-        )
+        config = EmdConfig(max_imfs=params.get("max_imfs"))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return decompose(series, config)
@@ -481,7 +478,7 @@ COMMANDS = {
     ),
     "decompose": Command(
         "split a series into components",
-        ("sd_threshold", "max_imfs"),
+        ("max_imfs",),
         _decompose_outputs,
         reads_input=True,
     ),

@@ -3,25 +3,21 @@
 A series is split into a small stack of zero-mean oscillations ("components"
 below, stored newest-frequency first) plus a non-oscillating residue.  One
 sift step subtracts the mean of the upper/lower extrema envelopes (natural
-cubic splines through mirrored extrema); a component is accepted when the
-normalized step-to-step change
+cubic splines through mirrored extrema).  A component is sifted until a
+step's input is properly oscillatory (every local maximum positive, every
+local minimum negative), and that step is subtracted too; a component that
+has not passed this gate after ``MAX_SIFT_ITERATIONS`` steps is taken as
+the steps left it (Huang et al. 1998; a fixed small sift budget as in Wu &
+Huang 2009).  Each envelope is padded at both ends with
+``MIRRORED_EXTREMA`` mirrored extrema (Rilling, Flandrin & Gonçalvès 2003).
+Each component is then centered: its arithmetic mean is moved into the
+residue, so components oscillate around zero exactly.  Extraction stops
+when the residue has fewer than four extrema, when envelopes can no longer
+be built, or at the component cap.
 
-    sd = sum((h_prev - h_new)**2) / sum(h_prev**2)
-
-drops below a threshold *and* the candidate is properly oscillatory (every
-local maximum positive, every local minimum negative), or after
-``MAX_SIFT_ITERATIONS`` steps (Huang et al. 1998).  Each envelope is padded
-at both ends with ``MIRRORED_EXTREMA`` mirrored extrema (Rilling, Flandrin &
-Gonçalvès 2003).  Each accepted component is then centered: its arithmetic
-mean is moved into the residue, so components oscillate around zero exactly.
-Extraction stops when the residue has fewer than four extrema, when
-envelopes can no longer be built, or at the component cap.
-
-Where the stop rule lives: the oscillatory gate runs with the steps, in
-``_kernels.sift_to_gate`` (one C call per component on the compiled
-backend, which subtracts every step that fails the gate); the SD test, the
-iteration cap and the centering are here.  Most steps fail the gate, so the
-SD test runs only on the few that pass it.
+Each component is one ``_kernels.sift_to_gate`` call (one C call on the
+compiled backend), which holds the gate and the step budget; this module
+sets the budget and centers each component.
 
 The additive bookkeeping is exact by construction: components are obtained
 by running subtraction from the input, so ``sum(imfs) + residue``
@@ -44,12 +40,12 @@ __all__ = [
     "default_max_imfs",
 ]
 
-STOP_SD = "sd-threshold"
+STOP_GATE = "oscillatory"
 STOP_MAX_ITER = "max-iterations"
 STOP_EXTREMA = "extrema-exhausted"
 
 MIN_LENGTH = 16
-MAX_SIFT_ITERATIONS = 100  # sift steps per component before it is taken as is
+MAX_SIFT_ITERATIONS = 20  # sift steps per component before it is taken as is
 
 
 def default_max_imfs(length: int) -> int:
@@ -66,12 +62,9 @@ class EmdConfig:
     ``MAX_SIFT_ITERATIONS`` and ``MIRRORED_EXTREMA``.
     """
 
-    sd_threshold: float = 0.2
     max_imfs: int | None = None
 
     def __post_init__(self):
-        if not (self.sd_threshold > 0.0):
-            raise ValueError("sd_threshold must be positive")
         if self.max_imfs is not None and self.max_imfs < 1:
             raise ValueError("max_imfs must be >= 1 when given")
 
@@ -83,8 +76,13 @@ class ImfDecomposition:
     imfs : (n_imfs, length) array, highest-frequency component first.
     residue : (length,) array; input minus the component sum.
     sift_counts : sift iterations spent per component.
-    stop_reasons : per component, one of "sd-threshold", "max-iterations",
-        "extrema-exhausted".
+    stop_reasons : per component, why its sift stopped: "oscillatory" (a
+        step's input passed the gate and that step was subtracted),
+        "max-iterations" (``MAX_SIFT_ITERATIONS`` steps were spent: the
+        component has not passed the gate) or "extrema-exhausted" (the sift
+        ran out of extrema).  On the acceptance ensembles 18-31% of fBm and
+        ARFIMA components, and 43-47% of stable Levy ones at 1/alpha = 0.7
+        and 0.9, stop at the cap.
     """
 
     imfs: np.ndarray
@@ -105,13 +103,6 @@ class ImfDecomposition:
         return self.imfs.sum(axis=0) + self.residue
 
 
-def _sd(h: np.ndarray, env: np.ndarray) -> float:
-    """sd of the step from ``h`` to ``h - env``; their difference is exactly
-    the envelope mean."""
-    denom = float(np.dot(h, h))
-    return float(np.dot(env, env)) / denom if denom > 0.0 else 0.0
-
-
 def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecomposition:
     """Decompose a series into oscillatory components plus a residue.
 
@@ -129,12 +120,12 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
         raise ValueError("series contains non-finite values")
     max_imfs = cfg.max_imfs if cfg.max_imfs is not None else default_max_imfs(x.shape[0])
     # Sifting is positively homogeneous, so it runs on x / 2**exponent, whose
-    # largest |value| is in [0.5, 1): the squared sums of sd then neither
+    # largest |value| is in [0.5, 1): the squared sums below then neither
     # overflow nor underflow, and scaling back by 2**exponent is exact.
     exponent = int(np.frexp(np.abs(x).max(initial=0.0))[1])
     x = np.ldexp(x, -exponent)
 
-    residue = x.copy()
+    residue = x  # a new array; each component makes the next residue
     imfs: list[np.ndarray] = []
     sift_counts: list[int] = []
     stop_reasons: list[str] = []
@@ -145,28 +136,18 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
     while len(imfs) < max_imfs:
         if float(np.dot(residue, residue)) <= tiny:
             break
-        h = residue  # each step makes a new array; residue is never written
-        count = 0
-        reason = STOP_MAX_ITER
-        while count < MAX_SIFT_ITERATIONS:
-            budget = MAX_SIFT_ITERATIONS - count
-            steps, h, env = sift_to_gate(h, kernel, budget)
-            count += steps
-            if env is None:
-                if steps < budget:
-                    reason = STOP_EXTREMA
-                break
-            # A finished component swings through zero everywhere: maxima
-            # above it, minima below.  Without this gate broadband noise
-            # converges after a sift or two and collapses into too few
-            # components.  The step that passed it is subtracted either way.
-            sd = _sd(h, env)
-            h = h - env
-            if sd < cfg.sd_threshold:
-                reason = STOP_SD
-                break
+        # A finished component swings through zero everywhere: maxima above
+        # it, minima below.  Sift until a step's input does, within the budget.
+        count, h, env = sift_to_gate(residue, kernel, MAX_SIFT_ITERATIONS)
         if count == 0:
             break  # the residue has too few extrema for envelopes: it stays whole
+        if env is not None:
+            h = h - env  # the step that passed the gate is subtracted too
+            reason = STOP_GATE
+        elif count < MAX_SIFT_ITERATIONS:
+            reason = STOP_EXTREMA
+        else:
+            reason = STOP_MAX_ITER
         h -= h.mean()  # the component's offset belongs to the residue
         imfs.append(h)
         sift_counts.append(count)

@@ -12,10 +12,10 @@ invalid, as is an optional margin at both ends where boundary distortion
 dominates.
 
 The tracks are built one component at a time: each analytic signal is
-transformed, measured and scaled in its own row of one preallocated
-complex stack, so no whole-stack temporary of the transform is ever made.
-Only the neighbour product runs over the whole stack at once, and the
-stack is dropped as soon as the phase steps are taken from it.
+transformed, measured, scaled and turned into phase steps while it is the
+only one alive, so no whole-stack complex array is ever made.  The
+neighbour product is written conj(z[t]) * z[t+1], one row at a time, so a
+component's bits do not depend on the stack it shares.
 """
 
 from __future__ import annotations
@@ -102,31 +102,26 @@ def spectral_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) 
         raise ValueError("trim_fraction must be in [0, 0.5)")
     length = decomposition.length
     imfs = np.asarray(decomposition.imfs, dtype=np.float64)
-    z = np.empty(imfs.shape, dtype=np.complex128)
     amplitudes = np.empty(imfs.shape)
-    for row, amplitude, imf in zip(z, amplitudes, imfs):
-        row[...] = _analytic(imf)
-        np.abs(row, out=amplitude)
-        # Scale the row by a power of two (largest amplitude in [0.5, 1), at
-        # most 2**1023 for a subnormal row) so the products of neighbours
-        # below neither overflow nor underflow; the scaling is exact and
-        # leaves angles alone.
-        row *= np.ldexp(1.0, min(-np.frexp(amplitude.max())[1], 1023))
-    # One-step phase change, wrapped into (-pi, pi].  Kept batched and as
-    # written: once the conj temporary reaches 256 KiB (K (T - 1) 16 bytes),
-    # NumPy's temporary elision writes the product into it as conj(z0) * z1,
-    # below that as z1 * conj(z0), and the complex multiply is not
-    # commutative in the last bit on every SIMD target.  A per-row product
-    # would take one order for every stack and so change the others' bits.
-    step = np.angle(z[:, 1:] * z[:, :-1].conj())
-    del z
-    # central differences of the phase inside, one-sided at the ends
-    frequencies = np.empty_like(amplitudes)
-    np.add(step[:, :-1], step[:, 1:], out=frequencies[:, 1:-1])
-    frequencies[:, 1:-1] *= 0.5
-    frequencies[:, 0] = step[:, 0]
-    frequencies[:, -1] = step[:, -1]
-    del step
+    frequencies = np.empty(imfs.shape)
+    for imf, amplitude, frequency in zip(imfs, amplitudes, frequencies):
+        z = _analytic(imf)
+        np.abs(z, out=amplitude)
+        # Scale z by a power of two (largest amplitude in [0.5, 1), at most
+        # 2**1023 for a subnormal row) so the products of neighbours below
+        # neither overflow nor underflow; the scaling is exact and leaves
+        # angles alone.
+        z *= np.ldexp(1.0, min(-np.frexp(amplitude.max())[1], 1023))
+        # One-step phase change, wrapped into (-pi, pi].  The operands stay
+        # in this order: the complex multiply is not commutative in the last
+        # bit on every SIMD target, and with the conj temporary first NumPy's
+        # temporary elision keeps the order at any length.
+        step = np.angle(np.conj(z[:-1]) * z[1:])
+        # central differences of the phase inside, one-sided at the ends
+        np.add(step[:-1], step[1:], out=frequency[1:-1])
+        frequency[1:-1] *= 0.5
+        frequency[0] = step[0]
+        frequency[-1] = step[-1]
 
     validity = frequencies > 0.0
     periods = np.full_like(frequencies, np.nan)

@@ -515,36 +515,36 @@ class TestCsvBytes:
     RUNS = {
         "decompose": (
             ["decompose", "{prices}"],
-            {"imfs.csv": "34d7c14e48bba3db7f8129249897bd7c36e3ae267403faa8c8047df7128fe26b"},
+            {"imfs.csv": "1fa65e62a073de4a8a7fe49927e760abad01acb3fcc990be48337349513e95b4"},
         ),
         "decompose-values-col": (
             ["decompose", "{values}", "--values-col", "x", "--max-imfs", "4"],
-            {"imfs.csv": "e270691e2428e08cef4ce2a536e5170d95e1bddccbf5512e58e44a5f328a4e2e"},
+            {"imfs.csv": "869e52ab7b810043f56222ac0bba036968694745985c14877e6e1067068f3875"},
         ),
         "spectral-trim": (
             ["spectral", "{prices}", "--trim-fraction", "0.05"],
             {
-                "spectral_amplitude.csv": "d1246854d984e237a640f2643aa2887aceb14132b5803f4c6bd5c5daf8cb912e",
-                "spectral_frequency.csv": "f8146c35f1609fc5d6442392af99fc080339d0abc8288ad814f0c0f4ffe0794e",
+                "spectral_amplitude.csv": "c18b7494987aebc5890d6253157f0a88f8a69a274f2f9c45700eb75fc439a392",
+                "spectral_frequency.csv": "c18c0e253c742d1472140c69b78a191ef3cd2ad1b328917e5d46c7e9c6f6d26e",
             },
         ),
         "scaling": (
             ["scaling", "{prices}"],
-            {"scaling.csv": "2d6d972c04980c21e9da6a81e39eb301d9bc7c7d5f89e0f1a2035b5209ad7289"},
+            {"scaling.csv": "e9f3817a35f23f3019e2114f0f82ef701ee51f895f1dc3cd01611871b80b724c"},
         ),
         "scaling-rolling": (
             ["scaling", "{prices}", "--rolling-window", "30"],
-            {"scaling.csv": "3c7e20d70ac8c933c26d11490f3ab9fd0fbdec5a0fa4070de5b83bf07cb5b927"},
+            {"scaling.csv": "4bd6e4ba6dabc33be3cb77f7f6554b6279f788cc8421b8376a397abc4664930c"},
         ),
         "complexity-linear": (
             ["complexity", "{prices}", "--weight", "linear"],
-            {"complexity.csv": "f998f515a40ddda01328a547688c43a1151e3f747cee3278dd301ce95cbd21e7"},
+            {"complexity.csv": "89e3bab394fc53ccc2fd30fdf6ab0f4b8d998c963ad9c75a3a0823eda3e7be1c"},
         ),
         "intraday-cstar": (
             ["intraday", "{prices}", "--measure", "cstar", "--band-sims", "10"],
             {
-                "intraday_panel.csv": "4a56345560a672dfbd75753699a64195dcf7485eb94abf2d12ef921eebf1bfaf",
-                "intraday_profile.csv": "4086a8f032f56e545511ff6a269db4c1a06a0e1f0ff7c918d7db8bf73aca690e",
+                "intraday_panel.csv": "44be36df2b811171dfd6e56f8d14710ec47b2a88bb37b6d23ee19c89c7965c74",
+                "intraday_profile.csv": "7e0a080ae1329216d9e2487e519a87485873503b75ac301330b8de07761411af",
             },
         ),
         "simulate-fbm": (
@@ -555,7 +555,7 @@ class TestCsvBytes:
         "table-arfima": (
             ["table", "--process", "arfima", "--d-grid=-0.2,0.2", "--paths", "2",
              "--length", "256", "--seed", "3"],
-            {"table.csv": "6867b32c03e232de42dd92a84043db75b31cee5790237c889a1bb2267ad4274b"},
+            {"table.csv": "fecf75a1d7214cb76cc480f24b16e2dd8a18b9f6974e5324069faa97c6bca207"},
         ),
         "table-bm": (
             ["table", "--process", "bm", "--paths", "2", "--length", "256"],
@@ -604,7 +604,7 @@ class TestCliSurface:
             {"--process", "--length", "--paths", "--h", "--alpha", "--d"} | _SEED_THREADS,
             [],
         ),
-        "decompose": (_INGEST_OPTIONS | {"--sd-threshold", "--max-imfs"}, ["input"]),
+        "decompose": (_INGEST_OPTIONS | {"--max-imfs"}, ["input"]),
         "spectral": (_INGEST_OPTIONS | {"--trim-fraction"}, ["input"]),
         "scaling": (
             _INGEST_OPTIONS | {"--rolling-window", "--tau-max", "--trim-fraction"},
@@ -661,6 +661,8 @@ class TestCliSurface:
         "table-tau-max-1": (["table", "--process", "bm", "--tau-max", "1"], 2),
         "decompose-seed": (["decompose", "{csv}", "--seed", "1"], 2),
         "spectral-threads": (["spectral", "{csv}", "--threads", "2"], 2),
+        # the SD test and its flag are gone: the sift stops at the gate or the cap
+        "decompose-sd-threshold": (["decompose", "{csv}", "--sd-threshold", "0.2"], 2),
     }
 
     @pytest.mark.parametrize("argv, code", BAD_VALUES.values(), ids=BAD_VALUES)

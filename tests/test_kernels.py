@@ -331,19 +331,16 @@ def _sift_outcome(sift, x):
 
 
 def _decompose_case(case):
-    """(series, config) of one case of the decomposition comparisons."""
+    """The series of one case of the decomposition comparisons."""
     if case == "ticks":  # tick-quantized: plateaus in the input
         walk = np.cumsum(np.random.default_rng(4).standard_normal(2000))
-        return np.round(4.0 * walk) / 4.0, None
+        return np.round(4.0 * walk) / 4.0
     if case == "slm-capped":  # its first component stops at the step cap
-        return simulate(SimConfig(process="slm", length=3000, seed=1, alpha=1.0 / 0.7)).values, None
+        return simulate(SimConfig(process="slm", length=3000, seed=1, alpha=1.0 / 0.7)).values
     if case == "exhausted":  # the last component runs out of extrema after a step
-        return np.cumsum(np.random.default_rng(6).standard_normal(200)), None
-    if case == "resume":  # the gate passes with sd above the threshold
-        x = simulate(SimConfig(process="fbm", length=2000, seed=9, hurst=0.5)).values
-        return x, emd.EmdConfig(sd_threshold=1e-9)
+        return np.cumsum(np.random.default_rng(6).standard_normal(200))
     process, shape = case
-    return simulate(SimConfig(process=process, length=2000, seed=9, **shape)).values, None
+    return simulate(SimConfig(process=process, length=2000, seed=9, **shape)).values
 
 
 @pytest.mark.skipif("compiled" not in available_backends(), reason="no compiled kernels")
@@ -385,15 +382,15 @@ class TestEnvelopeStep:
     @pytest.mark.parametrize("case", [
         pytest.param(("fbm", {"hurst": 0.5}), id="fbm-shape0"),
         pytest.param(("slm", {"alpha": 1.0 / 0.7}), id="slm-shape1"),
-        "ticks", "slm-capped", "exhausted", "resume",
+        "ticks", "slm-capped", "exhausted",
     ])
     def test_decompose_through_the_two_kernel_interface(self, case):
-        x, config = _decompose_case(case)
+        x = _decompose_case(case)
         compiled = _CountingComponent(get_backend("compiled"))
-        fused = emd.decompose(x, config, backend=compiled)
+        fused = emd.decompose(x, backend=compiled)
         wrapper = _TwoKernels(get_backend("compiled"))
-        for other in (emd.decompose(x, config, backend=wrapper),
-                      emd.decompose(x, config, backend=numpy_backend)):
+        for other in (emd.decompose(x, backend=wrapper),
+                      emd.decompose(x, backend=numpy_backend)):
             assert other.imfs.tobytes() == fused.imfs.tobytes()
             assert other.residue.tobytes() == fused.residue.tobytes()
             assert (other.sift_counts, other.stop_reasons) == (
@@ -402,12 +399,9 @@ class TestEnvelopeStep:
         # perfbench's traced check: two envelopes per sift iteration
         assert wrapper.spline_calls == 2 * sum(fused.sift_counts)
         # one component call per component, and one more for a residue
-        # with too few extrema; the resume branch adds calls
+        # with too few extrema
         sifted = fused.n_imfs + (fused.n_imfs < emd.default_max_imfs(len(x)))
-        if case == "resume":
-            assert compiled.component_calls > sifted
-        else:
-            assert fused.n_imfs <= compiled.component_calls <= sifted
+        assert fused.n_imfs <= compiled.component_calls <= sifted
         if case == "ticks":
             assert np.any(np.diff(x) == 0.0)
         if case == "slm-capped":

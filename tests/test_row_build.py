@@ -4,12 +4,13 @@
 row, and ``scaling_exponent`` / ``rolling_scaling_exponent`` take their logs
 and column sums row by row.  The references below are the whole-stack
 formulas those builds replace: one FFT over the stack, one batched scaling,
-boolean-indexed periods, and column sums as reductions over axis 0.  Each
-result must equal its reference bit for bit.  The stacks sit on both sides
-of NumPy's 256 KiB temporary-elision size (the conj temporary of the
-neighbour product holds K (T - 1) complex values), where the product's
-operand order changes.  A traced-memory check bounds what each build
-allocates on an 11 x 10,384 stack, the size of an SLM path's.
+one batched neighbour product conj(z[t]) * z[t+1], boolean-indexed periods,
+and column sums as reductions over axis 0.  Each result must equal its
+reference bit for bit.  The stacks sit on both sides of NumPy's 256 KiB
+temporary-elision size (the conj temporary of the neighbour product holds
+K (T - 1) complex values), where the product's operand order would change
+if it were written the other way round.  A traced-memory check bounds what
+each build allocates on an 11 x 10,384 stack, the size of an SLM path's.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def as_decomposition(imfs: np.ndarray) -> ImfDecomposition:
     n_imfs, length = imfs.shape
     return ImfDecomposition(
         imfs=imfs, residue=np.zeros(length), sift_counts=[1] * n_imfs,
-        stop_reasons=["sd-threshold"] * n_imfs,
+        stop_reasons=["oscillatory"] * n_imfs,
     )
 
 
@@ -70,7 +71,7 @@ def reference_track(imfs: np.ndarray, trim_fraction: float):
     amplitudes = np.abs(analytic)
     exponent = np.frexp(amplitudes.max(axis=1))[1]
     z = analytic * np.ldexp(1.0, np.minimum(-exponent, 1023))[:, None]
-    step = np.angle(z[:, 1:] * z[:, :-1].conj())
+    step = np.angle(np.conj(z[:, :-1]) * z[:, 1:])
     frequencies = np.empty_like(amplitudes)
     frequencies[:, 1:-1] = 0.5 * (step[:, :-1] + step[:, 1:])
     frequencies[:, 0] = step[:, 0]
@@ -177,6 +178,17 @@ def test_row_build_equals_whole_stack_formulas(name, trim_fraction):
         assert result.points_used.dtype == count.dtype
         assert np.array_equal(result.defined, defined)
         assert result.defined.any()
+
+
+@pytest.mark.parametrize("n_imfs, length", [(11, 10_384), (3, 257)])
+def test_component_frequencies_do_not_depend_on_the_stack(n_imfs, length):
+    # the neighbour product's operand order is fixed, so a component has the
+    # same frequency bits alone as among any number of others
+    imfs = component_stack(n_imfs, length, seed=length)
+    stacked = spectral_track(as_decomposition(imfs)).frequencies
+    for k in range(n_imfs):
+        alone = spectral_track(as_decomposition(imfs[k : k + 1])).frequencies[0]
+        assert alone.tobytes() == stacked[k].tobytes(), k
 
 
 def _traced_peak(call, *args):

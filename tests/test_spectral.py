@@ -55,7 +55,7 @@ def tone_decomposition(
         imfs=imf[np.newaxis, :],
         residue=np.zeros(length),
         sift_counts=[1],
-        stop_reasons=["sd-threshold"],
+        stop_reasons=["oscillatory"],
     )
 
 
