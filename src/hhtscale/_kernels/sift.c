@@ -417,7 +417,8 @@ static void envelope_mean(const workspace *ws, const spline sp[2], ptrdiff_t n, 
  * of its input h (the first h is x) as hht_find_extrema, mirror_extrema and
  * two hht_spline_eval calls compose it and, unless h passes the oscillatory
  * gate (every maximum positive, every minimum negative), subtracts it and
- * scans the result for the next step.  Runs at most budget >= 1 steps.
+ * scans the result for the next step.  Runs at most budget >= 1 steps; the
+ * step that spends the budget does not scan its result, which no step reads.
  * Returns
  *   0 when a step finds its h oscillatory: h is that step's input and env
  *     its envelope mean, not subtracted;
@@ -458,12 +459,13 @@ int hht_sift_component(const double *x, ptrdiff_t n, ptrdiff_t budget,
         envelope_mean(&ws, sp, n, next);
         for (i = 0; i < n; i++)
             next[i] = cur[i] - next[i];
-        hht_find_extrema(next, n, ws.cap, ws.pos, ws.val, ws.cnt);
         cur = next;
+        /* budget spent: h - env is the result, and no step scans it */
         if (*steps >= budget) {
             status = 2;
             break;
         }
+        hht_find_extrema(cur, n, ws.cap, ws.pos, ws.val, ws.cnt);
     }
     if (cur != h)
         memcpy(h, cur, (size_t)n * sizeof(double));

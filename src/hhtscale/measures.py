@@ -11,6 +11,12 @@ one component holds all energy, ln(n) when energy spreads evenly.
 
 A whole-series comparator is included: the q=1 structure-function scaling
 exponent (mean absolute increment vs lag in log-log).
+
+The per-sample measures are streamed one component row at a time: each
+pass over the components builds a row's logs, trailing means or energy
+shares, adds them into per-sample sums in row order, and drops them, so no
+(components, length) temporary is made and the sums have the bits of
+reductions over axis 0.
 """
 
 from __future__ import annotations
@@ -75,35 +81,30 @@ class GheResult:
     r_squared: float
 
 
-def _row_log(values, mask):
-    """ln of ``values`` where ``mask`` holds, 0 (ln 1) elsewhere, built one
-    row at a time."""
-    out = np.empty(values.shape)
-    for row, value, use in zip(out, values, mask):
-        np.log(np.where(use, value, 1.0), out=row)
-    return out
+def _column_regression(rows, length) -> ScalingTrack:
+    """Per-column OLS of ln a on ln tau over the components flagged usable.
 
-
-def _column_regression(ln_a, ln_tau, valid):
-    """Per-column OLS of ln_a on ln_tau over rows flagged valid.
-
-    Returns (slope, r_squared, count, defined); slope/r2 are NaN where
-    undefined.  Each column sum adds the rows one at a time, in row order,
-    as a reduction over axis 0 adds them, so the sums have its bits without
-    its whole-stack temporaries; they start from -0.0, which leaves the
-    first row's values unchanged.
+    ``rows()`` yields one ``(ln_a, ln_tau, use)`` triple of length-``length``
+    rows per component, with ln_a = ln_tau = +0.0 (ln 1) where ``use`` is
+    False, so the first pass adds them unmasked.  It is called once per
+    pass, so each row's logs are computed again in the second pass and no
+    (components, length) stack of them is ever held.  h_star/r_squared are
+    NaN where undefined.  Each column sum adds the rows one at a time, in
+    row order, as a reduction over axis 0 adds them, so the sums have its
+    bits without its whole-stack temporaries; they start from -0.0, which
+    leaves the first row's values unchanged.
     """
-    length = valid.shape[1]
-    count = valid.sum(axis=0)
-    safe = np.maximum(count, 1)
+    count = np.zeros(length, dtype=np.intp)
     sum_x, sum_y = np.full(length, -0.0), np.full(length, -0.0)
-    for x, y, use in zip(ln_tau, ln_a, valid):
-        sum_x += np.where(use, x, 0.0)
-        sum_y += np.where(use, y, 0.0)
+    for y, x, use in rows():
+        count += use
+        sum_x += x
+        sum_y += y
+    safe = np.maximum(count, 1)
     mean_x = sum_x / safe
     mean_y = sum_y / safe
     sxx, syy, sxy = np.full((3, length), -0.0)
-    for x, y, use in zip(ln_tau, ln_a, valid):
+    for y, x, use in rows():
         dx = np.where(use, x - mean_x, 0.0)
         dy = np.where(use, y - mean_y, 0.0)
         sxx += dx * dx
@@ -120,7 +121,14 @@ def _column_regression(ln_a, ln_tau, valid):
     np.clip(r2, 0.0, 1.0, out=r2)
     # zero spread in ln_a: slope 0, no explainable variance
     r2[defined & ~ok] = 0.0
-    return slope, r2, count.astype(np.intp), defined
+    return ScalingTrack(h_star=slope, r_squared=r2, points_used=count, defined=defined)
+
+
+def _log_rows(amplitude, period, use):
+    """One component's ``(ln_a, ln_tau, use)`` row for
+    :func:`_column_regression`: the logs where ``use`` holds, 0 (ln 1)
+    elsewhere."""
+    return np.log(np.where(use, amplitude, 1.0)), np.log(np.where(use, period, 1.0)), use
 
 
 def scaling_exponent(track: SpectralTrack) -> ScalingTrack:
@@ -128,18 +136,20 @@ def scaling_exponent(track: SpectralTrack) -> ScalingTrack:
 
     Components enter a sample's regression when flagged valid there and the
     amplitude is positive.  Fewer than three points, or all periods equal,
-    leave the sample undefined.
+    leave the sample undefined.  Each component's logs are taken from its
+    own row, once per regression pass.
     """
     if track.n_imfs < MIN_REGRESSION_POINTS:
         raise ValueError(
             f"scaling exponent needs >= {MIN_REGRESSION_POINTS} components, "
             f"got {track.n_imfs}"
         )
-    valid = track.validity & (track.amplitudes > 0.0)
-    ln_a = _row_log(track.amplitudes, valid)
-    ln_tau = _row_log(track.periods, valid)
-    slope, r2, count, defined = _column_regression(ln_a, ln_tau, valid)
-    return ScalingTrack(h_star=slope, r_squared=r2, points_used=count, defined=defined)
+
+    def rows():
+        for amplitude, period, flag in zip(track.amplitudes, track.periods, track.validity):
+            yield _log_rows(amplitude, period, flag & (amplitude > 0.0))
+
+    return _column_regression(rows, track.length)
 
 
 def rolling_scaling_exponent(track: SpectralTrack, window: int) -> ScalingTrack:
@@ -149,35 +159,35 @@ def rolling_scaling_exponent(track: SpectralTrack, window: int) -> ScalingTrack:
     samples among the last ``window`` ones; the regression then proceeds as
     in :func:`scaling_exponent`.  Samples before the first full window, and
     samples where no component is valid (inside the trimmed margin), are
-    undefined.
+    undefined.  Each component's trailing sums, means and logs are built
+    from its own row, once per regression pass.
     """
     length = track.length
     if not (2 <= window <= length):
         raise ValueError("window must be within [2, series length]")
-    valid = (track.validity & (track.amplitudes > 0.0)).astype(np.float64)
-    amp = np.where(valid > 0, track.amplitudes, 0.0)
-    per = np.where(valid > 0, track.periods, 0.0)
+    live = track.validity.any(axis=0)
+    live[: window - 1] = False  # incomplete trailing windows
 
     def trailing_sum(a):
-        cs = np.cumsum(a, axis=1)
-        out = cs.copy()
-        out[:, window:] = cs[:, window:] - cs[:, :-window]
+        cs = np.cumsum(a)
+        cs[window:] = cs[window:] - cs[:-window]
+        return cs
+
+    def trailing_mean(a, use, counts, have):
+        out = np.full(length, np.nan)
+        np.divide(trailing_sum(np.where(use, a, 0.0)), counts, out=out, where=have)
         return out
 
-    counts = trailing_sum(valid)
-    amp_bar = np.full_like(amp, np.nan)
-    per_bar = np.full_like(per, np.nan)
-    have = counts > 0
-    np.divide(trailing_sum(amp), counts, out=amp_bar, where=have)
-    np.divide(trailing_sum(per), counts, out=per_bar, where=have)
+    def rows():
+        for amplitude, period, flag in zip(track.amplitudes, track.periods, track.validity):
+            use = flag & (amplitude > 0.0)
+            counts = trailing_sum(use.astype(np.float64))
+            have = counts > 0
+            amp_bar = trailing_mean(amplitude, use, counts, have)
+            usable = have & (amp_bar > 0.0) & live
+            yield _log_rows(amp_bar, trailing_mean(period, use, counts, have), usable)
 
-    usable = have & (amp_bar > 0.0)
-    usable[:, : window - 1] = False  # incomplete trailing windows
-    usable[:, ~track.validity.any(axis=0)] = False
-    ln_a = _row_log(amp_bar, usable)
-    ln_tau = _row_log(per_bar, usable)
-    slope, r2, count, defined = _column_regression(ln_a, ln_tau, usable)
-    return ScalingTrack(h_star=slope, r_squared=r2, points_used=count, defined=defined)
+    return _column_regression(rows, length)
 
 
 def complexity(track: SpectralTrack, weight: str = "squared") -> ComplexityTrack:
@@ -187,22 +197,38 @@ def complexity(track: SpectralTrack, weight: str = "squared") -> ComplexityTrack
     ``weight="linear"`` by plain amplitude.  Terms with zero weight
     contribute nothing (0*ln 0 = 0).  Samples with no energy at all, or
     where no component is valid (inside the trimmed margin), are undefined.
+    The column maximum, the totals and the entropy terms are each
+    accumulated one component row at a time, in row order, so they have the
+    bits of reductions over axis 0.
     """
     if weight not in ("squared", "linear"):
         raise ValueError("weight must be 'squared' or 'linear'")
-    amplitudes = np.abs(track.amplitudes)
+    length = track.length
+    peak = np.zeros(length)
+    for amplitude in track.amplitudes:
+        np.maximum(peak, np.abs(amplitude), out=peak)
     # Scale each sample's amplitudes by a power of two (largest in [0.5, 1))
     # so the squares neither overflow nor underflow; the scaling is exact
     # and cancels in the shares.
-    amplitudes = np.ldexp(amplitudes, -np.frexp(amplitudes.max(axis=0))[1])
-    w = amplitudes**2 if weight == "squared" else amplitudes
-    total = w.sum(axis=0)
+    exponent = -np.frexp(peak)[1]
+
+    def weights():
+        for amplitude in track.amplitudes:
+            scaled = np.ldexp(np.abs(amplitude), exponent)
+            yield scaled**2 if weight == "squared" else scaled
+
+    total = np.full(length, -0.0)
+    for w in weights():
+        total += w
     defined = (total > 0.0) & track.validity.any(axis=0)
-    p = np.divide(w, total, out=np.zeros_like(w), where=defined)
-    terms = np.zeros_like(p)
-    positive = p > 0.0
-    np.multiply(p, np.log(p, out=np.zeros_like(p), where=positive), out=terms, where=positive)
-    c = -terms.sum(axis=0)
+    entropy = np.full(length, -0.0)
+    for w in weights():
+        p = np.divide(w, total, out=np.zeros(length), where=defined)
+        positive = p > 0.0
+        term = np.zeros(length)
+        np.multiply(p, np.log(p, out=np.zeros(length), where=positive), out=term, where=positive)
+        entropy += term
+    c = -entropy
     c[~defined] = np.nan
     return ComplexityTrack(c_star=c, defined=defined, n_imfs=track.n_imfs)
 

@@ -174,6 +174,18 @@ def read_values(source, column: str, delimiter: str = ",") -> TimeSeries:
     return TimeSeries(np.array(values))
 
 
+def _median(values: list[float]) -> float:
+    """The float ``np.median`` gives for a non-empty list: the middle value of
+    an odd count, (a + b) / 2 of the middle two of an even one.  Written out
+    because ``np.median`` imports ``numpy.ma``, a cost on every cold run
+    that reads prices."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[middle])
+    return float((ordered[middle - 1] + ordered[middle]) / 2)
+
+
 def ingest_prices(
     source,
     date_col: str = "date",
@@ -270,7 +282,7 @@ def ingest_prices(
                 f"gap of {session_gap:g}s; it must exceed the bar step"
             )
         steps += day_steps
-    dt_seconds = float(np.median(steps)) if steps else 1.0
+    dt_seconds = _median(steps) if steps else 1.0
 
     warnings: list[str] = []
     split_rows: list[int] = []

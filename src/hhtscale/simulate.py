@@ -221,8 +221,8 @@ def ordered_map(worker, jobs: list, threads: int) -> list:
 def _ensemble_worker(args):
     config, tau_max, trim_fraction, path_index = args
     ts = simulate(config, path_index)
-    dec = decompose(ts.values)
-    track = spectral_track(dec, trim_fraction)
+    # the components are freed as soon as the track is built, before H*
+    track = spectral_track(decompose(ts.values), trim_fraction)
     scaling = scaling_exponent(track)
     ghe = generalized_hurst_q1(ts.values, tau_max)
     return scaling.h_star, scaling.r_squared, ghe.h_g

@@ -1,16 +1,19 @@
-"""The spectral track and the H* regression, built one component at a time.
+"""The spectral track and the measures, built one component at a time.
 
 ``spectral_track`` transforms, measures and scales each component in its own
-row, and ``scaling_exponent`` / ``rolling_scaling_exponent`` take their logs
-and column sums row by row.  The references below are the whole-stack
-formulas those builds replace: one FFT over the stack, one batched scaling,
-one batched neighbour product conj(z[t]) * z[t+1], boolean-indexed periods,
-and column sums as reductions over axis 0.  Each result must equal its
-reference bit for bit.  The stacks sit on both sides of NumPy's 256 KiB
-temporary-elision size (the conj temporary of the neighbour product holds
-K (T - 1) complex values), where the product's operand order would change
-if it were written the other way round.  A traced-memory check bounds what
-each build allocates on an 11 x 10,384 stack, the size of an SLM path's.
+row; ``scaling_exponent`` / ``rolling_scaling_exponent`` build each row's
+trailing means and logs, once per regression pass, and add the column sums
+row by row; ``complexity`` adds its column maximum, totals and entropy terms
+row by row.  The references below are the whole-stack formulas those builds
+replace: one FFT over the stack, one batched scaling, one batched neighbour
+product conj(z[t]) * z[t+1], boolean-indexed periods, whole-stack trailing
+sums, logs, shares and entropy terms, and column reductions over axis 0.
+Each result must equal its reference bit for bit.  The stacks sit on both
+sides of NumPy's 256 KiB temporary-elision size (the conj temporary of the
+neighbour product holds K (T - 1) complex values), where the product's
+operand order would change if it were written the other way round.
+Traced-memory checks bound what each build allocates on an 11 x 10,384
+stack, the size of an SLM path's, and what one SLM ensemble path allocates.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ import pytest
 from hhtscale import (
     ImfDecomposition,
     SimConfig,
+    complexity,
     decompose,
+    monte_carlo_ensemble,
     rolling_scaling_exponent,
     scaling_exponent,
     simulate,
@@ -142,6 +147,23 @@ def reference_rolling(amplitudes, periods, validity, window):
     return reference_regression(ln_a, ln_tau, usable)
 
 
+def reference_complexity(amplitudes, validity, weight):
+    """The whole-stack entropy of the component energy shares: (c_star,
+    defined)."""
+    amplitudes = np.abs(amplitudes)
+    amplitudes = np.ldexp(amplitudes, -np.frexp(amplitudes.max(axis=0))[1])
+    w = amplitudes**2 if weight == "squared" else amplitudes
+    total = w.sum(axis=0)
+    defined = (total > 0.0) & validity.any(axis=0)
+    p = np.divide(w, total, out=np.zeros_like(w), where=defined)
+    terms = np.zeros_like(p)
+    positive = p > 0.0
+    np.multiply(p, np.log(p, out=np.zeros_like(p), where=positive), out=terms, where=positive)
+    c = -terms.sum(axis=0)
+    c[~defined] = np.nan
+    return c, defined
+
+
 def _stacks():
     """(id, imfs): synthetic stacks below and above the elision size, and a
     decomposed fBm path from each backend."""
@@ -178,6 +200,11 @@ def test_row_build_equals_whole_stack_formulas(name, trim_fraction):
         assert result.points_used.dtype == count.dtype
         assert np.array_equal(result.defined, defined)
         assert result.defined.any()
+    for weight in ("squared", "linear"):
+        result = complexity(track, weight)
+        c_star, defined = reference_complexity(amplitudes, validity, weight)
+        assert result.c_star.tobytes() == c_star.tobytes(), weight
+        assert np.array_equal(result.defined, defined) and result.defined.any(), weight
 
 
 @pytest.mark.parametrize("n_imfs, length", [(11, 10_384), (3, 257)])
@@ -205,10 +232,27 @@ def _traced_peak(call, *args):
 
 
 def test_row_build_bounds_traced_peak():
-    # On this stack the whole-stack forms peaked at 9.2 MB (track) and 7.1 MB
-    # (scaling) above their inputs, the row-wise builds at 5.5 and 3.2.
+    # On this stack the whole-stack forms peaked at 9.2 MB (track), 7.1 MB
+    # (scaling), 8.8 MB (rolling, window 30) and 4.8 MB (complexity) above
+    # their inputs; the row-wise track at 5.5, the regression with whole-stack
+    # logs at 3.2, and the streamed builds at 1.5, 1.6 and 0.8.
     decomposition = as_decomposition(component_stack(11, 10_384, seed=10_384))
     track_peak, track = _traced_peak(spectral_track, decomposition)
     scaling_peak, _ = _traced_peak(scaling_exponent, track)
+    rolling_peak, _ = _traced_peak(rolling_scaling_exponent, track, 30)
+    complexity_peak, _ = _traced_peak(complexity, track)
     assert track_peak < 6.0e6, track_peak
     assert scaling_peak < 3.6e6, scaling_peak
+    assert scaling_peak < 2.0e6, scaling_peak
+    assert rolling_peak < 3.6e6, rolling_peak
+    assert complexity_peak < 2.0e6, complexity_peak
+
+
+def test_ensemble_path_bounds_traced_peak():
+    # One SLM path: with its components alive through the H* regression, and
+    # that regression's whole-stack logs, it peaked at 6.6 MB; freeing the
+    # components once the track is built and streaming the logs, at 4.1 MB.
+    config = SimConfig(process="slm", length=10_384, alpha=1.5, seed=4)
+    monte_carlo_ensemble(config)  # warm-up: first-call allocations
+    peak, _ = _traced_peak(monte_carlo_ensemble, config)
+    assert peak < 5.0e6, peak

@@ -2,11 +2,16 @@ import hashlib
 import io
 import logging
 import math
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hhtscale
 from hhtscale.series import (
     DataError,
     TimeSeries,
@@ -179,6 +184,44 @@ class TestIngest:
             rows.append(f"2026-01-05,{t},100")
         ts, _ = ingest_prices(io.StringIO("\n".join(rows)))
         assert len(ts) == 4
+
+
+    # within-day gaps 30, 0.7 and 45.3 s, then one of 0.1 s more: the bar
+    # step is the middle gap of an odd count and the mean of the middle two of
+    # an even one, the floats np.median gives for these gaps
+    @pytest.mark.parametrize(
+        "times, dt",
+        [
+            (("09:00:00", "09:00:30", "09:00:30.7", "09:01:16"), 30.0),
+            (("09:00:00", "09:00:30", "09:00:30.7", "09:01:16", "09:01:16.1"), 15.35),
+        ],
+        ids=["odd", "even"],
+    )
+    def test_bar_step_is_the_median_gap(self, times, dt):
+        text = "date,time,price\n" + "\n".join(
+            f"2026-01-05,{t},{100 + k}" for k, t in enumerate(times)
+        )
+        ts, _ = ingest_prices(io.StringIO(text))
+        assert ts.dt == dt
+
+    def test_ingest_does_not_import_numpy_ma(self, price_csv):
+        # numpy.ma costs milliseconds of every cold run that reads prices
+        script = f"""
+import sys
+from hhtscale.series import ingest_prices
+ingest_prices({str(price_csv)!r})
+print("numpy.ma" in sys.modules)
+"""
+        package_root = str(Path(hhtscale.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": package_root},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestReadValues:
