@@ -182,8 +182,8 @@ def _median(values: list[float]) -> float:
     ordered = sorted(values)
     middle = len(ordered) // 2
     if len(ordered) % 2:
-        return float(ordered[middle])
-    return float((ordered[middle - 1] + ordered[middle]) / 2)
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 def ingest_prices(

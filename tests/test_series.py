@@ -185,7 +185,6 @@ class TestIngest:
         ts, _ = ingest_prices(io.StringIO("\n".join(rows)))
         assert len(ts) == 4
 
-
     # within-day gaps 30, 0.7 and 45.3 s, then one of 0.1 s more: the bar
     # step is the middle gap of an odd count and the mean of the middle two of
     # an even one, the floats np.median gives for these gaps
