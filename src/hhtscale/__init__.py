@@ -13,7 +13,6 @@ calibration and market-data studies.
 __version__ = "0.1.0"
 
 from .emd import (  # noqa: E402
-    EmdConfig,
     ImfDecomposition,
     decompose,
     default_max_imfs,
@@ -57,7 +56,6 @@ from .spectral import (  # noqa: E402
 __all__ = [
     "ComplexityTrack",
     "DataError",
-    "EmdConfig",
     "EnsembleStats",
     "GheResult",
     "ImfDecomposition",

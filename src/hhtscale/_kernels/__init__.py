@@ -14,16 +14,16 @@ used.  The ``HHTSCALE_BACKEND`` environment variable (``compiled`` or
 ``python``) forces a choice.
 
 One component's sift has one entry, :func:`sift_to_gate`: sift steps
-from ``h`` until a step's input passes the oscillatory gate (every maximum
-positive, every minimum negative), runs out of extrema, or spends its step
-budget.  The compiled backend runs the whole loop in one C call,
+from ``h``, through the step whose input passes the oscillatory gate (every
+maximum positive, every minimum negative), until ``h`` runs out of extrema
+or the step budget is spent, and say which of the three stopped it.  The
+compiled backend runs the whole loop in one C call,
 ``Kernels.sift_component``; the numpy backend, and any backend with only
 ``find_extrema`` and ``spline_eval``, runs the same loop over
 :func:`envelope_step`, the step composed of those two kernels and
 ``common``'s mirror padding in Python, with the same bits.  The gate and
 the budget live here and in ``sift.c``; ``emd.decompose`` sets the budget
-(``MAX_SIFT_ITERATIONS``), subtracts the step that passed the gate and
-centers the component.
+(``MAX_SIFT_ITERATIONS``), names the stop status and centers the component.
 """
 
 import logging
@@ -132,17 +132,15 @@ def envelope_step(h, backend):
 
 
 def sift_to_gate(h, backend, budget):
-    """Sift steps from ``h`` until a step's input is oscillatory (every
-    maximum positive, every minimum negative), ``h`` runs out of extrema, or
-    ``budget`` >= 1 steps are spent; each step that is not oscillatory
-    subtracts its envelope mean.  A backend with a ``sift_component`` runs
-    it; any other runs this loop over :func:`envelope_step`, with the same
-    bits.
+    """Sift steps from ``h``, each subtracting its envelope mean, through
+    the step whose input is oscillatory (every maximum positive, every
+    minimum negative), until ``h`` runs out of extrema, or until ``budget``
+    >= 1 steps are spent.  A backend with a ``sift_component`` runs it; any
+    other runs this loop over :func:`envelope_step`, with the same bits.
 
-    Returns ``(steps, h, env)``: the steps run and, when the gate passed,
-    that step's input and its envelope mean, not yet subtracted; otherwise
-    ``env`` is None and ``h`` is what the steps left (the sift ran out of
-    extrema when ``steps < budget``).
+    Returns ``(steps, h, status)``: the steps run, what they left (``h``
+    itself when none ran), and why the sift stopped: 0 the gate passed, 1
+    too few extrema, 2 the budget was spent.
     """
     component = getattr(backend, "sift_component", None)
     if component is not None:
@@ -151,8 +149,8 @@ def sift_to_gate(h, backend, budget):
         try:
             env, oscillatory = envelope_step(h, backend)
         except InsufficientExtremaError:
-            return steps, h, None
-        if oscillatory:
-            return steps + 1, h, env
+            return steps, h, 1
         h = h - env
-    return budget, h, None
+        if oscillatory:
+            return steps + 1, h, 0
+    return budget, h, 2

@@ -2,16 +2,16 @@
 
 ``find_extrema`` and ``spline_eval`` have ``numpy_backend``'s contract,
 signatures and return dtypes (see that module for the semantics), and
-``sift_component`` runs the sift steps of one component in one C call until
-a step's input passes the oscillatory gate, which
-``_kernels.sift_to_gate`` runs where a backend has it.  The gate and the
-step budget live in ``sift.c``; the iteration cap that sets the budget and
-the centering stay in ``emd.decompose``.  Every array is made contiguous
+``sift_component`` sifts one component in one C call, through the step
+whose input passes the oscillatory gate, which ``_kernels.sift_to_gate``
+runs where a backend has it.  The gate, the step budget and the stop status
+live in ``sift.c``; the iteration cap that sets the budget and the
+centering stay in ``emd.decompose``.  Every array is made contiguous
 float64, checked for shape, or allocated here before its pointer reaches
 C.  ``find_extrema`` writes its outputs into one buffer per dtype, and the
-arrays it returns are views of it; ``sift_component`` returns ``h`` and
-``env`` in arrays of their own, so that a kept component holds no more
-memory than its samples.
+arrays it returns are views of it; ``sift_component`` returns the component
+in an array of its own, so that a kept component holds no more memory than
+its samples.
 """
 
 import ctypes
@@ -45,7 +45,7 @@ class Kernels:
         self._spline.argtypes = [_PTR, _PTR, _SIZE, _PTR, _SIZE]
         self._spline.restype = ctypes.c_int
         self._component = lib.hht_sift_component
-        self._component.argtypes = [_PTR, _SIZE, _SIZE, _PTR, _PTR, ctypes.POINTER(_SIZE)]
+        self._component.argtypes = [_PTR, _SIZE, _SIZE, _PTR, ctypes.POINTER(_SIZE)]
         self._component.restype = ctypes.c_int
 
     def find_extrema(self, x):
@@ -83,21 +83,20 @@ class Kernels:
         return out
 
     def sift_component(self, h, budget):
-        """Sift steps from ``h`` in one call, until a step's input passes the
-        oscillatory gate, runs out of extrema, or ``budget`` steps are spent.
+        """Sift steps from ``h`` in one call, through the step whose input
+        passes the oscillatory gate, until ``h`` runs out of extrema, or
+        until ``budget`` steps are spent.
 
-        The same bits, steps and errors as ``_kernels.sift_to_gate`` running
-        its loop over ``find_extrema``, ``common.mirror_extrema`` and two
-        ``spline_eval`` calls per step.
+        The same bits, steps, status and errors as ``_kernels.sift_to_gate``
+        running its loop over ``find_extrema``, ``common.mirror_extrema`` and
+        two ``spline_eval`` calls per step.
 
         Returns
         -------
-        (steps, h, env) : (int, ndarray, ndarray or None)
-            The steps run.  When a step's input has every maximum positive
-            and every minimum negative, ``h`` is that input and ``env`` its
-            envelope mean, not yet subtracted; otherwise ``env`` is None and
-            ``h`` is what the steps left: the sift ran out of extrema when
-            ``steps < budget``.
+        (steps, h, status) : (int, ndarray, int)
+            The steps run, what they left, and why the sift stopped: 0 the
+            gate passed (every maximum positive, every minimum negative), 1
+            too few extrema, 2 the budget was spent.
         """
         h = np.ascontiguousarray(h, dtype=np.float64)
         if h.ndim != 1:
@@ -105,13 +104,10 @@ class Kernels:
         if budget < 1:
             raise ValueError("sift_component needs a budget of at least one step")
         out = np.empty(h.shape[0], dtype=np.float64)
-        env = np.empty(h.shape[0], dtype=np.float64)
         steps = _SIZE()
-        status = self._component(
-            h.ctypes.data, h.shape[0], budget, out.ctypes.data, env.ctypes.data, steps
-        )
+        status = self._component(h.ctypes.data, h.shape[0], budget, out.ctypes.data, steps)
         if status == -3:
             raise MemoryError("sift_component could not allocate its workspace")
         if status < 0:
             raise RuntimeError(_MIRROR_ERRORS[status])
-        return steps.value, out, env if status == 0 else None
+        return steps.value, out, status

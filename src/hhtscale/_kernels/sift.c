@@ -1,13 +1,14 @@
 /* Compiled sift kernels: the extrema scan, natural-spline envelope
  * evaluation, and hht_sift_component, which sifts one component in one call
- * until the oscillatory gate passes.
+ * until the oscillatory gate passes and returns it finished.
  *
  * Where the stop rule lives: this file holds its gate ("every maximum
- * positive, every minimum negative", evaluated on each step's input) and
- * the step budget; emd.decompose holds the rest (the iteration cap that
- * sets the budget, the subtraction of the step that passed the gate, the
- * centering), and _kernels.sift_to_gate runs the same loop in Python for a
- * backend without hht_sift_component.
+ * positive, every minimum negative", evaluated on each step's input), the
+ * step budget and the status that says what stopped the sift (the gate, too
+ * few extrema or the budget); emd.decompose sets the budget (its iteration
+ * cap), names the status and centers the component, and
+ * _kernels.sift_to_gate runs the same loop in Python for a backend without
+ * hht_sift_component.
  *
  * Plain C with no Python C-API, called through ctypes by compiled.py, which
  * validates shapes and allocates every output.  The contract (plateaus,
@@ -413,22 +414,21 @@ static void envelope_mean(const workspace *ws, const spline sp[2], ptrdiff_t n, 
     }
 }
 
-/* Sifts x[0..n-1] toward one component.  Each step takes the envelope mean
- * of its input h (the first h is x) as hht_find_extrema, mirror_extrema and
- * two hht_spline_eval calls compose it and, unless h passes the oscillatory
- * gate (every maximum positive, every minimum negative), subtracts it and
- * scans the result for the next step.  Runs at most budget >= 1 steps; the
- * step that spends the budget does not scan its result, which no step reads.
- * Returns
- *   0 when a step finds its h oscillatory: h is that step's input and env
- *     its envelope mean, not subtracted;
- *   1 when h has fewer than two maxima or two minima (env is not written);
- *   2 when the budget is spent: h is the last step's h - env;
- * or mirror_extrema's -1 or -2, or -3 when the workspace cannot be
- * allocated.  *steps gets the steps run, the passing one included.  h and
- * env hold n doubles each and overlap neither x nor each other. */
-int hht_sift_component(const double *x, ptrdiff_t n, ptrdiff_t budget,
-                       double *h, double *env, ptrdiff_t *steps)
+/* Sifts x[0..n-1] into one component.  Each step subtracts the envelope
+ * mean of its input h (the first h is x), as hht_find_extrema,
+ * mirror_extrema and two hht_spline_eval calls compose it, and stops after
+ * the step whose input passes the oscillatory gate (every maximum positive,
+ * every minimum negative); any other step scans its result for the next.
+ * Runs at most budget >= 1 steps; the step that spends the budget does not
+ * scan its result, which no step reads.  Returns
+ *   0 when a step's input passed the gate,
+ *   1 when h has fewer than two maxima or two minima,
+ *   2 when the budget is spent,
+ * each with h what the steps left (x itself when none ran), or
+ * mirror_extrema's -1 or -2, or -3 when the workspace cannot be allocated.
+ * *steps gets the steps run.  h holds n doubles and does not overlap x. */
+int hht_sift_component(const double *x, ptrdiff_t n, ptrdiff_t budget, double *h,
+                       ptrdiff_t *steps)
 {
     workspace ws;
     spline sp[2];
@@ -450,16 +450,14 @@ int hht_sift_component(const double *x, ptrdiff_t n, ptrdiff_t budget,
         if (status != 0)
             break;
         ++*steps;
-        if (oscillatory) {
-            envelope_mean(&ws, sp, n, env);
-            break;
-        }
         /* h - env, alternately into h and the workspace's buffer */
         next = cur == h ? ws.alt : h;
         envelope_mean(&ws, sp, n, next);
         for (i = 0; i < n; i++)
             next[i] = cur[i] - next[i];
         cur = next;
+        if (oscillatory)
+            break;
         /* budget spent: h - env is the result, and no step scans it */
         if (*steps >= budget) {
             status = 2;

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .emd import EmdConfig, decompose
+from .emd import decompose
 from .intraday import (
     MEASURES,
     bm_reference_band,
@@ -60,7 +60,14 @@ from .measures import (
     scaling_exponent,
 )
 from .series import DataError, ingest_prices, read_values
-from .simulate import PROCESSES, RNG_NAME, SimConfig, monte_carlo_ensemble, simulate
+from .simulate import (
+    PROCESSES,
+    RNG_NAME,
+    SimConfig,
+    check_threads,
+    monte_carlo_ensemble,
+    simulate,
+)
 from .spectral import spectral_track
 
 __all__ = ["main", "run"]
@@ -241,11 +248,11 @@ def _read_input(path: str, params: dict):
 
 def _components(series, params: dict):
     """The decomposition of the input, with the sifting flags the command has."""
-    try:
-        config = EmdConfig(max_imfs=params.get("max_imfs"))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return decompose(series, config)
+    max_imfs = params.get("max_imfs")
+    if max_imfs is not None and max_imfs < 1:
+        raise UsageError("max_imfs must be >= 1 when given")
+    # positional: perfbench's traced stand-in for decompose names it config
+    return decompose(series, max_imfs)
 
 
 def _track(series, params: dict):
@@ -339,6 +346,7 @@ def _numbered(prefix: str, columns, start: int) -> dict:
 
 def _simulate_outputs(params):
     sim = _sim_config(params)
+    check_threads(params["threads"])
     paths = (simulate(sim, path_index=i).values for i in range(sim.paths))
     table = {"t": range(sim.length), **_numbered("path", paths, 0)}
     comments = [f"process={sim.process}", f"rng={RNG_NAME}", f"seed={sim.seed}"]
@@ -472,7 +480,7 @@ def _intraday_outputs(params, series, calendar):
 COMMANDS = {
     "simulate": Command(
         "generate stochastic paths",
-        # --threads is taken but unread: paths are drawn one by one
+        # --threads is checked as everywhere, but paths are drawn one by one
         ("process", "length", "paths", "h", "alpha", "d", "seed", "threads"),
         _simulate_outputs,
     ),

@@ -16,8 +16,9 @@ when the residue has fewer than four extrema, when envelopes can no longer
 be built, or at the component cap.
 
 Each component is one ``_kernels.sift_to_gate`` call (one C call on the
-compiled backend), which holds the gate and the step budget; this module
-sets the budget and centers each component.
+compiled backend), which holds the gate and the step budget and returns the
+finished component with a status saying why its sift stopped; this module
+sets the budget, names the status and centers each component.
 
 The additive bookkeeping is exact by construction: components are obtained
 by running subtraction from the input, so ``sum(imfs) + residue``
@@ -34,7 +35,6 @@ import numpy as np
 from ._kernels import MIRRORED_EXTREMA, get_backend, sift_to_gate
 
 __all__ = [
-    "EmdConfig",
     "ImfDecomposition",
     "decompose",
     "default_max_imfs",
@@ -49,24 +49,8 @@ MAX_SIFT_ITERATIONS = 20  # sift steps per component before it is taken as is
 
 
 def default_max_imfs(length: int) -> int:
-    """Component cap used when the config leaves it unset: ceil(log2 T) + 2."""
+    """Component cap used when ``decompose`` is given none: ceil(log2 T) + 2."""
     return int(math.ceil(math.log2(length))) + 2
-
-
-@dataclass(frozen=True)
-class EmdConfig:
-    """Sifting parameters.
-
-    max_imfs=None resolves to ``default_max_imfs(len(series))`` at call time.
-    The iteration cap and the envelope padding are the fixed
-    ``MAX_SIFT_ITERATIONS`` and ``MIRRORED_EXTREMA``.
-    """
-
-    max_imfs: int | None = None
-
-    def __post_init__(self):
-        if self.max_imfs is not None and self.max_imfs < 1:
-            raise ValueError("max_imfs must be >= 1 when given")
 
 
 @dataclass
@@ -76,13 +60,14 @@ class ImfDecomposition:
     imfs : (n_imfs, length) array, highest-frequency component first.
     residue : (length,) array; input minus the component sum.
     sift_counts : sift iterations spent per component.
-    stop_reasons : per component, why its sift stopped: "oscillatory" (a
-        step's input passed the gate and that step was subtracted),
+    stop_reasons : per component, why its sift stopped, named from
+        ``sift_to_gate``'s status 0, 1 or 2: "oscillatory" (the component
+        is the output of the step whose input passed the gate),
+        "extrema-exhausted" (the sift ran out of extrema) or
         "max-iterations" (``MAX_SIFT_ITERATIONS`` steps were spent: the
-        component has not passed the gate) or "extrema-exhausted" (the sift
-        ran out of extrema).  On the acceptance ensembles 18-31% of fBm and
-        ARFIMA components, and 43-47% of stable Levy ones at 1/alpha = 0.7
-        and 0.9, stop at the cap.
+        component has not passed the gate).  On the acceptance ensembles
+        18-31% of fBm and ARFIMA components, and 43-47% of stable Levy ones
+        at 1/alpha = 0.7 and 0.9, stop at the cap.
     """
 
     imfs: np.ndarray
@@ -103,13 +88,17 @@ class ImfDecomposition:
         return self.imfs.sum(axis=0) + self.residue
 
 
-def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecomposition:
+def decompose(series, max_imfs: int | None = None, backend=None) -> ImfDecomposition:
     """Decompose a series into oscillatory components plus a residue.
 
     ``series`` may be a TimeSeries or any 1-D float sequence of length >= 16.
-    Deterministic: identical input and config give bit-identical output.
+    ``max_imfs`` caps the component count; None means
+    ``default_max_imfs(len(series))``.  The iteration cap and the envelope
+    padding are the fixed ``MAX_SIFT_ITERATIONS`` and ``MIRRORED_EXTREMA``.
+    Deterministic: identical input and cap give bit-identical output.
     """
-    cfg = config or EmdConfig()
+    if max_imfs is not None and max_imfs < 1:
+        raise ValueError("max_imfs must be >= 1 when given")
     kernel = backend if backend is not None else get_backend()
     x = np.ascontiguousarray(getattr(series, "values", series), dtype=np.float64)
     if x.ndim != 1:
@@ -118,7 +107,8 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
         raise ValueError(f"series too short for decomposition (need >= {MIN_LENGTH})")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
-    max_imfs = cfg.max_imfs if cfg.max_imfs is not None else default_max_imfs(x.shape[0])
+    if max_imfs is None:
+        max_imfs = default_max_imfs(x.shape[0])
     # Sifting is positively homogeneous, so it runs on x / 2**exponent, whose
     # largest |value| is in [0.5, 1): the squared sums below then neither
     # overflow nor underflow, and scaling back by 2**exponent is exact.
@@ -138,20 +128,13 @@ def decompose(series, config: EmdConfig | None = None, backend=None) -> ImfDecom
             break
         # A finished component swings through zero everywhere: maxima above
         # it, minima below.  Sift until a step's input does, within the budget.
-        count, h, env = sift_to_gate(residue, kernel, MAX_SIFT_ITERATIONS)
+        count, h, status = sift_to_gate(residue, kernel, MAX_SIFT_ITERATIONS)
         if count == 0:
             break  # the residue has too few extrema for envelopes: it stays whole
-        if env is not None:
-            h = h - env  # the step that passed the gate is subtracted too
-            reason = STOP_GATE
-        elif count < MAX_SIFT_ITERATIONS:
-            reason = STOP_EXTREMA
-        else:
-            reason = STOP_MAX_ITER
         h -= h.mean()  # the component's offset belongs to the residue
         imfs.append(h)
         sift_counts.append(count)
-        stop_reasons.append(reason)
+        stop_reasons.append((STOP_GATE, STOP_EXTREMA, STOP_MAX_ITER)[status])
         residue = residue - h
 
     stack = np.array(imfs) if imfs else np.empty((0, x.shape[0]), dtype=np.float64)

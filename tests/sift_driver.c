@@ -47,11 +47,11 @@ static void check_step(const char *name, const double *x, ptrdiff_t n)
     ptrdiff_t cap = n / 2 + 1, steps, counts[2], cnt[2], i, nmax, nmin;
     ptrdiff_t *pos = malloc((size_t)(2 * cap) * sizeof *pos);
     double *val = malloc((size_t)(2 * cap) * sizeof *val);
-    double *h = malloc((size_t)(n + 1) * sizeof *h), *env = malloc((size_t)(n + 1) * sizeof *env);
+    double *h = malloc((size_t)(n + 1) * sizeof *h);
     double *tpos, *knots, *upper, *lower;
     int status, oscillatory = 1;
 
-    status = hht_sift_component(x, n, 1, h, env, &steps);
+    status = hht_sift_component(x, n, 1, h, &steps);
     hht_find_extrema(x, n, cap, pos, val, counts);
     nmax = counts[0];
     nmin = counts[1];
@@ -61,7 +61,6 @@ static void check_step(const char *name, const double *x, ptrdiff_t n)
         free(pos);
         free(val);
         free(h);
-        free(env);
         return;
     }
     for (i = 0; i < nmax; i++)
@@ -95,13 +94,9 @@ static void check_step(const char *name, const double *x, ptrdiff_t n)
             if (hht_spline_eval(tmax, vmax, cnt[0], upper, n)
                 || hht_spline_eval(tmin, vmin, cnt[1], lower, n))
                 fail(name, "spline scratch allocation failed");
-            for (i = 0; i < n; i++) {
-                upper[i] = (upper[i] + lower[i]) * 0.5;
-                /* the gate passed: h is x and env the mean; else h is x - mean */
-                lower[i] = oscillatory ? x[i] : x[i] - upper[i];
-            }
-            if (oscillatory && memcmp(upper, env, (size_t)n * sizeof *env) != 0)
-                fail(name, "envelope mean differs from the composition");
+            /* h is x - mean, whether the gate passed or not */
+            for (i = 0; i < n; i++)
+                lower[i] = x[i] - (upper[i] + lower[i]) * 0.5;
             if (memcmp(lower, h, (size_t)n * sizeof *h) != 0)
                 fail(name, "sifted h differs from the composition");
         }
@@ -113,29 +108,26 @@ static void check_step(const char *name, const double *x, ptrdiff_t n)
     free(pos);
     free(val);
     free(h);
-    free(env);
 }
 
 /* hht_sift_component on x[0..n-1] with the whole budget against the chain
  * of one-step calls, each scanning its input afresh: the same status, step
- * count, h and, where the gate passed, env, bit for bit, from one
- * allocation. */
+ * count and h, bit for bit, from one allocation. */
 static void check_component(const char *name, const double *x, ptrdiff_t n, ptrdiff_t budget)
 {
     ptrdiff_t steps, one, chained = 0;
-    double *h = malloc((size_t)n * sizeof *h), *env = malloc((size_t)n * sizeof *env);
-    double *chain = malloc((size_t)n * sizeof *chain), *cenv = malloc((size_t)n * sizeof *cenv);
+    double *h = malloc((size_t)n * sizeof *h), *chain = malloc((size_t)n * sizeof *chain);
     double *next = malloc((size_t)n * sizeof *next), *swap;
     int status, link;
 
     mallocs = 0;
-    status = hht_sift_component(x, n, budget, h, env, &steps);
+    status = hht_sift_component(x, n, budget, h, &steps);
     if (mallocs != 1)
         fail(name, "component sift did not allocate exactly once");
 
     memcpy(chain, x, (size_t)n * sizeof *chain);
     for (;;) {
-        link = hht_sift_component(chain, n, 1, next, cenv, &one);
+        link = hht_sift_component(chain, n, 1, next, &one);
         chained += one;
         swap = chain;
         chain = next;
@@ -147,40 +139,34 @@ static void check_component(const char *name, const double *x, ptrdiff_t n, ptrd
         fail(name, "component sift differs from the one-step chain");
     else if (status >= 0 && memcmp(h, chain, (size_t)n * sizeof *h) != 0)
         fail(name, "component h differs from the one-step chain");
-    else if (status == 0 && memcmp(env, cenv, (size_t)n * sizeof *env) != 0)
-        fail(name, "component env differs from the one-step chain");
     free(h);
-    free(env);
     free(chain);
-    free(cenv);
     free(next);
 }
 
-/* Peels components off x[0..n-1] as decompose does, without its SD test and
- * centering: each component's sift, checked by check_component with the
- * whole budget and with a budget of 3, is subtracted from the residue,
- * until a sift finds too few extrema.  Late residues run out of extrema
- * partway through a sift. */
+/* Peels components off x[0..n-1] as decompose does, without its centering:
+ * each component's sift, checked by check_component with the whole budget
+ * and with a budget of 3, is subtracted from the residue, until a sift
+ * finds too few extrema.  Late residues run out of extrema partway through
+ * a sift. */
 static void check_peel(const char *name, const double *x, ptrdiff_t n)
 {
     ptrdiff_t steps, i, c;
     double *r = malloc((size_t)n * sizeof *r), *h = malloc((size_t)n * sizeof *h);
-    double *env = malloc((size_t)n * sizeof *env);
     int status;
 
     memcpy(r, x, (size_t)n * sizeof *r);
     for (c = 0; c < 12; c++) {
         check_component(name, r, n, 100);
         check_component(name, r, n, 3);
-        status = hht_sift_component(r, n, 100, h, env, &steps);
+        status = hht_sift_component(r, n, 100, h, &steps);
         if (status < 0 || steps == 0)
             break;
         for (i = 0; i < n; i++)
-            r[i] -= status == 0 ? h[i] - env[i] : h[i];
+            r[i] -= h[i];
     }
     free(r);
     free(h);
-    free(env);
 }
 
 /* mirror_extrema on two maxima (max_t, max_v) and two minima (min_t, min_v)

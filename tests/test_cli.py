@@ -478,10 +478,12 @@ class TestTable:
 
     def test_zero_threads_is_one_error_everywhere(self, tmp_path, price_csv, capsys):
         errors = []
-        for argv in (["table", "--process", "bm"], ["intraday", str(price_csv)]):
+        for argv in (["table", "--process", "bm"], ["intraday", str(price_csv)],
+                     ["simulate", "--process", "bm"]):
             assert run(argv + ["--threads", "0", "--out-dir", str(tmp_path / argv[0])]) == 1
-            errors.append(capsys.readouterr().err.split(": ", 1))
-        assert errors[0][1] == errors[1][1] == "threads must be >= 1\n"
+            errors.append(capsys.readouterr().err.split(": ", 1)[1])
+            assert not list((tmp_path / argv[0]).glob("*.manifest"))
+        assert errors == ["threads must be >= 1\n"] * 3
 
 
 class TestArtifactHygiene:

@@ -12,7 +12,6 @@ from hhtscale.emd import (
     STOP_EXTREMA,
     STOP_GATE,
     STOP_MAX_ITER,
-    EmdConfig,
     decompose,
     default_max_imfs,
 )
@@ -30,15 +29,19 @@ def tone(length, period, amplitude=1.0, phase=0.0):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = EmdConfig()
-        assert not hasattr(cfg, "sd_threshold")
-        assert cfg.max_imfs is None
+        # max_imfs is decompose's one setting, and it defaults to the cap
+        x = np.cumsum(np.random.default_rng(3).standard_normal(256))
+        result = decompose(x)
+        assert 1 <= result.n_imfs <= default_max_imfs(256)
+        assert result.imfs.tobytes() == decompose(x, default_max_imfs(256)).imfs.tobytes()
         assert emd.MAX_SIFT_ITERATIONS == 20
         assert emd.MIRRORED_EXTREMA == 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EmdConfig(max_imfs=0)
+        x = np.cumsum(np.random.default_rng(3).standard_normal(256))
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_imfs must be >= 1"):
+                decompose(x, bad)
 
     def test_default_cap_tracks_log2(self):
         assert default_max_imfs(1024) == 12
@@ -179,7 +182,7 @@ class TestDecompose:
     def test_max_imfs_cap(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(4096)
-        result = decompose(x, EmdConfig(max_imfs=3))
+        result = decompose(x, max_imfs=3)
         assert result.n_imfs == 3
 
     def test_stop_reason_vocabulary(self):

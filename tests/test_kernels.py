@@ -323,11 +323,11 @@ class _CountingComponent:
 
 def _sift_outcome(sift, x):
     try:
-        steps, h, env = sift(x)
+        steps, h, status = sift(x)
     except RuntimeError as exc:  # a mirror failure
         return type(exc), str(exc)
     assert h.dtype == np.float64
-    return steps, h.tobytes(), None if env is None else env.tobytes()
+    return steps, h.tobytes(), status
 
 
 def _decompose_case(case):
@@ -376,8 +376,8 @@ class TestEnvelopeStep:
         with pytest.raises(InsufficientExtremaError, match="found 1/0"):
             envelope_step(_TWO_EACH[:4], numpy_backend)
         # the component sift reports no step and hands the input back
-        steps, h, env = get_backend("compiled").sift_component(_TWO_EACH[:4], 5)
-        assert (steps, h.tobytes(), env) == (0, _TWO_EACH[:4].tobytes(), None)
+        steps, h, status = get_backend("compiled").sift_component(_TWO_EACH[:4], 5)
+        assert (steps, h.tobytes(), status) == (0, _TWO_EACH[:4].tobytes(), 1)
 
     @pytest.mark.parametrize("case", [
         pytest.param(("fbm", {"hurst": 0.5}), id="fbm-shape0"),
@@ -408,6 +408,46 @@ class TestEnvelopeStep:
             assert fused.stop_reasons[0] == emd.STOP_MAX_ITER
         if case == "exhausted":
             assert fused.stop_reasons[-1] == emd.STOP_EXTREMA and fused.sift_counts[-1] > 0
+
+
+def _composed_sift(h, budget):
+    """The sift spelled out over ``envelope_step`` on the NumPy kernels:
+    ``(steps, h, status)``, each step's output ``h - env``."""
+    for steps in range(budget):
+        try:
+            env, oscillatory = envelope_step(h, numpy_backend)
+        except InsufficientExtremaError:
+            return steps, h, 1
+        h = h - env
+        if oscillatory:
+            return steps + 1, h, 0
+    return budget, h, 2
+
+
+def _first_sift_stopping(x, status):
+    """The first residue, peeling components off ``x`` by the composed sift,
+    whose sift runs at least one step and stops with ``status``."""
+    residue = x
+    while True:
+        steps, h, stopped = _composed_sift(residue, emd.MAX_SIFT_ITERATIONS)
+        assert steps > 0, "no sift stopped with the status"
+        if stopped == status:
+            return residue
+        residue = residue - h
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+@pytest.mark.parametrize("status, x", [
+    # a period off the sample grid, so that the envelope mean is not exactly 0
+    pytest.param(0, np.sin(2 * np.pi * np.arange(512) / 37 + 0.3), id="gate-tone"),
+    pytest.param(1, _decompose_case("exhausted"), id="extrema-exhausted"),
+    pytest.param(2, _decompose_case("slm-capped"), id="budget-slm-capped"),
+])
+def test_sift_to_gate_finishes_the_component_and_names_the_stop(backend, status, x):
+    residue = _first_sift_stopping(x, status)
+    steps, h, _ = _composed_sift(residue, emd.MAX_SIFT_ITERATIONS)
+    got = _sift_outcome(lambda r: sift_to_gate(r, backend, emd.MAX_SIFT_ITERATIONS), residue)
+    assert got == (steps, h.tobytes(), status)
 
 
 def _have_compiler():

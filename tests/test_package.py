@@ -10,7 +10,6 @@ import hhtscale
 PUBLIC = {
     "ComplexityTrack",
     "DataError",
-    "EmdConfig",
     "EnsembleStats",
     "GheResult",
     "ImfDecomposition",

@@ -16,7 +16,6 @@ import pytest
 from scipy import stats as sps
 
 from hhtscale import (
-    EmdConfig,
     SimConfig,
     decompose,
     monte_carlo_ensemble,
@@ -266,7 +265,7 @@ class TestMonteCarloEnsemble:
         cfg = SimConfig(process="fbm", length=512, seed=3, paths=1, hurst=0.7)
         stats = monte_carlo_ensemble(cfg)
         ts = simulate(cfg, path_index=0)
-        scaling = scaling_exponent(spectral_track(decompose(ts.values, EmdConfig())))
+        scaling = scaling_exponent(spectral_track(decompose(ts.values)))
         assert np.array_equal(stats.mean_hstar_t, scaling.h_star, equal_nan=True)
         assert stats.grand_mean == pytest.approx(np.nanmean(scaling.h_star), abs=1e-12)
         assert np.isnan(stats.ghe_std)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from hhtscale import (
-    EmdConfig,
     ImfDecomposition,
     decompose,
     hilbert_transform,
