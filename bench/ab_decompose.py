@@ -6,24 +6,32 @@ first in even rounds).  A process imports ``hhtscale`` from its tree's
 ``src`` (building that tree's ``sift.c`` on first import), simulates path 0
 of ``--seed`` for bm, fBm H = 0.7, ARFIMA d = 0.2 (T = 10,000) and SLM
 alpha = 1.5 (T = 10,384), sifts each path once to warm up, then times
-``--repeats`` calls of ``decompose`` per path on the compiled backend and
-reports their median.  It then runs the same path as a one-path
-``monte_carlo_ensemble`` (``threads=1``: simulate, sift, spectral track,
-``H*`` and GHE) once to warm up and ``--repeats`` times more, and reports
-that median too.  From the warm-up ``decompose`` it reports, per process,
-the sift steps of the path (``sum(sift_counts)``) and the share of its
-components that stopped at the step cap (stop reason
-``"max-iterations"``).  Last it reports its own peak resident set
-(``ru_maxrss``).  The per-round ``sum`` is the four medians added.
+``--repeats`` calls of each stage per path on the compiled backend and
+reports their medians:
+  - ``sim_ms``: ``simulate`` of the path;
+  - ``ms``: ``decompose``;
+  - ``spectral_ms``: ``spectral_track`` of the decomposition, and
+    ``track_ms``: that plus ``scaling_exponent`` of the track;
+  - ``path_ms``: the same path as a one-path ``monte_carlo_ensemble``
+    (``threads=1``: simulate, sift, spectral track, ``H*`` and GHE), after
+    one more warm-up run, with ``path_minflt``, the minor page faults
+    (``ru_minflt``) the process took during each of those runs.
+From the warm-up ``decompose`` it reports, per process, the sift steps of
+the path (``sum(sift_counts)``) and the share of its components that
+stopped at the step cap (stop reason ``"max-iterations"``).  Last it
+reports its own peak resident set (``ru_maxrss``).  The per-round ``sum``
+is the four medians added.
 
-Prints one JSON block: per process and for the sum, for ``decompose``
-(``<name>_ms``) and for the whole path (``<name>_path_ms``), each tree's
-median, quartiles and runs, the rounds B was lower, and the paired B/A
-ratios; the same for each side's ``peak_rss_mb``; and whether every output
-digest (components, residue, sift counts, stop reasons, and the path's
-``mean_hstar_t``) was equal on both sides; and each tree's sift steps and
-cap share per process, which every round of a tree reproduces.  A lever is
-kept when B wins at least 9 of 10 rounds of the sum.
+Prints one JSON block: per process and for the sum, for each stage
+(``<name>_<stage>``), each tree's median, quartiles and runs, the rounds B
+was lower, and the paired B/A ratios; the same for each side's
+``peak_rss_mb``; whether every simulated path and every decomposition
+(components, residue, sift counts, stop reasons) had the same digest on
+both sides (``digests_equal``), and the same for each path's
+``mean_hstar_t`` (``path_digests_equal``), which a change to the track's
+last bits moves; and each tree's sift steps and cap share per process,
+which every round of a tree reproduces.  A lever is kept when B wins at
+least 9 of 10 rounds of the sum.
 
     python3 bench/ab_decompose.py TREE_A TREE_B --rounds 10 --a "..." --b "..."
 """
@@ -47,37 +55,50 @@ PROCESSES = {
 
 CHILD = r"""
 import hashlib, json, resource, statistics, sys, time
-from hhtscale import SimConfig, monte_carlo_ensemble, simulate
+from hhtscale import SimConfig, monte_carlo_ensemble, scaling_exponent, simulate, spectral_track
 from hhtscale._kernels import get_backend
 from hhtscale.emd import decompose
 
 seed, repeats, processes = int(sys.argv[1]), int(sys.argv[2]), json.loads(sys.argv[3])
 backend = get_backend("compiled")
-out = {"ms": {}, "path_ms": {}, "digest": {}, "sift_steps": {}, "cap_share": {}}
+out = {key: {} for key in ("ms", "sim_ms", "spectral_ms", "track_ms", "path_ms", "path_minflt",
+                           "digest", "path_digest", "sift_steps", "cap_share")}
+
+
+def median_ms(call):
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        walls.append(time.perf_counter() - start)
+    return statistics.median(walls) * 1e3
+
+
 for name, (shape, length) in processes.items():
     config = SimConfig(process=name, length=length, seed=seed, paths=1, **shape)
     x = simulate(config, 0).values
     result = decompose(x, backend=backend)
-    digest = hashlib.sha256(result.imfs.tobytes() + result.residue.tobytes())
+    digest = hashlib.sha256(x.tobytes() + result.imfs.tobytes() + result.residue.tobytes())
     digest.update(repr((result.sift_counts, result.stop_reasons)).encode())
     out["digest"][name] = digest.hexdigest()
     out["sift_steps"][name] = sum(result.sift_counts)
     reasons = result.stop_reasons
     out["cap_share"][name] = reasons.count("max-iterations") / len(reasons) if reasons else 0.0
-    walls = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        decompose(x, backend=backend)
-        walls.append(time.perf_counter() - start)
-    out["ms"][name] = statistics.median(walls) * 1e3
+    out["sim_ms"][name] = median_ms(lambda: simulate(config, 0))
+    out["ms"][name] = median_ms(lambda: decompose(x, backend=backend))
+    out["spectral_ms"][name] = median_ms(lambda: spectral_track(result))
+    out["track_ms"][name] = median_ms(lambda: scaling_exponent(spectral_track(result)))
     stats = monte_carlo_ensemble(config, threads=1)
-    out["digest"][name + "_path"] = hashlib.sha256(stats.mean_hstar_t.tobytes()).hexdigest()
-    walls = []
+    out["path_digest"][name] = hashlib.sha256(stats.mean_hstar_t.tobytes()).hexdigest()
+    walls, faults = [], []
     for _ in range(repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         monte_carlo_ensemble(config, threads=1)
         walls.append(time.perf_counter() - start)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     out["path_ms"][name] = statistics.median(walls) * 1e3
+    out["path_minflt"][name] = statistics.median(faults)
 out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps(out))
 """
@@ -98,15 +119,19 @@ def quartiles(values: list) -> dict:
 
 
 def compare(a: list, b: list) -> dict:
-    """Both sides' per-round values, and how B's compare with A's."""
-    ratios = [vb / va for va, vb in zip(a, b)]
-    paired = quartiles(ratios)
-    del paired["runs"]
+    """Both sides' per-round values, and how B's compare with A's (the
+    ratios over the rounds where A's value is not zero, as a page-fault
+    count can be)."""
+    ratios = [vb / va for va, vb in zip(a, b) if va]
+    paired = quartiles(ratios) if len(ratios) > 1 else None
+    if paired:
+        del paired["runs"]
     return {
         "a": quartiles(a),
         "b": quartiles(b),
-        "b_over_a_median": statistics.median(b) / statistics.median(a),
-        "rounds_b_lower": f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}",
+        "b_over_a_median": statistics.median(b) / statistics.median(a)
+        if statistics.median(a) else None,
+        "rounds_b_lower": f"{sum(vb < va for va, vb in zip(a, b))}/{len(a)}",
         "paired_b_over_a": paired,
     }
 
@@ -133,11 +158,12 @@ def main(argv=None) -> int:
     block = {
         "a": args.a, "b": args.b, "rounds": args.rounds, "repeats": args.repeats,
         "seed": args.seed,
-        "digests_equal": all(
-            ra["digest"] == rb["digest"] for ra in runs["a"] for rb in runs["b"]
-        ),
     }
-    for key in ("ms", "path_ms"):
+    for key in ("digest", "path_digest"):
+        block[key + "s_equal"] = all(
+            ra[key] == rb[key] for ra in runs["a"] for rb in runs["b"]
+        )
+    for key in ("ms", "sim_ms", "spectral_ms", "track_ms", "path_ms", "path_minflt"):
         for name in [*PROCESSES, "sum"]:
             per = {
                 side: [

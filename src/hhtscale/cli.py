@@ -198,8 +198,6 @@ def _run_command(name: str, args) -> int:
     if command.reads_input:
         params["input"] = args.input
     started = time.time()
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     data = _read_input(args.input, params) if command.reads_input else ()
     outputs = command.compute(params, *data)
     manifest = RunManifest(
@@ -216,6 +214,9 @@ def _run_command(name: str, args) -> int:
         # the subcommands with a seed are the ones that draw random numbers
         rng=RNG_NAME if "seed" in command.flags else None,
     )
+    # made only now, so a run that fails before writing leaves no directory
+    out_dir = Path(params["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     for file_name, schema, table, comments in outputs:
         _write_csv(out_dir / file_name, schema, table, comments)
     manifest.duration_s = time.time() - started

@@ -156,8 +156,39 @@ def bm_reference_band(
     jobs = [(seed, i, n_days, day_length, measure, trim_fraction) for i in range(n_sims)]
     stack = np.vstack(ordered_map(_band_worker, jobs, threads))
     # a column inside the trimmed margin is NaN on every path and stays NaN
-    band_lo, band_hi = _nan_quiet(np.nanpercentile, stack, [5.0, 95.0], axis=0)
+    band_lo, band_hi = _nan_percentiles(stack, (5.0, 95.0))
     return band_lo, band_hi
+
+
+def _nan_percentiles(stack: np.ndarray, percents) -> np.ndarray:
+    """``np.nanpercentile(stack, percents, axis=0)`` with linear
+    interpolation, bit for bit, from one sort of the columns, and without
+    the ``numpy.ma`` import that NumPy's version makes: one row per percent,
+    NaN where a column has no defined value.
+
+    NumPy's arithmetic is kept: the virtual index (count - 1) * q, its
+    weight measured from index -1 at the last value, and a lerp that counts
+    back from the upper value once the weight reaches 0.5.
+    """
+    ordered = np.sort(stack, axis=0)  # NaN sorts last
+    count = np.count_nonzero(~np.isnan(stack), axis=0)
+    defined = count > 0
+    count, ordered = count[defined], ordered[:, defined]
+    columns = np.arange(count.shape[0])
+    out = np.full((len(percents), stack.shape[1]), np.nan)
+    for row, quantile in zip(out, np.true_divide(percents, 100)):
+        virtual = (count - 1) * quantile
+        below = np.floor(virtual)
+        last = virtual >= count - 1
+        below[last] = -1.0
+        weight = virtual - below
+        lower = ordered[np.where(last, count - 1, below).astype(np.intp), columns]
+        upper = ordered[np.where(last, count - 1, below + 1).astype(np.intp), columns]
+        diff = upper - lower
+        value = lower + diff * weight
+        np.subtract(upper, diff * (1 - weight), out=value, where=weight >= 0.5)
+        row[defined] = value
+    return out
 
 
 def outside_band_likelihood(

@@ -19,6 +19,7 @@ ensembles are reproducible for any thread count and any path subset.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -87,23 +88,38 @@ def simulate_bm(length: int, rng: np.random.Generator) -> np.ndarray:
     return np.cumsum(rng.standard_normal(length))
 
 
-def _circulant_noise(gamma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact stationary Gaussian noise by circulant embedding (Davies & Harte 1987).
+@functools.lru_cache(maxsize=8)
+def _circulant_root(kind: str, param: float, n: int) -> np.ndarray:
+    """Square roots of the circulant embedding's eigenvalues (Davies & Harte
+    1987), read-only, for ``n`` samples of "fgn" noise of Hurst exponent
+    ``param`` or "arfima" noise of memory ``param``.
 
-    ``gamma[0..n]`` is the autocovariance at lags 0..n.  It is embedded in a
-    circulant of size 2n whose FFT eigenvalues are non-negative for the fGn
-    and ARFIMA(0, d, 0) covariances used here; complex Gaussian weights with
-    the right symmetry then give two independent noise panels, of which the
-    real part is kept.
+    The autocovariance at lags 0..n is embedded in a circulant of size 2n,
+    whose FFT eigenvalues are non-negative for these covariances; one below
+    ``-1e-8`` times the largest raises ValueError, and rounding noise below
+    zero is clipped.  The roots depend only on the arguments, so the last
+    few settings are kept: each holds 2n doubles.
     """
-    n = gamma.shape[0] - 1
+    gamma = _fgn_autocovariance(param, n) if kind == "fgn" else _arfima_autocovariance(param, n)
     circ = np.concatenate([gamma, gamma[-2:0:-1]])  # size 2n, fold at lag n
     lam = np.fft.fft(circ).real
     floor = -1e-8 * lam.max()
     if lam.min() < floor:
         raise ValueError(f"circulant embedding failed: eigenvalue {lam.min():.3e} < 0")
-    lam = np.clip(lam, 0.0, None)
+    root = np.sqrt(np.clip(lam, 0.0, None))
+    root.flags.writeable = False
+    return root
 
+
+def _circulant_noise(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Exact stationary Gaussian noise of n samples from the 2n eigenvalue
+    roots of ``_circulant_root``.
+
+    The complex Gaussian weights are Hermitian (w[2n - k] = conj w[k], real
+    at 0 and n) and the roots are even, so the inverse FFT is real up to
+    rounding; its real part, first n samples, is the path.
+    """
+    n = root.shape[0] // 2
     w0 = rng.standard_normal()
     wn = rng.standard_normal()
     u = rng.standard_normal(n - 1)
@@ -114,17 +130,21 @@ def _circulant_noise(gamma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     half = (u + 1j * v) / math.sqrt(2.0)
     weights[1:n] = half
     weights[n + 1 :] = np.conj(half[::-1])
-    sample = np.fft.ifft(np.sqrt(lam) * weights) * math.sqrt(2.0 * n)
+    sample = np.fft.ifft(root * weights) * math.sqrt(2.0 * n)
     return sample.real[:n]
 
 
-def simulate_fbm(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """Fractional Brownian motion: integrated exact fractional Gaussian noise,
-    whose autocovariance is gamma(k) = 0.5*(|k+1|^2H - 2|k|^2H + |k-1|^2H)."""
-    k = np.arange(length + 1, dtype=np.float64)
+def _fgn_autocovariance(hurst: float, n: int) -> np.ndarray:
+    """Fractional Gaussian noise autocovariance at lags 0..n:
+    gamma(k) = 0.5*(|k+1|^2H - 2|k|^2H + |k-1|^2H)."""
+    k = np.arange(n + 1, dtype=np.float64)
     two_h = 2.0 * hurst
-    gamma = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
-    return np.cumsum(_circulant_noise(gamma, rng))
+    return 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
+
+
+def simulate_fbm(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    """Fractional Brownian motion: integrated exact fractional Gaussian noise."""
+    return np.cumsum(_circulant_noise(_circulant_root("fgn", hurst, length), rng))
 
 
 def simulate_slm(length: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
@@ -157,7 +177,7 @@ def _arfima_autocovariance(d: float, n: int) -> np.ndarray:
 
 def simulate_arfima(length: int, d: float, rng: np.random.Generator) -> np.ndarray:
     """Integrated ARFIMA(0, d, 0) path: exact fractionally differenced noise."""
-    return np.cumsum(_circulant_noise(_arfima_autocovariance(d, length), rng))
+    return np.cumsum(_circulant_noise(_circulant_root("arfima", d, length), rng))
 
 
 def simulate(config: SimConfig, path_index: int = 0) -> TimeSeries:

@@ -1,11 +1,15 @@
 """Instantaneous amplitude/frequency tracks of decomposed components.
 
-Each component is paired with its Hilbert transform to form an analytic
-signal z; the modulus gives the instantaneous amplitude.  The phase advance
-from one sample to the next is the angle of z[t+1]*conj(z[t]), which lies in
-(-pi, pi] by construction; the mean of the two steps around a sample is
-its instantaneous frequency (radians/sample), so no running phase is ever
-built.  Oscillation periods follow as 2*pi/frequency (samples).  Samples
+Each component x is paired with its Hilbert transform H to form an
+analytic signal z = x + iH, whose real part is x itself; the modulus gives
+the instantaneous amplitude.  H comes from one real FFT and one real
+inverse FFT (Marple 1999, IEEE Trans. Signal Process. 47(9)): the half
+spectrum of x times -i, with the DC bin and, for an even length, the
+Nyquist bin zeroed.  The phase advance from one sample to the next is the
+angle of z[t+1]*conj(z[t]), which lies in (-pi, pi] by construction; the
+mean of the two steps around a sample is its instantaneous frequency
+(radians/sample), so no running phase is ever built.  Oscillation periods
+follow as 2*pi/frequency (samples).  Samples
 where the estimated frequency is non-positive — phase briefly running
 backwards, a known artifact of the discrete transform — are flagged
 invalid, as is an optional margin at both ends where boundary distortion
@@ -29,37 +33,42 @@ from .emd import ImfDecomposition
 __all__ = ["SpectralTrack", "hilbert_transform", "spectral_track"]
 
 
-def _analytic(x: np.ndarray) -> np.ndarray:
-    """Analytic signal of the real 1-D series ``x``."""
+def _hilbert(x: np.ndarray) -> np.ndarray:
+    """Hilbert transform of the real 1-D series ``x``, from its half spectrum."""
     n = x.shape[0]
     if n < 4:
         raise ValueError("need at least 4 samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
-    spec = np.fft.fft(x)
-    gain = np.zeros(n)
-    gain[0] = 1.0
+    spec = np.fft.rfft(x)
+    spec *= -1j
+    spec[0] = 0.0
     if n % 2 == 0:
-        gain[n // 2] = 1.0
-        gain[1 : n // 2] = 2.0
-    else:
-        gain[1 : (n + 1) // 2] = 2.0
-    spec *= gain
-    return np.fft.ifft(spec)
+        spec[-1] = 0.0
+    return np.fft.irfft(spec, n)
+
+
+def _analytic(x: np.ndarray) -> np.ndarray:
+    """Analytic signal x + iH of the real 1-D series ``x``."""
+    z = np.empty(x.shape[0], dtype=np.complex128)
+    z.imag = _hilbert(x)
+    z.real = x
+    return z
 
 
 def hilbert_transform(x) -> np.ndarray:
     """Hilbert transform of a real 1-D series: the imaginary part of its
     analytic signal.
 
-    The analytic signal comes from the frequency-domain method: forward
-    DFT, zero the negative-frequency bins, double the positive bins (DC and
-    Nyquist untouched), inverse DFT.
+    Computed from the real DFT: forward real FFT, multiply each bin by -i,
+    zero the DC bin and (even length) the Nyquist bin, real inverse FFT.
+    This equals the imaginary part of the full-spectrum analytic signal
+    (negative-frequency bins zeroed, positive bins doubled).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("hilbert_transform expects a 1-D series")
-    return _analytic(x).imag
+    return _hilbert(x)
 
 
 @dataclass

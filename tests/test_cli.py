@@ -87,6 +87,18 @@ class TestExitCodes:
         assert code == 1
         assert "row 7" in capsys.readouterr().err
 
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys):
+        build_price_csv(tmp_path / "bad.csv", bad_row=7)
+        runs = {
+            "threads": (["simulate", "--process", "bm", "--threads", "0"], "threads must be >= 1"),
+            "missing": (["decompose", str(tmp_path / "nope.csv")], "nope.csv"),
+            "corrupt": (["decompose", str(tmp_path / "bad.csv")], "row 7"),
+        }
+        for name, (argv, message) in runs.items():
+            assert run(argv + ["--out-dir", str(tmp_path / name / "out")]) == 1, name
+            assert message in capsys.readouterr().err, name
+            assert not (tmp_path / name).exists(), name
+
     def _assert_one_line_exit_1(self, argv, capsys, message):
         assert run(argv) == 1
         err = capsys.readouterr().err
@@ -526,27 +538,27 @@ class TestCsvBytes:
         "spectral-trim": (
             ["spectral", "{prices}", "--trim-fraction", "0.05"],
             {
-                "spectral_amplitude.csv": "c18b7494987aebc5890d6253157f0a88f8a69a274f2f9c45700eb75fc439a392",
-                "spectral_frequency.csv": "c18c0e253c742d1472140c69b78a191ef3cd2ad1b328917e5d46c7e9c6f6d26e",
+                "spectral_amplitude.csv": "041780b023d5a45f3cb4aa3209cfca0f136c45e536a4b7f2de45632be7fab6cb",
+                "spectral_frequency.csv": "cbc69b859a43b14819492a4482c72cef75f4d05ebf4106ea25cac7e83e2a44f4",
             },
         ),
         "scaling": (
             ["scaling", "{prices}"],
-            {"scaling.csv": "e9f3817a35f23f3019e2114f0f82ef701ee51f895f1dc3cd01611871b80b724c"},
+            {"scaling.csv": "0a318146dbe5cd211a05ed3dc7beeee20d65e19bb222a4afdc48ea9694662d77"},
         ),
         "scaling-rolling": (
             ["scaling", "{prices}", "--rolling-window", "30"],
-            {"scaling.csv": "4bd6e4ba6dabc33be3cb77f7f6554b6279f788cc8421b8376a397abc4664930c"},
+            {"scaling.csv": "3a88c4a9b293e6e7a016a6d4b62028ce0452d5cfc4cd414397902eddfa19faa5"},
         ),
         "complexity-linear": (
             ["complexity", "{prices}", "--weight", "linear"],
-            {"complexity.csv": "89e3bab394fc53ccc2fd30fdf6ab0f4b8d998c963ad9c75a3a0823eda3e7be1c"},
+            {"complexity.csv": "969fbf283b12b4040ecfc2fbe3ca8c8c5d99ed89dd77340480892fe4129721af"},
         ),
         "intraday-cstar": (
             ["intraday", "{prices}", "--measure", "cstar", "--band-sims", "10"],
             {
-                "intraday_panel.csv": "44be36df2b811171dfd6e56f8d14710ec47b2a88bb37b6d23ee19c89c7965c74",
-                "intraday_profile.csv": "7e0a080ae1329216d9e2487e519a87485873503b75ac301330b8de07761411af",
+                "intraday_panel.csv": "04399a8773281b6b37441b12969b048b196a1fafaf0fd67eb0d796aaa905e59e",
+                "intraday_profile.csv": "17ca2de3fd8b6ce53b53f24f5421d4b23d5bf9e5eb71d3fc75230ea5eaf0bd7e",
             },
         ),
         "simulate-fbm": (
@@ -557,11 +569,11 @@ class TestCsvBytes:
         "table-arfima": (
             ["table", "--process", "arfima", "--d-grid=-0.2,0.2", "--paths", "2",
              "--length", "256", "--seed", "3"],
-            {"table.csv": "fecf75a1d7214cb76cc480f24b16e2dd8a18b9f6974e5324069faa97c6bca207"},
+            {"table.csv": "b9e78f723eaee0c004d665d7991c8283941fa87634585c0ddc7dba806dc1a3bd"},
         ),
         "table-bm": (
             ["table", "--process", "bm", "--paths", "2", "--length", "256"],
-            {"table.csv": "417d4c0d494149bc2f789d6f9ebcd32305559d216b410101c551ed59359c83f5"},
+            {"table.csv": "8f92d634feffce8fc0514f3057ea64eb6466e9fe64c1b57798adfe5bc7d8adf0"},
         ),
     }
 
@@ -805,3 +817,24 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_intraday_runs_without_numpy_ma(self, tmp_path, price_csv):
+        # the reference band's percentiles come from a sort, not from
+        # np.nanpercentile, which imports numpy.ma
+        script = f"""
+import sys
+from hhtscale import cli
+assert cli.run(["intraday", {str(price_csv)!r}, "--band-sims", "10",
+                "--out-dir", {str(tmp_path / "out")!r}]) == 0
+print("numpy.ma" in sys.modules)
+"""
+        package_root = str(Path(hhtscale.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": package_root},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

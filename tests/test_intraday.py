@@ -19,6 +19,7 @@ from hhtscale import (
     scaling_exponent,
     spectral_track,
 )
+from hhtscale.intraday import _nan_percentiles
 from hhtscale.simulate import _nan_quiet
 
 
@@ -200,6 +201,26 @@ class TestBmReferenceBand:
         assert np.isnan(lo[0]) and np.isnan(hi[0])
         assert np.array_equal(np.isnan(lo), np.isnan(hi))
         assert not np.isnan(lo).all()
+
+    def test_percentiles_equal_nanpercentile_bits(self):
+        # random panels of 1..120 paths with NaN cells, all-NaN columns, a
+        # column with one value and, every third panel, tied values; signed
+        # zeros are left out: -0.0 and 0.0 tie, and NumPy's partition and
+        # this sort may put either first
+        rng = np.random.default_rng(25)
+        for case in range(400):
+            rows, cols = int(rng.integers(1, 121)), int(rng.integers(2, 40))
+            stack = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3)
+            if case % 3 == 0:
+                stack = np.round(stack, 1) + 0.0
+            stack[rng.random((rows, cols)) < rng.uniform(0.0, 0.9)] = np.nan
+            stack[:, rng.integers(cols)] = np.nan
+            stack[1:, rng.integers(cols)] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = np.nanpercentile(stack, [5.0, 95.0], axis=0)
+            got = _nan_percentiles(stack, (5.0, 95.0))
+            assert got.tobytes() == want.tobytes(), case
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_sims"):

@@ -5,7 +5,7 @@ row; ``scaling_exponent`` / ``rolling_scaling_exponent`` build each row's
 trailing means and logs, once per regression pass, and add the column sums
 row by row; ``complexity`` adds its column maximum, totals and entropy terms
 row by row.  The references below are the whole-stack formulas those builds
-replace: one FFT over the stack, one batched scaling, one batched neighbour
+replace: one real FFT pair over the stack, one batched scaling, one batched neighbour
 product conj(z[t]) * z[t+1], boolean-indexed periods, whole-stack trailing
 sums, logs, shares and entropy terms, and column reductions over axis 0.
 Each result must equal its reference bit for bit.  The stacks sit on both
@@ -63,16 +63,12 @@ def reference_track(imfs: np.ndarray, trim_fraction: float):
     """The whole-stack spectral track: (amplitudes, frequencies, periods,
     validity)."""
     n = imfs.shape[1]
-    spec = np.fft.fft(imfs)
-    gain = np.zeros(n)
-    gain[0] = 1.0
+    spec = np.fft.rfft(imfs, axis=1)
+    spec *= -1j
+    spec[:, 0] = 0.0
     if n % 2 == 0:
-        gain[n // 2] = 1.0
-        gain[1 : n // 2] = 2.0
-    else:
-        gain[1 : (n + 1) // 2] = 2.0
-    spec *= gain
-    analytic = np.fft.ifft(spec)
+        spec[:, -1] = 0.0
+    analytic = imfs + 1j * np.fft.irfft(spec, n, axis=1)
     amplitudes = np.abs(analytic)
     exponent = np.frexp(amplitudes.max(axis=1))[1]
     z = analytic * np.ldexp(1.0, np.minimum(-exponent, 1023))[:, None]

@@ -9,6 +9,7 @@ determinism/thread-independence contracts.
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from hhtscale import (
 )
 from hhtscale.simulate import (
     _arfima_autocovariance,
+    _circulant_root,
     ordered_map,
     rng_for_path,
     simulate_arfima,
@@ -161,6 +163,50 @@ class TestArfima:
         ts = simulate(cfg)
         inc = np.diff(np.concatenate([[0.0], ts.values]))
         assert abs(float(inc.var(ddof=1)) - 1.0) < 0.1
+
+
+def inline_circulant_root(gamma: np.ndarray) -> np.ndarray:
+    """The eigenvalue roots as the simulators computed them inline, per path."""
+    circ = np.concatenate([gamma, gamma[-2:0:-1]])
+    lam = np.fft.fft(circ).real
+    assert lam.min() >= -1e-8 * lam.max()
+    return np.sqrt(np.clip(lam, 0.0, None))
+
+
+class TestCirculantRoot:
+    @pytest.mark.parametrize("kind, param", [("fgn", 0.3), ("fgn", 0.7),
+                                             ("arfima", -0.2), ("arfima", 0.2)])
+    def test_equals_the_inline_formula(self, kind, param):
+        for n in (2, 257, 10_000):
+            if kind == "fgn":
+                gamma = fgn_autocovariance(param, np.arange(n + 1))
+            else:
+                gamma = _arfima_autocovariance(param, n)
+            root = _circulant_root(kind, param, n)
+            assert root.tobytes() == inline_circulant_root(gamma).tobytes()
+            assert not root.flags.writeable
+            with pytest.raises(ValueError):
+                root[0] = 0.0
+
+    def test_cache_is_bounded(self):
+        assert _circulant_root.cache_info().maxsize == 8
+        for n in range(16, 36):
+            _circulant_root("fgn", 0.6, n)
+        assert _circulant_root.cache_info().currsize <= 8
+
+    def test_paths_keep_their_bits(self):
+        # recorded before the roots were cached: fBm H = 0.3, 0.7 and ARFIMA
+        # d = -0.2, 0.2, three paths each at three lengths
+        digest = hashlib.sha256()
+        for length in (257, 1950, 10_000):
+            for shape in ({"process": "fbm", "hurst": 0.3}, {"process": "fbm", "hurst": 0.7},
+                          {"process": "arfima", "d": -0.2}, {"process": "arfima", "d": 0.2}):
+                config = SimConfig(length=length, seed=11, **shape)
+                for path in range(3):
+                    digest.update(simulate(config, path).values.tobytes())
+        assert digest.hexdigest() == (
+            "d2425c067567e6790bf9e561a87221362234b5c55d2577e7c61e57f932414b17"
+        )
 
 
 class TestSimConfig:

@@ -68,6 +68,12 @@ class TestHilbertTransform:
             slow = hilbert_by_convolution(x)
             assert np.allclose(fast, slow, atol=1e-8), f"case {case}, n={n}"
 
+    def test_matches_convolution_oracle_at_every_short_length(self):
+        rng = np.random.default_rng(43)
+        for n in range(4, 65):
+            x = rng.standard_normal(n)
+            assert np.allclose(hilbert_transform(x), hilbert_by_convolution(x), atol=1e-8), n
+
     def test_cosine_maps_to_sine(self):
         # an integer number of cycles makes the discrete transform exact
         n = 1024
@@ -84,6 +90,15 @@ class TestHilbertTransform:
         x = rng.standard_normal(100)
         z = _analytic(x)
         assert np.allclose(z.real, x, atol=1e-12)
+
+    def test_analytic_signal_real_part_is_the_input_bits(self):
+        # z = x + iH is assembled, not transformed back, so its real part is
+        # x itself, signed zeros included
+        rng = np.random.default_rng(5)
+        for n in (4, 5, 100, 257, 1950, 10_384):
+            x = rng.standard_normal(n)
+            x[::7] = -0.0
+            assert _analytic(x).real.tobytes() == x.tobytes(), n
 
     def test_circular_shift_commutes(self):
         # shifting the input circularly shifts the analytic signal; the
