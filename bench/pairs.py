@@ -8,7 +8,8 @@ first when i is even, with ``--trace 0``; then each side makes one
 ``--trace 1`` run per workload.  Per end-to-end metric the file gets each
 side's median, quartiles and runs, the pairs the change won, the relative
 change of the median and the parent's IQR; beside them, per pair, the raw
-``op_ms_p50``, ``op_ms_tail`` and ``reference_ms`` of both sides.  Op
+``op_ms_p50``, ``op_ms_tail``, ``ops_per_s`` and ``reference_ms`` of both
+sides.  Op
 digests of the same op index are compared within each pair.
 
     python3 bench/pairs.py PARENT_TREE CHANGE_TREE --pairs 10 --seed 18 \\
@@ -34,7 +35,7 @@ TRACED = (
     "kernels.spline_eval_calls", "emd.decompose_ms", "kernels.find_extrema_us.default",
     "trace.overhead_share",
 )
-RAW = ("op_ms_p50", "op_ms_tail", "reference_ms")
+RAW = ("op_ms_p50", "op_ms_tail", "ops_per_s", "reference_ms")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

@@ -807,16 +807,7 @@ assert cli.run(["simulate", "--process", "arfima", "--d", "0.2", "--length", "25
                 "--out-dir", {str(tmp_path / "sim")!r}]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-        package_root = str(Path(hhtscale.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": package_root},
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert self._fresh_interpreter(script) == "[]"
 
     def test_intraday_runs_without_numpy_ma(self, tmp_path, price_csv):
         # the reference band's percentiles come from a sort, not from
@@ -828,6 +819,11 @@ assert cli.run(["intraday", {str(price_csv)!r}, "--band-sims", "10",
                 "--out-dir", {str(tmp_path / "out")!r}]) == 0
 print("numpy.ma" in sys.modules)
 """
+        assert self._fresh_interpreter(script) == "False"
+
+    @staticmethod
+    def _fresh_interpreter(script):
+        """What ``script`` prints, run in a fresh interpreter on this package."""
         package_root = str(Path(hhtscale.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", script],
@@ -837,4 +833,4 @@ print("numpy.ma" in sys.modules)
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        return done.stdout.strip()
