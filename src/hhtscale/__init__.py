@@ -8,80 +8,65 @@ and an entropy-like mode-concentration complexity.  Reference simulators
 (Brownian and fractional Brownian motion, stable Lévy motion, fractionally
 integrated noise) and an intraday panel/reference-band pipeline support
 calibration and market-data studies.
+
+Each exported name loads its module on first use (PEP 562), so
+``import hhtscale`` costs next to nothing and a program pays only for the
+modules it calls.  ``hhtscale.simulate`` is the function, also once the
+``hhtscale.simulate`` module has loaded.
 """
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-from .emd import (  # noqa: E402
-    ImfDecomposition,
-    decompose,
-    default_max_imfs,
-)
-from .intraday import (  # noqa: E402
-    IntradayPanel,
-    bm_reference_band,
-    measure_day_means,
-    measure_track,
-    outside_band_likelihood,
-    panelize,
-)
-from .manifest import RunManifest, file_digest  # noqa: E402
-from .measures import (  # noqa: E402
-    ComplexityTrack,
-    GheResult,
-    ScalingTrack,
-    complexity,
-    generalized_hurst_q1,
-    rolling_scaling_exponent,
-    scaling_exponent,
-)
-from .series import (  # noqa: E402
-    DataError,
-    TimeSeries,
-    TradingCalendar,
-    ingest_prices,
-)
-from .simulate import (  # noqa: E402
-    EnsembleStats,
-    SimConfig,
-    monte_carlo_ensemble,
-    simulate,
-)
-from .spectral import (  # noqa: E402
-    SpectralTrack,
-    hilbert_transform,
-    spectral_track,
-)
+# the exported names of each submodule
+_EXPORTS = {
+    "emd": ("ImfDecomposition", "decompose", "default_max_imfs"),
+    "intraday": (
+        "IntradayPanel", "bm_reference_band", "measure_day_means", "measure_track",
+        "outside_band_likelihood", "panelize",
+    ),
+    "manifest": ("RunManifest", "file_digest"),
+    "measures": (
+        "ComplexityTrack", "GheResult", "ScalingTrack", "complexity", "generalized_hurst_q1",
+        "rolling_scaling_exponent", "scaling_exponent",
+    ),
+    "series": ("DataError", "TimeSeries", "TradingCalendar", "ingest_prices"),
+    "simulate": ("EnsembleStats", "SimConfig", "monte_carlo_ensemble", "simulate"),
+    "spectral": ("SpectralTrack", "hilbert_transform", "spectral_track"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ComplexityTrack",
-    "DataError",
-    "EnsembleStats",
-    "GheResult",
-    "ImfDecomposition",
-    "IntradayPanel",
-    "RunManifest",
-    "ScalingTrack",
-    "SimConfig",
-    "SpectralTrack",
-    "TimeSeries",
-    "TradingCalendar",
-    "__version__",
-    "bm_reference_band",
-    "complexity",
-    "decompose",
-    "default_max_imfs",
-    "file_digest",
-    "generalized_hurst_q1",
-    "hilbert_transform",
-    "ingest_prices",
-    "measure_day_means",
-    "measure_track",
-    "monte_carlo_ensemble",
-    "outside_band_likelihood",
-    "panelize",
-    "rolling_scaling_exponent",
-    "scaling_exponent",
-    "simulate",
-    "spectral_track",
-]
+__all__ = sorted(["__version__", *_SOURCE])
+
+
+def __getattr__(name):
+    """Load an exported name, or a submodule, on first use."""
+    if name in _SOURCE:
+        value = getattr(importlib.import_module("." + _SOURCE[name], __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module("." + name, __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(types.ModuleType):
+    """This package's module type.  The import system binds each submodule
+    to its name here as the submodule loads; ``simulate`` stays the
+    function, as it was when every name was imported up front."""
+
+    def __setattr__(self, name, value):
+        if name == "simulate" and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

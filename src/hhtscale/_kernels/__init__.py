@@ -11,7 +11,10 @@ directory or, when this directory is not writable, into a private per-user
 directory under the system temporary directory, where later imports find
 it.  If that fails, one warning gives the reason and the numpy backend is
 used.  The ``HHTSCALE_BACKEND`` environment variable (``compiled`` or
-``python``) forces a choice.
+``python``) forces a choice.  The lookup needs only ``build.library_name``;
+the compiler machinery, ``logging`` and the numpy backend load only when
+the library is built, the compiled kernels are unavailable, or the numpy
+backend is asked for.
 
 One component's sift has one entry, :func:`sift_to_gate`: sift steps
 from ``h``, through the step whose input passes the oscillatory gate (every
@@ -26,16 +29,12 @@ the budget live here and in ``sift.c``; ``emd.decompose`` sets the budget
 (``MAX_SIFT_ITERATIONS``), names the stop status and centers the component.
 """
 
-import logging
 import os
-import tempfile
 from pathlib import Path
 
-from . import build, common, numpy_backend
+from . import build, common
 from .common import MIRRORED_EXTREMA, InsufficientExtremaError, mirror_extrema
 from .compiled import Kernels
-
-logger = logging.getLogger(__name__)
 
 _ENV_VAR = "HHTSCALE_BACKEND"
 _HERE = Path(__file__).resolve().parent
@@ -49,6 +48,8 @@ __all__ = [
 def _private_dir() -> Path:
     """This user's directory for libraries built where ``_HERE`` is
     read-only; refused if another user owns it."""
+    import tempfile
+
     if not hasattr(os, "getuid"):
         raise build.BuildError(f"{_HERE} is not writable")
     path = Path(tempfile.gettempdir()) / f"hhtscale-kernels-{os.getuid()}"
@@ -68,7 +69,9 @@ def _load_compiled():
             path = directory / path.name
             if not path.exists():
                 path = build.build_library(directory)
-                logger.info("built the compiled sift kernels: %s", path)
+                import logging
+
+                logging.getLogger(__name__).info("built the compiled sift kernels: %s", path)
         return Kernels(path), None
     except (build.BuildError, OSError) as exc:
         return None, str(exc)
@@ -76,7 +79,11 @@ def _load_compiled():
 
 compiled_backend, _unavailable = _load_compiled()
 if compiled_backend is None:
-    logger.warning("compiled sift kernels unavailable, using the numpy backend: %s", _unavailable)
+    import logging
+
+    logging.getLogger(__name__).warning(
+        "compiled sift kernels unavailable, using the numpy backend: %s", _unavailable
+    )
 
 
 def available_backends():
@@ -96,7 +103,7 @@ def get_backend(name=None):
     if name is None:
         name = os.environ.get(_ENV_VAR, "auto")
     if name in ("auto", ""):
-        return compiled_backend if compiled_backend is not None else numpy_backend
+        name = "compiled" if compiled_backend is not None else "python"
     if name == "compiled":
         if compiled_backend is None:
             raise RuntimeError(
@@ -104,6 +111,8 @@ def get_backend(name=None):
             )
         return compiled_backend
     if name == "python":
+        from . import numpy_backend
+
         return numpy_backend
     raise ValueError(f"unknown sift backend {name!r} (use 'compiled' or 'python')")
 

@@ -7,17 +7,14 @@ library built from an older one, and libraries for other platforms (the
 ``EXT_SUFFIX`` tag) can sit side by side.  Flags never include
 ``-march=native`` or ``-ffast-math``, and floating-point contraction is
 off, so results do not depend on the host CPU.
+
+Finding the library by name needs only ``hashlib`` and ``sysconfig``; the
+modules that build it load inside the functions that build.
 """
 
-import contextlib
 import hashlib
 import os
-import re
-import shlex
-import shutil
-import subprocess
 import sysconfig
-import tempfile
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("sift.c")
@@ -46,6 +43,9 @@ def library_name() -> str:
 def find_compiler() -> list:
     """The interpreter's C compiler (``sysconfig`` ``CC``), else ``cc``, as
     an argv prefix."""
+    import shlex
+    import shutil
+
     candidates = [shlex.split(sysconfig.get_config_var("CC") or "cc"), ["cc"]]
     for argv in candidates:
         if argv and shutil.which(argv[0]):
@@ -62,6 +62,11 @@ def build_library(directory, compiler=None) -> Path:
     never load a half-written library.  Libraries of older sources or flags
     for this platform are then deleted.  Raises BuildError with the reason.
     """
+    import contextlib
+    import re
+    import subprocess
+    import tempfile
+
     directory = Path(directory)
     target = directory / library_name()
     argv = list(compiler) if compiler is not None else find_compiler()

@@ -16,9 +16,10 @@ round-trip float precision, and drops a ``<file>.manifest`` sidecar next to
 each output so the run can be reproduced bit-identically.
 
 Each parameter is declared once in ``PARAMS``; each subcommand in
-``COMMANDS`` names the parameters it takes and the function computing its
-outputs.  The argparse flags and the one runner that computes, writes and
-records every subcommand both come from these two tables.  Only
+``COMMANDS`` names the parameters it takes, the function computing its
+outputs and the package modules that function calls, which load only when
+the subcommand runs.  The argparse flags and the one runner that computes,
+writes and records every subcommand both come from these two tables.  Only
 ``simulate``, ``intraday`` and ``table`` take ``--seed`` and ``--threads``.
 
 Each output is one table: a mapping from column name to a column (a NumPy
@@ -34,6 +35,7 @@ line on stderr, argparse's own rejections included.
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import sys
 import time
@@ -44,33 +46,43 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .emd import decompose
-from .intraday import (
-    MEASURES,
-    bm_reference_band,
-    measure_track,
-    outside_band_likelihood,
-    panelize,
-)
-from .manifest import RunManifest, file_digest
-from .measures import (
-    complexity,
-    generalized_hurst_q1,
-    rolling_scaling_exponent,
-    scaling_exponent,
-)
-from .series import DataError, ingest_prices, read_values
-from .simulate import (
-    PROCESSES,
-    RNG_NAME,
-    SimConfig,
-    check_threads,
-    monte_carlo_ensemble,
-    simulate,
-)
-from .spectral import spectral_track
 
 __all__ = ["main", "run"]
+
+# The names the subcommands compute with, by the module that lends them.
+# Each is bound as a global here when the first subcommand that uses its
+# module runs (``_bind``), so a run loads only the modules it calls.
+_LAZY = {
+    "emd": ("decompose",),
+    "spectral": ("spectral_track",),
+    "measures": (
+        "complexity", "generalized_hurst_q1", "rolling_scaling_exponent", "scaling_exponent",
+    ),
+    "intraday": ("bm_reference_band", "measure_track", "outside_band_likelihood", "panelize"),
+    "simulate": ("RNG_NAME", "SimConfig", "check_threads", "monte_carlo_ensemble", "simulate"),
+    "series": ("DataError", "ingest_prices", "read_values"),
+    "manifest": ("RunManifest", "file_digest"),
+}
+
+
+def _bind(modules) -> None:
+    """Bind the ``_LAZY`` names of ``modules`` as globals here, importing
+    each module on first use.  A name already bound keeps its value: a
+    caller may have put a wrapper in its place."""
+    for module in modules:
+        names = [name for name in _LAZY[module] if name not in globals()]
+        if names:
+            source = importlib.import_module("." + module, __package__)
+            globals().update((name, getattr(source, name)) for name in names)
+
+
+def __getattr__(name):
+    """A ``_LAZY`` name looked up from outside before a subcommand bound it."""
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind((module,))
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -105,6 +117,15 @@ class Param(NamedTuple):
     help: str | None = None
 
 
+# process -> (its shape parameter, the SimConfig field taking it, the
+# nominal scaling exponent of a shape value); bm has no shape parameter
+_SHAPES = {
+    "bm": (None, None, lambda value: 0.5),
+    "fbm": ("h", "hurst", lambda value: value),
+    "slm": ("alpha", "alpha", lambda value: 1.0 / value),
+    "arfima": ("d", "d", lambda value: value + 0.5),
+}
+
 PARAMS = {
     "values_col": Param(str, help="read this numeric column directly instead of prices"),
     "date_col": Param(str, "date"),
@@ -118,7 +139,7 @@ PARAMS = {
         str, "none", ("none", "ffill"),
         "fill missing in-session samples by carrying prices forward",
     ),
-    "process": Param(str, choices=PROCESSES),
+    "process": Param(str, choices=tuple(_SHAPES)),
     "length": Param(int, 10000),
     "paths": Param(int, 1),
     "h": Param(float, help="Hurst exponent (fbm)"),
@@ -131,7 +152,8 @@ PARAMS = {
     "rolling_window": Param(int),
     "tau_max": Param(int, 19),
     "weight": Param(str, "squared", ("squared", "linear")),
-    "measure": Param(str, "hstar", MEASURES),
+    # intraday.MEASURES, spelled out so that the parser loads no compute module
+    "measure": Param(str, "hstar", ("hstar", "cstar")),
     "band_sims": Param(int, 100),
     "trim_fraction": Param(float, 0.0),
     "seed": Param(int, 0, help="base RNG seed"),
@@ -142,25 +164,20 @@ PARAMS = {
 _INGEST = ("values_col", "date_col", "time_col", "price_col", "delimiter", "session_gap", "fill")
 _COMMON = ("out_dir",)
 
-# process -> (its shape parameter, the SimConfig field taking it, the
-# nominal scaling exponent of a shape value); bm has no shape parameter
-_SHAPES = {
-    "bm": (None, None, lambda value: 0.5),
-    "fbm": ("h", "hurst", lambda value: value),
-    "slm": ("alpha", "alpha", lambda value: 1.0 / value),
-    "arfima": ("d", "d", lambda value: value + 0.5),
-}
-
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand: its own parameters and ``compute(params[, series,
+    """A subcommand: its own parameters, ``compute(params[, series,
     calendar]) -> [(file name, schema, table, comments), ...]``, where
-    ``table`` maps each column name to one column of the file."""
+    ``table`` maps each column name to one column of the file, and the
+    ``_LAZY`` modules whose names it uses: ``simulate`` for a subcommand
+    taking ``--seed``, whose manifest records ``RNG_NAME``; ``series`` and
+    ``manifest`` are bound for every subcommand."""
 
     help: str
     params: tuple[str, ...]
     compute: Callable
+    uses: tuple[str, ...]
     reads_input: bool = False
     defaults: dict = field(default_factory=dict)  # overrides of PARAMS defaults
 
@@ -180,10 +197,26 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _cells(column) -> list[str]:
+    """The text of each cell of one column.  A ``range``, or a bool, integer
+    or float array of at most 8-byte items, becomes text in one call: the
+    repr of its Python list holds each element's repr, the text ``_fmt``
+    gives it.  Any other column takes ``_fmt`` cell by cell; a list may hold
+    NumPy scalars, whose repr is not their value's."""
+    if isinstance(column, range):
+        column = list(column)
+    elif isinstance(column, np.ndarray) and column.dtype.kind in "biuf" and column.itemsize <= 8:
+        column = column.tolist()
+    else:
+        return list(map(_fmt, column))
+    text = repr(column)[1:-1]
+    return text.split(", ") if text else []
+
+
 def _write_csv(path: Path, schema: str, table: dict, comments=()) -> None:
     """Write ``table`` (column name -> column) under its comment lines.  A
     column shorter than the others raises ValueError and writes no file."""
-    cells = [map(_fmt, c.tolist() if isinstance(c, np.ndarray) else c) for c in table.values()]
+    cells = [_cells(column) for column in table.values()]
     head = [f"schema: {schema} v1", f"generator: hhtscale {__version__}", *comments]
     lines = [f"# {line}" for line in head] + [",".join(table)]
     lines += map(",".join, zip(*cells, strict=True))
@@ -194,6 +227,7 @@ def _write_csv(path: Path, schema: str, table: dict, comments=()) -> None:
 def _run_command(name: str, args) -> int:
     """Compute, write the CSVs, then one manifest per CSV."""
     command = COMMANDS[name]
+    _bind(("series", "manifest", *command.uses))
     params = {key: getattr(args, key) for key in command.flags}
     if command.reads_input:
         params["input"] = args.input
@@ -484,30 +518,41 @@ COMMANDS = {
         # --threads is checked as everywhere, but paths are drawn one by one
         ("process", "length", "paths", "h", "alpha", "d", "seed", "threads"),
         _simulate_outputs,
+        ("simulate",),
     ),
     "decompose": Command(
         "split a series into components",
         ("max_imfs",),
         _decompose_outputs,
+        ("emd",),
         reads_input=True,
     ),
     "spectral": Command(
-        "amplitude/frequency tracks", ("trim_fraction",), _spectral_outputs, reads_input=True
+        "amplitude/frequency tracks",
+        ("trim_fraction",),
+        _spectral_outputs,
+        ("emd", "spectral"),
+        reads_input=True,
     ),
     "scaling": Command(
         "local scaling exponent track",
         ("rolling_window", "tau_max", "trim_fraction"),
         _scaling_outputs,
+        ("emd", "spectral", "measures"),
         reads_input=True,
     ),
     "complexity": Command(
-        "entropy complexity track", ("weight", "trim_fraction"), _complexity_outputs,
+        "entropy complexity track",
+        ("weight", "trim_fraction"),
+        _complexity_outputs,
+        ("emd", "spectral", "measures"),
         reads_input=True,
     ),
     "intraday": Command(
         "day panels and reference bands",
         ("measure", "band_sims", "trim_fraction", "seed", "threads"),
         _intraday_outputs,
+        ("intraday", "simulate"),
         reads_input=True,
     ),
     "table": Command(
@@ -515,6 +560,7 @@ COMMANDS = {
         ("process", "h_grid", "alpha_grid", "d_grid", "paths", "length", "tau_max",
          "trim_fraction", "seed", "threads"),
         _table_outputs,
+        ("simulate",),
         defaults={"paths": 100},
     ),
 }

@@ -13,7 +13,6 @@ instead; both go through one row reader.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import os
 from contextlib import contextmanager
@@ -22,8 +21,6 @@ from datetime import datetime
 from itertools import accumulate
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "DataError",
@@ -36,6 +33,13 @@ __all__ = [
 
 class DataError(ValueError):
     """Malformed input data (bad prices, unsorted rows, missing columns)."""
+
+
+def _logger():
+    """This module's logger; ``logging`` loads only when ingest has a note."""
+    import logging
+
+    return logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -299,7 +303,7 @@ def ingest_prices(
                     "splitting at the largest"
                 )
                 warnings.append(note)
-                logger.warning("ingest: %s", note)
+                _logger().warning("ingest: %s", note)
             split = max(candidates, key=gaps.__getitem__)
             split_rows.append(split + 1)
         if fill == "ffill":
@@ -312,10 +316,10 @@ def ingest_prices(
     lengths = sorted({stop - start for start, stop in day_slices})
     if len(lengths) > 1:
         warnings.append(f"ragged day lengths: {lengths}")
-        logger.warning("ingest: ragged day lengths %s", lengths)
+        _logger().warning("ingest: ragged day lengths %s", lengths)
     filled_total = offsets[-1] - n_rows
     if filled_total:
-        logger.info("ingest: carried %d missing samples forward", filled_total)
+        _logger().info("ingest: carried %d missing samples forward", filled_total)
 
     calendar = TradingCalendar(
         day_ids=[dates[first] for first, _ in days],

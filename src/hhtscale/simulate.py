@@ -297,3 +297,10 @@ def _nan_quiet(reduce, a, *args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=RuntimeWarning)
         return reduce(a, *args, **kwargs)
+
+
+# intraday binds this module's ``simulate`` when it loads.  Loading it here,
+# once every name above exists, binds the function itself, never a stand-in
+# that a caller puts in this module's place later (a tracer's wrapper would
+# otherwise stay bound in intraday after the trace ends).
+from . import intraday  # noqa: E402, F401

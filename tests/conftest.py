@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import hhtscale
 
 
 def build_price_csv(
@@ -43,3 +50,17 @@ def two_session_csv(tmp_path):
     path = tmp_path / "prices2.csv"
     build_price_csv(path, n_days=2, per_session=30, sessions=2)
     return path
+
+
+def fresh_interpreter(script):
+    """What ``script`` prints, run in a fresh interpreter on this package."""
+    package_root = str(Path(hhtscale.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()

@@ -13,9 +13,6 @@ import contextlib
 import csv
 import hashlib
 import io
-import os
-import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -28,9 +25,9 @@ from hypothesis import strategies as st
 import hhtscale
 from hhtscale import RunManifest, ingest_prices
 from hhtscale._kernels import available_backends, get_backend
-from hhtscale.cli import _write_csv, build_parser, run
+from hhtscale.cli import _cells, _fmt, _write_csv, build_parser, run
 
-from conftest import build_price_csv
+from conftest import build_price_csv, fresh_interpreter
 
 
 def read_csv(path):
@@ -807,7 +804,7 @@ assert cli.run(["simulate", "--process", "arfima", "--d", "0.2", "--length", "25
                 "--out-dir", {str(tmp_path / "sim")!r}]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-        assert self._fresh_interpreter(script) == "[]"
+        assert fresh_interpreter(script) == "[]"
 
     def test_intraday_runs_without_numpy_ma(self, tmp_path, price_csv):
         # the reference band's percentiles come from a sort, not from
@@ -819,18 +816,91 @@ assert cli.run(["intraday", {str(price_csv)!r}, "--band-sims", "10",
                 "--out-dir", {str(tmp_path / "out")!r}]) == 0
 print("numpy.ma" in sys.modules)
 """
-        assert self._fresh_interpreter(script) == "False"
+        assert fresh_interpreter(script) == "False"
 
-    @staticmethod
-    def _fresh_interpreter(script):
-        """What ``script`` prints, run in a fresh interpreter on this package."""
-        package_root = str(Path(hhtscale.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": package_root},
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        return done.stdout.strip()
+    # modules a decompose run has no use for: the other subcommands' layers,
+    # the numpy backend, the compiler machinery and the log machinery
+    DECOMPOSE_UNLOADED = (
+        "hhtscale.intraday", "hhtscale.simulate", "hhtscale.measures", "hhtscale.spectral",
+        "hhtscale._kernels.numpy_backend", "subprocess", "shlex", "logging",
+    )
+
+    def test_decompose_loads_only_what_it_calls(self, tmp_path, price_csv):
+        script = f"""
+import sys
+from hhtscale import cli
+assert cli.run(["decompose", {str(price_csv)!r}, "--out-dir", {str(tmp_path / "dec")!r}]) == 0
+print(sorted(m for m in {self.DECOMPOSE_UNLOADED!r} if m in sys.modules))
+"""
+        assert fresh_interpreter(script) == "[]"
+
+    def test_version_loads_no_compute_module(self):
+        script = """
+import sys
+from hhtscale import cli
+assert cli.run(["--version"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("hhtscale")))
+"""
+        assert fresh_interpreter(script).splitlines()[-1] == "['hhtscale', 'hhtscale.cli']"
+
+    def test_simulate_swapped_before_intraday_loads_is_restored_there(self):
+        # a tracer swaps hhtscale.simulate.simulate for a wrapper before it
+        # first imports hhtscale.intraday, which binds simulate at its
+        # import; once the swap is undone, intraday calls the function again
+        script = """
+import importlib
+module = importlib.import_module("hhtscale.simulate")
+original = module.simulate
+module.simulate = lambda *args, **kwargs: None
+import hhtscale.intraday
+module.simulate = original
+print(hhtscale.intraday.simulate is original)
+"""
+        assert fresh_interpreter(script) == "True"
+
+    def test_subcommand_names_bind_on_first_use(self):
+        # looked up from outside before any run, a compute name is the
+        # function of the module that lends it
+        from hhtscale import cli, measures, spectral
+
+        assert cli.spectral_track is spectral.spectral_track
+        assert cli.scaling_exponent is measures.scaling_exponent
+        with pytest.raises(AttributeError):
+            cli.no_such_name
+
+    def test_choices_match_the_library(self):
+        # the parser is built with no compute module loaded, so these two
+        # choice lists are spelled out in cli
+        from hhtscale import cli, intraday
+        from hhtscale.simulate import PROCESSES
+
+        assert cli.PARAMS["measure"].choices == intraday.MEASURES
+        assert cli.PARAMS["process"].choices == PROCESSES
+
+
+class TestCells:
+    """The bulk cell text of a numeric array or a range is ``_fmt``'s, cell by cell."""
+
+    COLUMNS = {
+        "floats": np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5e-300,
+                            1.7976931348623157e308, 123456789.125]),
+        "int64": np.array([0, -1, 2**62, -(2**63), 7], dtype=np.int64),
+        "uint8": np.array([0, 255], dtype=np.uint8),
+        "bool": np.array([True, False, True]),
+        "float32": np.array([0.1, -2.5, np.nan], dtype=np.float32),
+        "empty": np.array([], dtype=np.float64),
+    }
+
+    @pytest.mark.parametrize("column", COLUMNS.values(), ids=COLUMNS)
+    def test_arrays(self, column):
+        assert _cells(column) == [_fmt(v) for v in column.tolist()]
+
+    @pytest.mark.parametrize("column", [range(0), range(1), range(5), range(3, 1950)])
+    def test_ranges(self, column):
+        assert _cells(column) == [_fmt(v) for v in column]
+
+    def test_lists_of_numpy_scalars_keep_fmt(self):
+        # repr(np.float64(0.5)) is "np.float64(0.5)" under NumPy 2
+        column = [np.float64(0.5), np.float64(np.nan), np.int64(3), 0.25, 4]
+        assert _cells(column) == ["0.5", "nan", "3.0", "0.25", "4"]
+        assert _cells(column) == [_fmt(v) for v in column]

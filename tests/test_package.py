@@ -7,6 +7,8 @@ from pathlib import Path
 
 import hhtscale
 
+from conftest import fresh_interpreter
+
 PUBLIC = {
     "ComplexityTrack",
     "DataError",
@@ -54,3 +56,33 @@ def test_public_surface_is_pinned():
         module = importlib.import_module(".".join(parts))
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace = {}
+    exec("from hhtscale import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+    assert PUBLIC <= set(dir(hhtscale))
+
+
+def test_simulate_stays_the_function_once_its_module_loads():
+    # names load on first use, and loading the submodule hhtscale.simulate
+    # binds it to the package's name "simulate" unless the package keeps it
+    script = """
+import sys
+import hhtscale.intraday
+import hhtscale
+print(hhtscale.simulate is sys.modules["hhtscale.simulate"].simulate)
+from hhtscale import simulate
+print(callable(simulate) and simulate is hhtscale.simulate)
+"""
+    assert fresh_interpreter(script).splitlines() == ["True", "True"]
+
+
+def test_import_loads_no_submodule():
+    script = """
+import sys
+import hhtscale
+print(sorted(m for m in sys.modules if m.startswith("hhtscale")))
+"""
+    assert fresh_interpreter(script) == "['hhtscale']"
