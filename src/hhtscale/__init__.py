@@ -15,7 +15,6 @@ modules it calls.  ``hhtscale.simulate`` is the function, also once the
 ``hhtscale.simulate`` module has loaded.
 """
 
-import importlib
 import sys
 import types
 
@@ -44,10 +43,12 @@ __all__ = sorted(["__version__", *_SOURCE])
 
 def __getattr__(name):
     """Load an exported name, or a submodule, on first use."""
+    # __import__ rather than importlib.import_module: only the former shows
+    # in ``python -X importtime``
     if name in _SOURCE:
-        value = getattr(importlib.import_module("." + _SOURCE[name], __name__), name)
+        value = getattr(__import__(f"{__name__}.{_SOURCE[name]}", fromlist=[name]), name)
     elif name in _EXPORTS:
-        value = importlib.import_module("." + name, __name__)
+        value = __import__(f"{__name__}.{name}", fromlist=["*"])
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

@@ -35,7 +35,6 @@ line on stderr, argparse's own rejections included.
 from __future__ import annotations
 
 import argparse
-import importlib
 import re
 import sys
 import time
@@ -72,7 +71,8 @@ def _bind(modules) -> None:
     for module in modules:
         names = [name for name in _LAZY[module] if name not in globals()]
         if names:
-            source = importlib.import_module("." + module, __package__)
+            # not importlib.import_module, which ``python -X importtime`` misses
+            source = __import__(f"{__package__}.{module}", fromlist=names)
             globals().update((name, getattr(source, name)) for name in names)
 
 
