@@ -62,7 +62,7 @@ def __dir__():
 class _Package(types.ModuleType):
     """This package's module type.  The import system binds each submodule
     to its name here as the submodule loads; ``simulate`` stays the
-    function, as it was when every name was imported up front."""
+    exported function (the module is ``sys.modules["hhtscale.simulate"]``)."""
 
     def __setattr__(self, name, value):
         if name == "simulate" and isinstance(value, types.ModuleType):

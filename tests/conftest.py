@@ -52,15 +52,16 @@ def two_session_csv(tmp_path):
     return path
 
 
-def fresh_interpreter(script):
-    """What ``script`` prints, run in a fresh interpreter on this package."""
+def fresh_interpreter(script, *options, stream="stdout"):
+    """What ``script`` prints to ``stream``, run in a fresh interpreter on
+    this package with the interpreter ``options``."""
     package_root = str(Path(hhtscale.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *options, "-c", script],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": package_root},
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.strip()
+    return getattr(done, stream).strip()

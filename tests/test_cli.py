@@ -13,9 +13,6 @@ import contextlib
 import csv
 import hashlib
 import io
-import os
-import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -840,14 +837,9 @@ print(sorted(m for m in {self.DECOMPOSE_UNLOADED!r} if m in sys.modules))
     def test_lazy_loads_show_in_importtime(self):
         # python -X importtime, the tool that measures this footprint, lists
         # modules loaded through __import__ but not through importlib
-        package_root = str(Path(hhtscale.__file__).resolve().parents[1])
         script = "from hhtscale import cli; cli._bind(['emd']); import hhtscale; hhtscale.spectral_track"
-        done = subprocess.run(
-            [sys.executable, "-X", "importtime", "-c", script], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": package_root}, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        listed = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        report = fresh_interpreter(script, "-X", "importtime", stream="stderr")
+        listed = {line.rsplit("|", 1)[-1].strip() for line in report.splitlines()}
         assert {"hhtscale.spectral", "hhtscale.emd"} <= listed
 
     def test_version_loads_no_compute_module(self):
