@@ -570,7 +570,9 @@ COMMANDS = {
 # parser assembly
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is listed, but only
+    ``subcommand``'s flags are added when it is named; None adds them all."""
     parser = _Parser(
         prog="hhtscale",
         description="Adaptive scaling and complexity analysis of time series",
@@ -579,6 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in COMMANDS.items():
         sub = subparsers.add_parser(name, help=command.help)
+        if subcommand not in (None, name):
+            continue
         if command.reads_input:
             sub.add_argument("input", help="input CSV file")
         for key in command.flags:
@@ -595,7 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     """Execute one subcommand; returns the process exit code."""
-    parser = build_parser()
+    # argparse takes the first argument as the subcommand when it names one,
+    # so only that subcommand's flags are needed
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args, extra = parser.parse_known_args(argv)
         if extra:

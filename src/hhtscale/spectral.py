@@ -20,17 +20,33 @@ transformed, measured, scaled and turned into phase steps while it is the
 only one alive, so no whole-stack complex array is ever made.  The
 neighbour product is written conj(z[t]) * z[t+1], one row at a time, so a
 component's bits do not depend on the stack it shares.
+
+``spectral_track`` returns fresh arrays.  The ensemble worker builds its
+tracks into a per-thread workspace instead (``_retained_track``): the
+amplitude, frequency, period and validity stacks, of shape
+(default_max_imfs(T), T), and one complex row, kept between calls so that
+a path does not fault its large arrays in again.  The workspace only grows,
+hands out ``[:K, :T]`` views, and is kept only while it holds at most
+``RETAINED_BYTES_MAX`` bytes (about 4.3 MB at T = 10,000); a longer series
+gets fresh stacks per call.  Both builds write the same bits.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import ImfDecomposition
+from .emd import ImfDecomposition, default_max_imfs
 
 __all__ = ["SpectralTrack", "hilbert_transform", "spectral_track"]
+
+# The most workspace bytes a thread keeps between ``_retained_track`` calls:
+# 16 stacks of about 10,400 samples, an SLM path's, take 4.3 MB.
+RETAINED_BYTES_MAX = 8 << 20
+
+_workspace = threading.local()
 
 
 def _hilbert(x: np.ndarray) -> np.ndarray:
@@ -48,9 +64,10 @@ def _hilbert(x: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n)
 
 
-def _analytic(x: np.ndarray) -> np.ndarray:
-    """Analytic signal x + iH of the real 1-D series ``x``."""
-    z = np.empty(x.shape[0], dtype=np.complex128)
+def _analytic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Analytic signal x + iH of the real 1-D series ``x``, written into
+    ``out`` (a complex row of the same length) when given."""
+    z = np.empty(x.shape[0], dtype=np.complex128) if out is None else out
     z.imag = _hilbert(x)
     z.real = x
     return z
@@ -99,22 +116,21 @@ class SpectralTrack:
         return self.amplitudes.shape[1]
 
 
-def spectral_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) -> SpectralTrack:
-    """Amplitude/frequency/period tracks for every component of a decomposition.
-
-    The residue takes no part.  ``trim_fraction`` flags that fraction of
-    samples at each end invalid (0 keeps everything).
-    """
+def _check(decomposition: ImfDecomposition, trim_fraction: float) -> None:
     if decomposition.n_imfs < 1:
         raise ValueError("decomposition has no oscillatory components")
     if not (0.0 <= trim_fraction < 0.5):
         raise ValueError("trim_fraction must be in [0, 0.5)")
-    length = decomposition.length
-    imfs = np.asarray(decomposition.imfs, dtype=np.float64)
-    amplitudes = np.empty(imfs.shape)
-    frequencies = np.empty(imfs.shape)
-    for imf, amplitude, frequency in zip(imfs, amplitudes, frequencies):
-        z = _analytic(imf)
+
+
+def _fill_track(imfs, trim_fraction, track: SpectralTrack, row: np.ndarray) -> SpectralTrack:
+    """Write the track of the (K, T) components ``imfs`` into ``track``'s
+    stacks of the same shape, using the complex row ``row`` of length T as
+    each analytic signal; returns ``track``."""
+    length = imfs.shape[1]
+    frequencies, validity, periods = track.frequencies, track.validity, track.periods
+    for imf, amplitude, frequency in zip(imfs, track.amplitudes, frequencies):
+        z = _analytic(imf, row)
         np.abs(z, out=amplitude)
         # Scale z by a power of two (largest amplitude in [0.5, 1), at most
         # 2**1023 for a subnormal row) so the products of neighbours below
@@ -132,17 +148,58 @@ def spectral_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) 
         frequency[0] = step[0]
         frequency[-1] = step[-1]
 
-    validity = frequencies > 0.0
-    periods = np.full_like(frequencies, np.nan)
+    np.greater(frequencies, 0.0, out=validity)
+    periods.fill(np.nan)
     np.divide(2.0 * np.pi, frequencies, out=periods, where=validity)
 
     margin = int(trim_fraction * length)
     if margin > 0:
         validity[:, :margin] = False
         validity[:, length - margin :] = False
+    return track
+
+
+def _fresh_stacks(n_imfs: int, length: int) -> SpectralTrack:
+    """Uninitialised stacks of a track of ``n_imfs`` components."""
+    shape = (n_imfs, length)
     return SpectralTrack(
-        amplitudes=amplitudes,
-        frequencies=frequencies,
-        periods=periods,
-        validity=validity,
+        np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
     )
+
+
+def spectral_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) -> SpectralTrack:
+    """Amplitude/frequency/period tracks for every component of a decomposition.
+
+    The residue takes no part.  ``trim_fraction`` flags that fraction of
+    samples at each end invalid (0 keeps everything).
+    """
+    _check(decomposition, trim_fraction)
+    imfs = np.asarray(decomposition.imfs, dtype=np.float64)
+    row = np.empty(imfs.shape[1], dtype=np.complex128)
+    return _fill_track(imfs, trim_fraction, _fresh_stacks(*imfs.shape), row)
+
+
+def _retained_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) -> SpectralTrack:
+    """``spectral_track``'s result, with the same bits, built into this
+    thread's workspace: its arrays are views that the thread's next call
+    overwrites, so the caller must drop the track before calling again."""
+    _check(decomposition, trim_fraction)
+    imfs = np.asarray(decomposition.imfs, dtype=np.float64)
+    n_imfs, length = imfs.shape
+    held = getattr(_workspace, "track", None)
+    if held is None or n_imfs > held.n_imfs or length > held.length:
+        rows, columns = max(n_imfs, default_max_imfs(length)), length
+        if held is not None:  # grow only: a shorter series comes back later
+            rows, columns = max(rows, held.n_imfs), max(columns, held.length)
+        # three float stacks, one bool stack and one complex row
+        if rows * columns * 25 + columns * 16 > RETAINED_BYTES_MAX:
+            return spectral_track(decomposition, trim_fraction)
+        held = _workspace.track = _fresh_stacks(rows, columns)
+        _workspace.row = np.empty(columns, dtype=np.complex128)
+    view = SpectralTrack(
+        held.amplitudes[:n_imfs, :length],
+        held.frequencies[:n_imfs, :length],
+        held.periods[:n_imfs, :length],
+        held.validity[:n_imfs, :length],
+    )
+    return _fill_track(imfs, trim_fraction, view, _workspace.row[:length])

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import hhtscale
 from hhtscale import RunManifest, ingest_prices
 from hhtscale._kernels import available_backends, get_backend
-from hhtscale.cli import _cells, _fmt, _write_csv, build_parser, run
+from hhtscale.cli import COMMANDS, _cells, _fmt, _write_csv, build_parser, run
 
 from conftest import build_price_csv, fresh_interpreter
 
@@ -644,6 +644,26 @@ class TestCliSurface:
             got = {s for action in sub._actions for s in action.option_strings}
             assert got == options | _COMMON_OPTIONS, name
             assert [a.dest for a in sub._actions if not a.option_strings] == positionals
+
+    @pytest.mark.parametrize("only", list(EXPECTED))
+    def test_parser_for_one_subcommand_adds_only_its_flags(self, only):
+        parser = build_parser(only)
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert list(subparsers.choices) == list(self.EXPECTED)
+        for name, sub in subparsers.choices.items():
+            options, positionals = self.EXPECTED[name] if name == only else (set(), [])
+            got = {s for action in sub._actions for s in action.option_strings}
+            assert got == options | (_COMMON_OPTIONS if name == only else {"-h", "--help"})
+            assert [a.dest for a in sub._actions if not a.option_strings] == positionals
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        assert run(["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: hhtscale ") and err == ""
+        for name, command in COMMANDS.items():
+            assert f"    {name}" in out and command.help in out, name
 
     # test id -> (argv, exit code); the first eighteen ids are the ones
     # these rows have always run under.  Every row's stderr is one line of

@@ -13,7 +13,8 @@ sides of NumPy's 256 KiB temporary-elision size (the conj temporary of the
 neighbour product holds K (T - 1) complex values), where the product's
 operand order would change if it were written the other way round.
 Traced-memory checks bound what each build allocates on an 11 x 10,384
-stack, the size of an SLM path's, and what one SLM ensemble path allocates.
+stack, the size of an SLM path's, and what one SLM ensemble path allocates
+once its thread holds a track workspace.
 """
 
 from __future__ import annotations
@@ -238,7 +239,6 @@ def test_row_build_bounds_traced_peak():
     rolling_peak, _ = _traced_peak(rolling_scaling_exponent, track, 30)
     complexity_peak, _ = _traced_peak(complexity, track)
     assert track_peak < 6.0e6, track_peak
-    assert scaling_peak < 3.6e6, scaling_peak
     assert scaling_peak < 2.0e6, scaling_peak
     assert rolling_peak < 3.6e6, rolling_peak
     assert complexity_peak < 2.0e6, complexity_peak
@@ -247,8 +247,10 @@ def test_row_build_bounds_traced_peak():
 def test_ensemble_path_bounds_traced_peak():
     # One SLM path: with its components alive through the H* regression, and
     # that regression's whole-stack logs, it peaked at 6.6 MB; freeing the
-    # components once the track is built and streaming the logs, at 4.1 MB.
+    # components once the track is built and streaming the logs, at 4.1 MB;
+    # with the track built into the thread's retained stacks, at 2.1 MB.  The
+    # bound leaves 0.4 MB for NumPy's temporaries.
     config = SimConfig(process="slm", length=10_384, alpha=1.5, seed=4)
-    monte_carlo_ensemble(config)  # warm-up: first-call allocations
+    monte_carlo_ensemble(config)  # warm-up: first-call allocations, the workspace
     peak, _ = _traced_peak(monte_carlo_ensemble, config)
-    assert peak < 5.0e6, peak
+    assert peak < 2.5e6, peak
