@@ -262,7 +262,7 @@ def monte_carlo_ensemble(
     its index, and reductions run in path order.
 
     Each thread or worker process builds its paths' spectral tracks into one
-    workspace that it keeps between paths and calls (about 4.3 MB at
+    workspace that it keeps between paths and calls (about 4.2 MB at
     T = 10,000; none above ``spectral.RETAINED_BYTES_MAX``), so a path does
     not fault its track arrays in again.  Every returned array is new.
     """

@@ -27,7 +27,7 @@ amplitude, frequency, period and validity stacks, of shape
 (default_max_imfs(T), T), and one complex row, kept between calls so that
 a path does not fault its large arrays in again.  The workspace only grows,
 hands out ``[:K, :T]`` views, and is kept only while it holds at most
-``RETAINED_BYTES_MAX`` bytes (about 4.3 MB at T = 10,000); a longer series
+``RETAINED_BYTES_MAX`` bytes (about 4.2 MB at T = 10,000); a longer series
 gets fresh stacks per call.  Both builds write the same bits.
 """
 
@@ -43,7 +43,7 @@ from .emd import ImfDecomposition, default_max_imfs
 __all__ = ["SpectralTrack", "hilbert_transform", "spectral_track"]
 
 # The most workspace bytes a thread keeps between ``_retained_track`` calls:
-# 16 stacks of about 10,400 samples, an SLM path's, take 4.3 MB.
+# the workspace of a 10,384-sample SLM path takes 4.3 MB.
 RETAINED_BYTES_MAX = 8 << 20
 
 _workspace = threading.local()
@@ -123,13 +123,15 @@ def _check(decomposition: ImfDecomposition, trim_fraction: float) -> None:
         raise ValueError("trim_fraction must be in [0, 0.5)")
 
 
-def _fill_track(imfs, trim_fraction, track: SpectralTrack, row: np.ndarray) -> SpectralTrack:
-    """Write the track of the (K, T) components ``imfs`` into ``track``'s
-    stacks of the same shape, using the complex row ``row`` of length T as
-    each analytic signal; returns ``track``."""
+def _fill_track(
+    imfs, trim_fraction, row, amplitudes, frequencies, periods=None, validity=None
+) -> SpectralTrack:
+    """The track of the (K, T) components ``imfs``, written into the given
+    (K, T) stacks, with the complex row ``row`` of length T holding each
+    analytic signal in turn.  ``periods`` and ``validity`` are made when not
+    given, once the rows' temporaries are freed, as a fresh track's are."""
     length = imfs.shape[1]
-    frequencies, validity, periods = track.frequencies, track.validity, track.periods
-    for imf, amplitude, frequency in zip(imfs, track.amplitudes, frequencies):
+    for imf, amplitude, frequency in zip(imfs, amplitudes, frequencies):
         z = _analytic(imf, row)
         np.abs(z, out=amplitude)
         # Scale z by a power of two (largest amplitude in [0.5, 1), at most
@@ -148,7 +150,9 @@ def _fill_track(imfs, trim_fraction, track: SpectralTrack, row: np.ndarray) -> S
         frequency[0] = step[0]
         frequency[-1] = step[-1]
 
-    np.greater(frequencies, 0.0, out=validity)
+    validity = np.greater(frequencies, 0.0, out=validity)
+    if periods is None:
+        periods = np.empty_like(frequencies)
     periods.fill(np.nan)
     np.divide(2.0 * np.pi, frequencies, out=periods, where=validity)
 
@@ -156,15 +160,7 @@ def _fill_track(imfs, trim_fraction, track: SpectralTrack, row: np.ndarray) -> S
     if margin > 0:
         validity[:, :margin] = False
         validity[:, length - margin :] = False
-    return track
-
-
-def _fresh_stacks(n_imfs: int, length: int) -> SpectralTrack:
-    """Uninitialised stacks of a track of ``n_imfs`` components."""
-    shape = (n_imfs, length)
-    return SpectralTrack(
-        np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-    )
+    return SpectralTrack(amplitudes, frequencies, periods, validity)
 
 
 def spectral_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) -> SpectralTrack:
@@ -176,7 +172,7 @@ def spectral_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) 
     _check(decomposition, trim_fraction)
     imfs = np.asarray(decomposition.imfs, dtype=np.float64)
     row = np.empty(imfs.shape[1], dtype=np.complex128)
-    return _fill_track(imfs, trim_fraction, _fresh_stacks(*imfs.shape), row)
+    return _fill_track(imfs, trim_fraction, row, np.empty(imfs.shape), np.empty(imfs.shape))
 
 
 def _retained_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) -> SpectralTrack:
@@ -194,12 +190,11 @@ def _retained_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0)
         # three float stacks, one bool stack and one complex row
         if rows * columns * 25 + columns * 16 > RETAINED_BYTES_MAX:
             return spectral_track(decomposition, trim_fraction)
-        held = _workspace.track = _fresh_stacks(rows, columns)
+        shape = (rows, columns)
+        held = _workspace.track = SpectralTrack(
+            np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+        )
         _workspace.row = np.empty(columns, dtype=np.complex128)
-    view = SpectralTrack(
-        held.amplitudes[:n_imfs, :length],
-        held.frequencies[:n_imfs, :length],
-        held.periods[:n_imfs, :length],
-        held.validity[:n_imfs, :length],
-    )
-    return _fill_track(imfs, trim_fraction, view, _workspace.row[:length])
+    stacks = (held.amplitudes, held.frequencies, held.periods, held.validity)
+    views = [stack[:n_imfs, :length] for stack in stacks]
+    return _fill_track(imfs, trim_fraction, _workspace.row[:length], *views)
