@@ -20,18 +20,59 @@
  * other, and hht_sift_component to the loop composed of the scan,
  * common.py's mirror and two spline calls per step, bit for bit.
  *
+ * The scan takes its steps 64 at a time as bitmasks of rises and flat
+ * steps (two steps per SSE2 instruction where the target has SSE2, the
+ * x86-64 baseline, else a plain loop with the same bits) and, where a block
+ * has no flat step, reads its extrema off the masks; see hht_find_extrema.
+ *
  * Built with the system C compiler by setup.py or, in a source checkout,
  * on first import (build.py).  Never build it with -ffast-math or with
  * floating-point contraction: results must not depend on the host CPU.
  */
 
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 /* Extrema of each kind mirrored past each end of the envelopes; the same
  * count as common.py's MIRRORED_EXTREMA. */
 #define MIRRORED_EXTREMA 2
+
+/* Steps per block of the extrema scan, one bit of a uint64_t each. */
+#define SCAN_BLOCK 64
+
+/* The bits of the m <= SCAN_BLOCK steps d = x[j + 1] - x[j], j = 0 .. m - 1:
+ * bit j of *rise is d > 0, bit j of *flat is d == 0, so a NaN step sets
+ * neither.  SSE2 takes two steps per subtraction and compare, which are the
+ * scalar IEEE operations lane by lane; the plain loop sets the same bits. */
+static void step_bits(const double *x, int m, uint64_t *rise, uint64_t *flat)
+{
+    uint64_t r = 0, f = 0;
+    int j = 0;
+    double d;
+
+#ifdef __SSE2__
+    const __m128d zero = _mm_setzero_pd();
+    __m128d dd;
+
+    for (; j + 2 <= m; j += 2) {
+        dd = _mm_sub_pd(_mm_loadu_pd(x + j + 1), _mm_loadu_pd(x + j));
+        r |= (uint64_t)_mm_movemask_pd(_mm_cmpgt_pd(dd, zero)) << j;
+        f |= (uint64_t)_mm_movemask_pd(_mm_cmpeq_pd(dd, zero)) << j;
+    }
+#endif
+    for (; j < m; j++) {
+        d = x[j + 1] - x[j];
+        r |= (uint64_t)(d > 0.0) << j;
+        f |= (uint64_t)(d == 0.0) << j;
+    }
+    *rise = r;
+    *flat = f;
+}
 
 /* Strict local extrema of x[0..n-1].  A run of equal samples counts once, at
  * the floor-midpoint of the run; the endpoints never qualify.  Maxima go to
@@ -42,29 +83,63 @@
  * Flat steps are skipped, and a step that is not a rise (NaN included)
  * counts as a fall.  Where the slope turns, the middle of the run since the
  * last move is stored: a rise then a fall is a maximum, a fall then a rise
- * a minimum. */
+ * a minimum.
+ *
+ * The steps go in blocks of SCAN_BLOCK, whose rise and flat bits step_bits
+ * takes first.  In a block with no flat step, entered just after a moving
+ * step, every run since the last move is one step long, so the middle of
+ * the run before step j is sample b + j itself: the maxima are the steps
+ * that fall after a rise (prev & ~rise, prev holding each step's previous
+ * rise bit) and the minima the rises after a fall, read off lowest bit
+ * first (__builtin_ctzll, a GCC and Clang builtin), so the scan branches
+ * once per extremum, not once per step.  Any other block walks its moving
+ * steps one at a time by the rule above.  Both read the bits of the same
+ * subtraction and compares, and the rest is integer bookkeeping, so the
+ * positions and values are the rule's either way. */
 void hht_find_extrema(const double *x, ptrdiff_t n, ptrdiff_t cap,
                       ptrdiff_t *pos, double *val, ptrdiff_t *cnt)
 {
-    ptrdiff_t i, p, last = -1, cmax = 0, cmin = 0;
-    int last_sign = 0, s;
-    double d;
+    ptrdiff_t b, i, p, last = -1, cmax = 0, cmin = 0;
+    int last_sign = 0, s, m, j;
+    uint64_t rise, flat, valid, prev, maxima, minima, moved;
 
-    for (i = 0; i < n - 1; i++) {
-        d = x[i + 1] - x[i];
-        if (d == 0.0)
+    for (b = 0; b < n - 1; b += SCAN_BLOCK) {
+        m = n - 1 - b < SCAN_BLOCK ? (int)(n - 1 - b) : SCAN_BLOCK;
+        valid = m == SCAN_BLOCK ? ~(uint64_t)0 : ((uint64_t)1 << m) - 1;
+        step_bits(x + b, m, &rise, &flat);
+        if (flat == 0 && last == b - 1 && last_sign != 0) {
+            prev = rise << 1 | (uint64_t)(last_sign == 1);
+            maxima = prev & ~rise & valid;
+            minima = ~prev & rise;
+            for (; maxima != 0; maxima &= maxima - 1) {
+                p = b + __builtin_ctzll(maxima);
+                pos[cmax] = p;
+                val[cmax++] = x[p];
+            }
+            for (; minima != 0; minima &= minima - 1) {
+                p = b + __builtin_ctzll(minima);
+                pos[cap + cmin] = p;
+                val[cap + cmin++] = x[p];
+            }
+            last_sign = rise >> (m - 1) & 1 ? 1 : -1;
+            last = b + m - 1;
             continue;
-        s = d > 0.0 ? 1 : -1;
-        p = (last + 1 + i) / 2;
-        if (last_sign == 1 && s == -1) {
-            pos[cmax] = p;
-            val[cmax++] = x[p];
-        } else if (last_sign == -1 && s == 1) {
-            pos[cap + cmin] = p;
-            val[cap + cmin++] = x[p];
         }
-        last_sign = s;
-        last = i;
+        for (moved = ~flat & valid; moved != 0; moved &= moved - 1) {
+            j = __builtin_ctzll(moved);
+            i = b + j;
+            s = rise >> j & 1 ? 1 : -1;
+            p = (last + 1 + i) / 2;
+            if (last_sign == 1 && s == -1) {
+                pos[cmax] = p;
+                val[cmax++] = x[p];
+            } else if (last_sign == -1 && s == 1) {
+                pos[cap + cmin] = p;
+                val[cap + cmin++] = x[p];
+            }
+            last_sign = s;
+            last = i;
+        }
     }
     cnt[0] = cmax;
     cnt[1] = cmin;

@@ -11,10 +11,15 @@
  * the chain of one-step calls, each of which scans its input afresh, so
  * the extrema the loop carries from one step to the next are a fresh
  * scan's, plateaus included.  And mirror_extrema commutes with the reflection
- * t -> end - t, as common.mirror_extrema does.  Prints "ok" and exits 0
- * when every case passes.
+ * t -> end - t, as common.mirror_extrema does.  On series whose plateaus,
+ * NaN and infinities sit at the edges of the scan's 64-step blocks,
+ * hht_find_extrema returns the bits of the plain step-by-step rule.
+ * TestLoader builds it a second time with __SSE2__ undefined, so the scan's
+ * portable loop runs whole blocks too.  Prints "ok" and exits 0 when every
+ * case passes.
  */
 
+#include <math.h>
 #include <stdio.h>
 #include <stdlib.h>
 
@@ -37,6 +42,49 @@ static void fail(const char *name, const char *what)
 {
     printf("%s: %s\n", name, what);
     failures++;
+}
+
+/* hht_find_extrema on x[0..n-1] against the rule it implements, one step
+ * at a time: flat steps are skipped, a step that is not a rise counts as a
+ * fall, and where the slope turns the floor-middle of the run since the
+ * last move is stored.  Buffers are sized exactly. */
+static void check_scan(const char *name, const double *x, ptrdiff_t n)
+{
+    ptrdiff_t cap = n / 2 + 1, cnt[2], i, p, last = -1, cmax = 0, cmin = 0;
+    ptrdiff_t *pos = malloc((size_t)(2 * cap) * sizeof *pos);
+    ptrdiff_t *ref_pos = malloc((size_t)(2 * cap) * sizeof *ref_pos);
+    double *val = malloc((size_t)(2 * cap) * sizeof *val);
+    double *ref_val = malloc((size_t)(2 * cap) * sizeof *ref_val), d;
+    int last_sign = 0, s, bad;
+
+    for (i = 0; i < n - 1; i++) {
+        d = x[i + 1] - x[i];
+        if (d == 0.0)
+            continue;
+        s = d > 0.0 ? 1 : -1;
+        p = (last + 1 + i) / 2;
+        if (last_sign == 1 && s == -1) {
+            ref_pos[cmax] = p;
+            ref_val[cmax++] = x[p];
+        } else if (last_sign == -1 && s == 1) {
+            ref_pos[cap + cmin] = p;
+            ref_val[cap + cmin++] = x[p];
+        }
+        last_sign = s;
+        last = i;
+    }
+    hht_find_extrema(x, n, cap, pos, val, cnt);
+    bad = cnt[0] != cmax || cnt[1] != cmin;
+    for (i = 0; !bad && i < cmax; i++)
+        bad = pos[i] != ref_pos[i] || memcmp(&val[i], &ref_val[i], sizeof d);
+    for (i = cap; !bad && i < cap + cmin; i++)
+        bad = pos[i] != ref_pos[i] || memcmp(&val[i], &ref_val[i], sizeof d);
+    if (bad)
+        fail(name, "scan differs from the step-by-step rule");
+    free(ref_val);
+    free(val);
+    free(ref_pos);
+    free(pos);
 }
 
 /* One step of hht_sift_component (a budget of 1) on x[0..n-1] against its
@@ -284,6 +332,58 @@ static void walk(double *x, ptrdiff_t n, unsigned long long seed, double tick)
     }
 }
 
+/* The scan's block edges: each length around one and two 64-step blocks,
+ * and 10,000, holds a walk, then the walk with a flat, NaN, +inf or -inf
+ * sample at each of 63-67 and 127-131 in turn (so the steps either side of
+ * it, 62-66 or 126-130, are flat, NaN or infinite ones) or at all five, a
+ * plateau across each block edge, a leading flat run of 100 samples, and a
+ * rise and a fall of 150 steps each, across whole blocks.  Each series is
+ * scanned and stepped once. */
+static void check_block_edges(void)
+{
+    static const ptrdiff_t lengths[] = {0, 1, 2, 63, 64, 65, 66, 127, 128, 129, 130, 10000};
+    static const ptrdiff_t edges[2] = {62, 126};
+    const double specials[3] = {NAN, INFINITY, -INFINITY};
+    double *x = malloc(10000 * sizeof *x), *base = malloc(10000 * sizeof *base);
+    ptrdiff_t n, i, k, e, q, w;
+
+    for (k = 0; k < (ptrdiff_t)(sizeof lengths / sizeof *lengths); k++) {
+        n = lengths[k];
+        walk(base, 10000, (unsigned long long)(n + 3), 0.0);
+        check_scan("block edges: walk", base, n);
+        check_step("block edges: walk", base, n);
+        for (e = 0; e < 2; e++)
+            for (q = 0; q < 4; q++)
+                for (w = 0; w < 6; w++) {
+                    /* q = 0 repeats the sample before; w = 5 sets all five */
+                    memcpy(x, base, 10000 * sizeof *x);
+                    for (i = edges[e] + 1; i <= edges[e] + 5 && i < n; i++)
+                        if (w == 5 || i == edges[e] + 1 + w)
+                            x[i] = q == 0 ? x[i - 1] : specials[q - 1];
+                    check_scan("block edges: specials", x, n);
+                    check_step("block edges: specials", x, n);
+                }
+        memcpy(x, base, 10000 * sizeof *x);
+        for (i = 60; i < n && i < 70; i++)
+            x[i] = x[59];
+        for (i = 124; i < n && i < 134; i++)
+            x[i] = x[123];
+        check_scan("block edges: plateau across", x, n);
+        check_step("block edges: plateau across", x, n);
+        for (i = 0; i < n && i < 100; i++)
+            x[i] = 0.0;
+        check_scan("block edges: leading flat run", x, n);
+        check_step("block edges: leading flat run", x, n);
+        memcpy(x, base, 10000 * sizeof *x);
+        for (i = 0; i + 200 < n && i < 300; i++)
+            x[200 + i] = 0.01 * (double)(i < 150 ? i : 300 - i);
+        check_scan("block edges: monotone", x, n);
+        check_step("block edges: monotone", x, n);
+    }
+    free(base);
+    free(x);
+}
+
 int main(void)
 {
     /* length 16, exactly two maxima (1, 5) and two minima (3, 7) */
@@ -368,6 +468,7 @@ int main(void)
         || hht_spline_eval(t3, v3, 2, out, 16) || hht_spline_eval(t3, v3, 3, out, 0))
         fail("spline", "scratch allocation failed");
     check_spline_scratch();
+    check_block_edges();
 
     if (failures)
         return 1;

@@ -120,6 +120,51 @@ class TestBackendAgreement:
             assert left.tobytes() == right.tobytes()
 
     @pytest.mark.skipif(len(BACKENDS) < 2, reason="single backend build")
+    def test_extrema_identical_across_scan_blocks(self):
+        # sift.c scans 64 steps per block; around one and two blocks and at
+        # 10,000 samples, flat, NaN and infinite steps at 62-66 and 126-130,
+        # a plateau across a block edge, a leading flat run longer than a
+        # block, and a rise and a fall across whole blocks
+        a, b = BACKENDS[0], BACKENDS[1]
+        rng = np.random.default_rng(28)
+        cases = []
+        for n in (0, 1, 2, 63, 64, 65, 66, 127, 128, 129, 130, 10_000):
+            walk = np.cumsum(rng.standard_normal(n))
+            cases.append(walk)
+            for edge in (62, 126):
+                for special in ("flat", np.nan, np.inf, -np.inf):
+                    for at in [[k] for k in range(edge + 1, edge + 6)] + [
+                        list(range(edge + 1, edge + 6))
+                    ]:
+                        x = walk.copy()
+                        for k in (k for k in at if k < n):
+                            x[k] = x[k - 1] if special == "flat" else special
+                        cases.append(x)
+            x = walk.copy()
+            x[60:70] = x[59] if n > 59 else 0.0
+            x[124:134] = x[123] if n > 123 else 0.0
+            cases.append(x.copy())
+            x[:100] = 0.0
+            cases.append(x)
+            x = walk.copy()
+            ramp = np.r_[np.arange(150), 300 - np.arange(150, 300)] * 0.01
+            x[200:500] = ramp[: max(0, n - 200)]
+            cases.append(x)
+        for _ in range(300):  # mixed elements, as in the Hypothesis case, past 60 samples
+            n = int(rng.integers(60, 300))
+            x = rng.integers(-3, 4, n).astype(float)
+            pick = rng.random(n)
+            x[pick < 0.3] = rng.uniform(-1e6, 1e6, int((pick < 0.3).sum()))
+            x[pick > 0.97] = rng.choice([np.nan, np.inf, -np.inf], int((pick > 0.97).sum()))
+            cases.append(x)
+        for x in cases:
+            with np.errstate(invalid="ignore"):  # inf - inf in the NumPy scan's steps
+                found = zip(a.find_extrema(x), b.find_extrema(x))
+            for left, right in found:
+                assert left.dtype == right.dtype
+                assert left.tobytes() == right.tobytes(), len(x)
+
+    @pytest.mark.skipif(len(BACKENDS) < 2, reason="single backend build")
     def test_spline_agreement(self):
         rng = np.random.default_rng(11)
         a, b = BACKENDS[0], BACKENDS[1]
@@ -550,6 +595,39 @@ class TestLoader:
                 *cc, *build.OPT_FLAGS, *flags, *_STRICT_FLAGS,
                 str(Path(__file__).with_name("sift_driver.c")), "-o", str(driver),
             ],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert made.returncode == 0, made.stderr
+        ran = subprocess.run([str(driver)], capture_output=True, text=True, timeout=300)
+        assert ran.returncode == 0, ran.stdout + ran.stderr
+        assert ran.stdout == "ok\n"
+
+    @pytest.mark.skipif(not _have_compiler(), reason="no C compiler found")
+    def test_portable_scan_runs_clean_under_sanitizers(self, tmp_path):
+        # with __SSE2__ undefined the scan takes its step bits from the plain
+        # loop, on every block, as on a target without SSE2: sift.c compiles
+        # clean, and the driver's cases pass under the sanitizers
+        cc = build.find_compiler()
+        portable = [*build.OPT_FLAGS, *_STRICT_FLAGS, "-U__SSE2__"]
+        library = tmp_path / "sift.so"
+        made = subprocess.run(
+            [*cc, *portable, "-fPIC", "-shared", str(build.SOURCE), "-o", str(library)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert made.returncode == 0, made.stderr
+        flags = ["-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+        probe = tmp_path / "probe.c"
+        probe.write_text("int main(void) { return 0; }\n")
+        made = subprocess.run(
+            [*cc, *flags, str(probe), "-o", str(tmp_path / "probe")],
+            capture_output=True, text=True, timeout=300,
+        )
+        if made.returncode != 0 or subprocess.run([str(tmp_path / "probe")]).returncode != 0:
+            pytest.skip("no sanitizer runtime for the C compiler")
+        driver = tmp_path / "driver"
+        made = subprocess.run(
+            [*cc, *portable, *flags, str(Path(__file__).with_name("sift_driver.c")), "-o",
+             str(driver)],
             capture_output=True, text=True, timeout=300,
         )
         assert made.returncode == 0, made.stderr
