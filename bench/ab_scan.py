@@ -6,13 +6,14 @@ for bm, fBm H = 0.7, ARFIMA d = 0.2 (T = 10,000) and SLM alpha = 1.5
 (T = 10,384): the first component's series and each sift step's result,
 recorded through a backend that has only ``find_extrema`` and
 ``spline_eval``, whose loop gives the same inputs as the one-call sift.
-Tree A's ``src`` records them once, into the work directory.  Each tree's
-``sift.c`` is then compiled with that tree's ``build.OPT_FLAGS`` together
-with a small driver, and each round runs both drivers, tree A first in even
-rounds.  A driver times ``--repeats`` passes over each process's inputs
-(the median pass, in microseconds per call) and ``--repeats`` x 10 calls on
-the first input of bm alone, whose scan is the longest (``first_us``), and
-hashes every position and value the scans return.
+Tree A's ``src`` records them once, into the work directory.  Each
+tree's ``sift.c`` is then compiled by that tree's ``build.find_compiler()``
+with its ``build.OPT_FLAGS``, together with a small driver, and each round
+runs both drivers, tree A first in even rounds.  A driver times
+``--repeats`` passes over each process's inputs (the median pass, in
+microseconds per call) and ``--repeats`` x 10 calls on bm's first input,
+the simulated path itself (``first_us``), and hashes every position and
+value the scans return.
 
 Prints one JSON block: per process, for the first input and for the sum,
 each tree's median, quartiles and runs, the rounds B was lower and the
@@ -168,14 +169,14 @@ int main(int argc, char **argv)
 """
 
 
-def opt_flags(tree: Path) -> list:
-    """``OPT_FLAGS`` of the tree's ``_kernels/build.py``."""
+def compile_argv(tree: Path) -> list:
+    """The compiler and ``OPT_FLAGS`` of the tree's ``_kernels/build.py``."""
     spec = importlib.util.spec_from_file_location(
         "tree_build", tree / "src" / "hhtscale" / "_kernels" / "build.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return list(module.OPT_FLAGS)
+    return [*module.find_compiler(), *module.OPT_FLAGS]
 
 
 def main(argv=None) -> int:
@@ -205,7 +206,7 @@ def main(argv=None) -> int:
     for side, tree in trees.items():
         drivers[side] = args.work / f"driver_{side}"
         subprocess.run(
-            ["cc", *opt_flags(tree), str(source),
+            [*compile_argv(tree), str(source),
              str(tree / "src" / "hhtscale" / "_kernels" / "sift.c"), "-o", str(drivers[side])],
             check=True, timeout=300,
         )

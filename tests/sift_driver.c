@@ -44,13 +44,15 @@ static void fail(const char *name, const char *what)
     failures++;
 }
 
-/* hht_find_extrema on x[0..n-1] against the rule it implements, one step
- * at a time: flat steps are skipped, a step that is not a rise counts as a
- * fall, and where the slope turns the floor-middle of the run since the
- * last move is stored.  Buffers are sized exactly. */
+/* hht_find_extrema on x[0..n-1], copied to a buffer of its own length,
+ * against the rule it implements, one step at a time: flat steps are
+ * skipped, a step that is not a rise counts as a fall, and where the slope
+ * turns the floor-middle of the run since the last move is stored.  Output
+ * buffers are sized exactly too. */
 static void check_scan(const char *name, const double *x, ptrdiff_t n)
 {
     ptrdiff_t cap = n / 2 + 1, cnt[2], i, p, last = -1, cmax = 0, cmin = 0;
+    double *own = malloc((size_t)(n > 0 ? n : 1) * sizeof *own);
     ptrdiff_t *pos = malloc((size_t)(2 * cap) * sizeof *pos);
     ptrdiff_t *ref_pos = malloc((size_t)(2 * cap) * sizeof *ref_pos);
     double *val = malloc((size_t)(2 * cap) * sizeof *val);
@@ -73,7 +75,8 @@ static void check_scan(const char *name, const double *x, ptrdiff_t n)
         last_sign = s;
         last = i;
     }
-    hht_find_extrema(x, n, cap, pos, val, cnt);
+    memcpy(own, x, (size_t)n * sizeof *own);
+    hht_find_extrema(own, n, cap, pos, val, cnt);
     bad = cnt[0] != cmax || cnt[1] != cmin;
     for (i = 0; !bad && i < cmax; i++)
         bad = pos[i] != ref_pos[i] || memcmp(&val[i], &ref_val[i], sizeof d);
@@ -85,6 +88,7 @@ static void check_scan(const char *name, const double *x, ptrdiff_t n)
     free(val);
     free(ref_pos);
     free(pos);
+    free(own);
 }
 
 /* One step of hht_sift_component (a budget of 1) on x[0..n-1] against its
