@@ -1,24 +1,34 @@
 """Alternated A/B of the compiled extrema scan, ``hht_find_extrema``,
 between two source trees, in a C harness.
 
-The inputs are every scan that ``decompose`` makes of path 0 of ``--seed``
-for bm, fBm H = 0.7, ARFIMA d = 0.2 (T = 10,000) and SLM alpha = 1.5
-(T = 10,384): the first component's series and each sift step's result,
-recorded through a backend that has only ``find_extrema`` and
-``spline_eval``, whose loop gives the same inputs as the one-call sift.
-Tree A's ``src`` records them once, into the work directory.  Each
-tree's ``sift.c`` is then compiled by that tree's ``build.find_compiler()``
-with its ``build.OPT_FLAGS``, together with a small driver, and each round
-runs both drivers, tree A first in even rounds.  A driver times
-``--repeats`` passes over each process's inputs (the median pass, in
-microseconds per call) and ``--repeats`` x 10 calls on bm's first input,
-the simulated path itself (``first_us``), and hashes every position and
-value the scans return.
+The inputs are every scan that ``decompose`` makes of one series each:
+the first component's series and each sift step's result, recorded through
+a backend that has only ``find_extrema`` and ``spline_eval``, whose loop
+gives the same inputs as the one-call sift.  The series are
+  - path 0 of ``--seed`` for bm, fBm H = 0.7, ARFIMA d = 0.2 (T = 10,000)
+    and SLM alpha = 1.5 (T = 10,384), the ``ensemble_t10k`` paths;
+  - ``ticks_<tick>``: log prices of a T = 10,000 price walk from 100 with
+    per-step log sd 5e-4, rounded to multiples of ``tick`` (0.01 and 0.05),
+    so that runs of equal samples are common;
+  - ``cli``: the log prices of the ``cli_cold`` price file of workload seed
+    ``--seed`` (5 days of 390 one-minute bars).
+Tree A's ``src`` records them once, into the work directory, and counts
+per series the scan's blocks of 64 steps that it reads off the masks alone
+(``fast_blocks``: not the first block, and no flat step in the block or
+just before it), over all its scans and over the first.  Each tree's
+``sift.c`` is then compiled by that tree's ``build.find_compiler()`` with
+its ``build.OPT_FLAGS`` and the tree's ``--a-flags`` or ``--b-flags`` (say
+``-U__SSE2__``), together with a small driver, and each round runs both
+drivers, tree A first in even rounds.  A driver times, per series,
+``--repeats`` passes over its inputs (the median pass, in microseconds per
+call) and ``--repeats`` x 10 calls on its first input, the series itself
+(``first``), and hashes every position and value the scans return.
 
-Prints one JSON block: per process, for the first input and for the sum,
-each tree's median, quartiles and runs, the rounds B was lower and the
-paired B/A ratios (``ab_decompose.compare``); the inputs' counts; and
-whether both trees' scans returned the same bits (``digests_equal``).
+Prints one JSON block: per series, for its first input and for the sum of
+the four ``ensemble_t10k`` processes, each tree's median, quartiles and
+runs, the rounds B was lower and the paired B/A ratios
+(``ab_decompose.compare``); the inputs' counts and fast blocks; and whether
+both trees' scans returned the same bits (``digests_equal``).
 
     python3 bench/ab_scan.py TREE_A TREE_B --rounds 10 --work /tmp/scan --a "..." --b "..."
 """
@@ -29,20 +39,29 @@ import argparse
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 from ab_decompose import PROCESSES, compare
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import SIZES, op_seed, write_prices  # noqa: E402
+
+# tick -> length of the tick-quantized price walks
+TICKS = {"0.01": 10_000, "0.05": 10_000}
+
 RECORD = r"""
-import json, sys
+import json, math, sys
 import numpy as np
 from hhtscale import SimConfig, simulate
 from hhtscale._kernels import get_backend
 from hhtscale.emd import decompose
+from hhtscale.series import ingest_prices
 
-seed, processes, out = int(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+seed, processes, ticks = int(sys.argv[1]), json.loads(sys.argv[2]), json.loads(sys.argv[3])
+prices, out = sys.argv[4], sys.argv[5]
 compiled = get_backend("compiled")
 
 
@@ -58,16 +77,38 @@ class Recorder:
         return compiled.find_extrema(x)
 
 
+def blocks(x):
+    flat = np.diff(x) == 0
+    fast = sum(not flat[b - 1:b + 64].any() for b in range(64, flat.size, 64))
+    return len(range(0, flat.size, 64)), fast
+
+
+series = {
+    name: simulate(SimConfig(process=name, length=length, seed=seed, **shape), 0).values
+    for name, (shape, length) in processes.items()
+}
+rng = np.random.default_rng(seed)
+for tick, length in ticks.items():
+    price = np.exp(math.log(100.0) + np.cumsum(5e-4 * rng.standard_normal(length)))
+    series["ticks_" + tick] = np.log(np.round(price / float(tick)) * float(tick))
+series["cli"] = ingest_prices(prices)[0].values
+
 counts = {}
 with open(out, "wb") as f:
-    for name, (shape, length) in processes.items():
+    for name, x in series.items():
         recorder = Recorder()
-        decompose(simulate(SimConfig(process=name, length=length, seed=seed, **shape), 0).values,
-                  backend=recorder)
-        counts[name] = len(recorder.inputs)
-        np.array([len(recorder.inputs), length], dtype=np.int64).tofile(f)
-        for x in recorder.inputs:
-            x.tofile(f)
+        decompose(x, backend=recorder)
+        split = [blocks(y) for y in recorder.inputs]
+        counts[name] = {
+            "calls": len(recorder.inputs),
+            "blocks": sum(b for b, _ in split),
+            "fast_blocks": sum(f for _, f in split),
+            "first_blocks": split[0][0],
+            "first_fast_blocks": split[0][1],
+        }
+        np.array([len(recorder.inputs), x.size], dtype=np.int64).tofile(f)
+        for y in recorder.inputs:
+            y.tofile(f)
 print(json.dumps(counts))
 """
 
@@ -153,30 +194,28 @@ int main(int argc, char **argv)
             walls[r] = (now_us() - start) / (double)calls[q];
         }
         printf("\"%d\": %.4f, ", q, median(walls, repeats));
+        for (k = 0; k < 10 * repeats; k++) {
+            start = now_us();
+            hht_find_extrema(x[q], length[q], cap, pos, val, cnt);
+            walls[k] = now_us() - start;
+        }
+        printf("\"%d first\": %.4f, ", q, median(walls, 10 * repeats));
     }
-    cap = length[0] / 2 + 1;
-    pos = realloc(pos, (size_t)(2 * cap) * sizeof *pos);
-    val = realloc(val, (size_t)(2 * cap) * sizeof *val);
-    for (k = 0; k < 10 * repeats; k++) {
-        start = now_us();
-        hht_find_extrema(x[0], length[0], cap, pos, val, cnt);
-        walls[k] = now_us() - start;
-    }
-    printf("\"first\": %.4f, \"digest\": \"%016llx\"}\n", median(walls, 10 * repeats),
-           (unsigned long long)digest);
+    printf("\"digest\": \"%016llx\"}\n", (unsigned long long)digest);
     return 0;
 }
 """
 
 
-def compile_argv(tree: Path) -> list:
-    """The compiler and ``OPT_FLAGS`` of the tree's ``_kernels/build.py``."""
+def compile_argv(tree: Path, flags: str) -> list:
+    """The compiler and ``OPT_FLAGS`` of the tree's ``_kernels/build.py``,
+    then ``flags``."""
     spec = importlib.util.spec_from_file_location(
         "tree_build", tree / "src" / "hhtscale" / "_kernels" / "build.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [*module.find_compiler(), *module.OPT_FLAGS]
+    return [*module.find_compiler(), *module.OPT_FLAGS, *shlex.split(flags)]
 
 
 def main(argv=None) -> int:
@@ -185,6 +224,8 @@ def main(argv=None) -> int:
     parser.add_argument("tree_b", type=Path)
     parser.add_argument("--a", default="tree A", help="what tree A is")
     parser.add_argument("--b", default="tree B", help="what tree B is")
+    parser.add_argument("--a-flags", default="", help="compiler flags added for tree A")
+    parser.add_argument("--b-flags", default="", help="compiler flags added for tree B")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=31)
     parser.add_argument("--seed", type=int, default=7)
@@ -195,18 +236,23 @@ def main(argv=None) -> int:
     args.work.mkdir(parents=True, exist_ok=True)
 
     inputs = args.work / "inputs.f64"
+    prices = args.work / "prices.csv"
+    full = SIZES["full"]
+    write_prices(prices, full["days"], full["bars"], op_seed(args.seed, 1 << 20))
     env = dict(os.environ, PYTHONPATH=str(trees["a"] / "src"), HHTSCALE_BACKEND="compiled")
     counts = json.loads(subprocess.run(
-        [sys.executable, "-c", RECORD, str(args.seed), json.dumps(PROCESSES), str(inputs)],
+        [sys.executable, "-c", RECORD, str(args.seed), json.dumps(PROCESSES), json.dumps(TICKS),
+         str(prices), str(inputs)],
         env=env, capture_output=True, text=True, check=True, timeout=600,
     ).stdout)
     source = args.work / "driver.c"
     source.write_text(DRIVER)
     drivers = {}
+    flags = {"a": args.a_flags, "b": args.b_flags}
     for side, tree in trees.items():
         drivers[side] = args.work / f"driver_{side}"
         subprocess.run(
-            [*compile_argv(tree), str(source),
+            [*compile_argv(tree, flags[side]), str(source),
              str(tree / "src" / "hhtscale" / "_kernels" / "sift.c"), "-o", str(drivers[side])],
             check=True, timeout=300,
         )
@@ -215,27 +261,26 @@ def main(argv=None) -> int:
     for index in range(args.rounds):
         for side in ("a", "b") if index % 2 == 0 else ("b", "a"):
             done = subprocess.run(
-                [str(drivers[side]), str(inputs), str(args.repeats), str(len(PROCESSES))],
+                [str(drivers[side]), str(inputs), str(args.repeats), str(len(counts))],
                 capture_output=True, text=True, check=True, timeout=600,
             )
             runs[side].append(json.loads(done.stdout))
         print(f"round {index + 1}/{args.rounds} done", file=sys.stderr)
 
     block = {
-        "a": args.a, "b": args.b, "rounds": args.rounds, "repeats": args.repeats,
-        "seed": args.seed, "calls": counts,
+        "a": args.a, "b": args.b, "a_flags": args.a_flags, "b_flags": args.b_flags,
+        "rounds": args.rounds, "repeats": args.repeats, "seed": args.seed, "inputs": counts,
         "digests_equal": len({r["digest"] for side in runs for r in runs[side]}) == 1,
     }
-    keys = {name: str(q) for q, name in enumerate(PROCESSES)}
-    for name in [*PROCESSES, "first", "sum"]:
-        per = {
-            side: [
-                sum(r[k] for k in keys.values()) if name == "sum" else r[keys.get(name, name)]
-                for r in runs[side]
-            ]
-            for side in runs
-        }
-        block[f"{name}_us_per_call"] = compare(per["a"], per["b"])
+    for q, name in enumerate(counts):
+        for suffix, key in (("", str(q)), ("_first", f"{q} first")):
+            block[f"{name}{suffix}_us_per_call"] = compare(
+                *([r[key] for r in runs[side]] for side in "ab")
+            )
+    keys = [str(q) for q, name in enumerate(counts) if name in PROCESSES]
+    block["sum_us_per_call"] = compare(
+        *([sum(r[k] for k in keys) for r in runs[side]] for side in "ab")
+    )
     print(json.dumps(block, indent=1))
     return 0
 
