@@ -1,10 +1,14 @@
-"""Alternated A/B of the compiled extrema scan, ``hht_find_extrema``,
-between two source trees, in a C harness.
+"""Alternated A/B of a compiled sift kernel between two source trees, in a
+C harness: the extrema scan, ``hht_find_extrema`` (``--mode scan``), or the
+component sift, ``hht_sift_component`` with the budget of
+``emd.MAX_SIFT_ITERATIONS`` (``--mode component``).
 
-The inputs are every scan that ``decompose`` makes of one series each:
-the first component's series and each sift step's result, recorded through
-a backend that has only ``find_extrema`` and ``spline_eval``, whose loop
-gives the same inputs as the one-call sift.  The series are
+The scan's inputs are every scan that ``decompose`` makes of one series
+each: the first component's series and each sift step's result, recorded
+through a backend that has only ``find_extrema`` and ``spline_eval``, whose
+loop gives the same inputs as the one-call sift.  The component sift's
+inputs are each component's input, the residue that ``decompose`` hands
+the one-call sift.  The series are
   - path 0 of ``--seed`` for bm, fBm H = 0.7, ARFIMA d = 0.2 (T = 10,000)
     and SLM alpha = 1.5 (T = 10,384), the ``ensemble_t10k`` paths;
   - ``ticks_<tick>``: log prices of a T = 10,000 price walk from 100 with
@@ -12,25 +16,28 @@ gives the same inputs as the one-call sift.  The series are
     so that runs of equal samples are common;
   - ``cli``: the log prices of the ``cli_cold`` price file of workload seed
     ``--seed`` (5 days of 390 one-minute bars).
-Tree A's ``src`` records them once, into the work directory, and counts
-per series the scan's blocks of 64 steps that it reads off the masks alone
-(``fast_blocks``: not the first block, and no flat step in the block or
-just before it), over all its scans and over the first.  Each tree's
+Tree A's ``src`` records them once, into the work directory, and, for the
+scan, counts per series the blocks of 64 steps that it reads off the masks
+alone (``fast_blocks``: not the first block, and no flat step in the block
+or just before it), over all its scans and over the first.  Each tree's
 ``sift.c`` is then compiled by that tree's ``build.find_compiler()`` with
 its ``build.OPT_FLAGS`` and the tree's ``--a-flags`` or ``--b-flags`` (say
 ``-U__SSE2__``), together with a small driver, and each round runs both
 drivers, tree A first in even rounds.  A driver times, per series,
 ``--repeats`` passes over its inputs (the median pass, in microseconds per
 call) and ``--repeats`` x 10 calls on its first input, the series itself
-(``first``), and hashes every position and value the scans return.
+(``first``), and hashes every output: the scan's positions, values and
+counts, or the sift's status, step count and component.
 
 Prints one JSON block: per series, for its first input and for the sum of
 the four ``ensemble_t10k`` processes, each tree's median, quartiles and
 runs, the rounds B was lower and the paired B/A ratios
-(``ab_decompose.compare``); the inputs' counts and fast blocks; and whether
-both trees' scans returned the same bits (``digests_equal``).
+(``ab_decompose.compare``); the inputs' counts (and the scan's fast
+blocks); and whether both trees' kernels returned the same bits
+(``digests_equal``).
 
     python3 bench/ab_scan.py TREE_A TREE_B --rounds 10 --work /tmp/scan --a "..." --b "..."
+    python3 bench/ab_scan.py TREE_A TREE_B --mode component --repeats 9 --work /tmp/sift
 """
 
 from __future__ import annotations
@@ -57,14 +64,15 @@ import json, math, sys
 import numpy as np
 from hhtscale import SimConfig, simulate
 from hhtscale._kernels import get_backend
-from hhtscale.emd import decompose
+from hhtscale.emd import MAX_SIFT_ITERATIONS, decompose
 from hhtscale.series import ingest_prices
 
 seed, processes, ticks = int(sys.argv[1]), json.loads(sys.argv[2]), json.loads(sys.argv[3])
-prices, out = sys.argv[4], sys.argv[5]
+prices, out, mode = sys.argv[4], sys.argv[5], sys.argv[6]
 compiled = get_backend("compiled")
 
 
+# the scan's inputs, through the two-kernel loop
 class Recorder:
     name = "recorder"
     spline_eval = staticmethod(compiled.spline_eval)
@@ -75,6 +83,14 @@ class Recorder:
     def find_extrema(self, x):
         self.inputs.append(np.array(x, dtype=np.float64))
         return compiled.find_extrema(x)
+
+
+# each component's input, through the one-call sift
+class ComponentRecorder(Recorder):
+
+    def sift_component(self, h, budget):
+        self.inputs.append(np.array(h, dtype=np.float64))
+        return compiled.sift_component(h, budget)
 
 
 def blocks(x):
@@ -96,20 +112,21 @@ series["cli"] = ingest_prices(prices)[0].values
 counts = {}
 with open(out, "wb") as f:
     for name, x in series.items():
-        recorder = Recorder()
+        recorder = ComponentRecorder() if mode == "component" else Recorder()
         decompose(x, backend=recorder)
-        split = [blocks(y) for y in recorder.inputs]
-        counts[name] = {
-            "calls": len(recorder.inputs),
-            "blocks": sum(b for b, _ in split),
-            "fast_blocks": sum(f for _, f in split),
-            "first_blocks": split[0][0],
-            "first_fast_blocks": split[0][1],
-        }
+        counts[name] = {"calls": len(recorder.inputs)}
+        if mode == "scan":
+            split = [blocks(y) for y in recorder.inputs]
+            counts[name].update(
+                blocks=sum(b for b, _ in split),
+                fast_blocks=sum(f for _, f in split),
+                first_blocks=split[0][0],
+                first_fast_blocks=split[0][1],
+            )
         np.array([len(recorder.inputs), x.size], dtype=np.int64).tofile(f)
         for y in recorder.inputs:
             y.tofile(f)
-print(json.dumps(counts))
+print(json.dumps({"counts": counts, "budget": MAX_SIFT_ITERATIONS}))
 """
 
 DRIVER = r"""
@@ -119,9 +136,6 @@ DRIVER = r"""
 #include <stdlib.h>
 #include <string.h>
 #include <time.h>
-
-void hht_find_extrema(const double *x, ptrdiff_t n, ptrdiff_t cap,
-                      ptrdiff_t *pos, double *val, ptrdiff_t *cnt);
 
 static double now_us(void)
 {
@@ -154,14 +168,68 @@ static uint64_t fnv(uint64_t h, const void *data, size_t size)
     return h;
 }
 
+#ifdef BUDGET
+/* the component sift of x[0..n-1] with BUDGET steps */
+int hht_sift_component(const double *x, ptrdiff_t n, ptrdiff_t budget, double *h,
+                       ptrdiff_t *steps);
+
+static ptrdiff_t length_, result[2];
+static double *h;
+
+static void begin(ptrdiff_t n)
+{
+    length_ = n;
+    h = realloc(h, (size_t)n * sizeof *h);
+}
+
+static void call(const double *x)
+{
+    result[0] = hht_sift_component(x, length_, BUDGET, h, &result[1]);
+}
+
+static uint64_t digest_of(uint64_t digest)
+{
+    digest = fnv(digest, result, sizeof result);
+    return fnv(digest, h, (size_t)length_ * sizeof *h);
+}
+#else
+/* the extrema scan of x[0..n-1] */
+void hht_find_extrema(const double *x, ptrdiff_t n, ptrdiff_t cap,
+                      ptrdiff_t *pos, double *val, ptrdiff_t *cnt);
+
+static ptrdiff_t length_, cap, *pos, cnt[2];
+static double *val;
+
+static void begin(ptrdiff_t n)
+{
+    length_ = n;
+    cap = n / 2 + 1;
+    pos = realloc(pos, (size_t)(2 * cap) * sizeof *pos);
+    val = realloc(val, (size_t)(2 * cap) * sizeof *val);
+}
+
+static void call(const double *x)
+{
+    hht_find_extrema(x, length_, cap, pos, val, cnt);
+}
+
+static uint64_t digest_of(uint64_t digest)
+{
+    digest = fnv(digest, cnt, sizeof cnt);
+    digest = fnv(digest, pos, (size_t)cnt[0] * sizeof *pos);
+    digest = fnv(digest, pos + cap, (size_t)cnt[1] * sizeof *pos);
+    digest = fnv(digest, val, (size_t)cnt[0] * sizeof *val);
+    return fnv(digest, val + cap, (size_t)cnt[1] * sizeof *val);
+}
+#endif
+
 int main(int argc, char **argv)
 {
     FILE *f = fopen(argv[1], "rb");
     int repeats = atoi(argv[2]), r, q, k, processes = atoi(argv[3]);
     int64_t head[2];
     double *x[16], *walls = malloc((size_t)(10 * repeats) * sizeof *walls), start;
-    ptrdiff_t *pos = NULL, cnt[2], calls[16], length[16], cap, i;
-    double *val = NULL;
+    ptrdiff_t calls[16], length[16], i;
     uint64_t digest = 14695981039346656037ULL;
 
     for (q = 0; q < processes; q++) {
@@ -176,27 +244,21 @@ int main(int argc, char **argv)
     }
     printf("{");
     for (q = 0; q < processes; q++) {
-        cap = length[q] / 2 + 1;
-        pos = realloc(pos, (size_t)(2 * cap) * sizeof *pos);
-        val = realloc(val, (size_t)(2 * cap) * sizeof *val);
+        begin(length[q]);
         for (i = 0; i < calls[q]; i++) {
-            hht_find_extrema(x[q] + i * length[q], length[q], cap, pos, val, cnt);
-            digest = fnv(digest, cnt, sizeof cnt);
-            digest = fnv(digest, pos, (size_t)cnt[0] * sizeof *pos);
-            digest = fnv(digest, pos + cap, (size_t)cnt[1] * sizeof *pos);
-            digest = fnv(digest, val, (size_t)cnt[0] * sizeof *val);
-            digest = fnv(digest, val + cap, (size_t)cnt[1] * sizeof *val);
+            call(x[q] + i * length[q]);
+            digest = digest_of(digest);
         }
         for (r = 0; r < repeats; r++) {
             start = now_us();
             for (i = 0; i < calls[q]; i++)
-                hht_find_extrema(x[q] + i * length[q], length[q], cap, pos, val, cnt);
+                call(x[q] + i * length[q]);
             walls[r] = (now_us() - start) / (double)calls[q];
         }
         printf("\"%d\": %.4f, ", q, median(walls, repeats));
         for (k = 0; k < 10 * repeats; k++) {
             start = now_us();
-            hht_find_extrema(x[q], length[q], cap, pos, val, cnt);
+            call(x[q]);
             walls[k] = now_us() - start;
         }
         printf("\"%d first\": %.4f, ", q, median(walls, 10 * repeats));
@@ -226,6 +288,8 @@ def main(argv=None) -> int:
     parser.add_argument("--b", default="tree B", help="what tree B is")
     parser.add_argument("--a-flags", default="", help="compiler flags added for tree A")
     parser.add_argument("--b-flags", default="", help="compiler flags added for tree B")
+    parser.add_argument("--mode", choices=("scan", "component"), default="scan",
+                        help="the kernel timed: the extrema scan or the component sift")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=31)
     parser.add_argument("--seed", type=int, default=7)
@@ -240,19 +304,22 @@ def main(argv=None) -> int:
     full = SIZES["full"]
     write_prices(prices, full["days"], full["bars"], op_seed(args.seed, 1 << 20))
     env = dict(os.environ, PYTHONPATH=str(trees["a"] / "src"), HHTSCALE_BACKEND="compiled")
-    counts = json.loads(subprocess.run(
+    recorded = json.loads(subprocess.run(
         [sys.executable, "-c", RECORD, str(args.seed), json.dumps(PROCESSES), json.dumps(TICKS),
-         str(prices), str(inputs)],
+         str(prices), str(inputs), args.mode],
         env=env, capture_output=True, text=True, check=True, timeout=600,
     ).stdout)
+    counts = recorded["counts"]
     source = args.work / "driver.c"
     source.write_text(DRIVER)
     drivers = {}
     flags = {"a": args.a_flags, "b": args.b_flags}
+    # the component sift's budget: tree A's emd.MAX_SIFT_ITERATIONS
+    budget = [] if args.mode == "scan" else [f"-DBUDGET={recorded['budget']}"]
     for side, tree in trees.items():
         drivers[side] = args.work / f"driver_{side}"
         subprocess.run(
-            [*compile_argv(tree, flags[side]), str(source),
+            [*compile_argv(tree, flags[side]), *budget, str(source),
              str(tree / "src" / "hhtscale" / "_kernels" / "sift.c"), "-o", str(drivers[side])],
             check=True, timeout=300,
         )
@@ -268,7 +335,8 @@ def main(argv=None) -> int:
         print(f"round {index + 1}/{args.rounds} done", file=sys.stderr)
 
     block = {
-        "a": args.a, "b": args.b, "a_flags": args.a_flags, "b_flags": args.b_flags,
+        "a": args.a, "b": args.b, "mode": args.mode, "a_flags": args.a_flags,
+        "b_flags": args.b_flags,
         "rounds": args.rounds, "repeats": args.repeats, "seed": args.seed, "inputs": counts,
         "digests_equal": len({r["digest"] for side in runs for r in runs[side]}) == 1,
     }

@@ -24,6 +24,11 @@
  * steps (two steps per SSE2 instruction where the target has SSE2, the
  * x86-64 baseline, else a plain loop with the same bits) and, where a block
  * has no flat step, reads its extrema off the masks; see hht_find_extrema.
+ * Each sift step builds both envelopes in two sweeps over their knots, a
+ * forward one that also fills byte-wide segment maps and a back one that
+ * also writes the segment coefficients, with the operations of
+ * hht_spline_eval's pass-by-pass solve and so its bits; see
+ * solve_envelopes.
  *
  * Built with the system C compiler by setup.py or, in a source checkout,
  * on first import (build.py).  Never build it with -ffast-math or with
@@ -159,39 +164,44 @@ typedef struct {
     double *h, *sl, *m, *cp, *dp, *c1, *c2, *c3;
 } spline;
 
-/* Points sp at its knots and at the scratch w, fills the knot spacings and
- * segment slopes, and, for k > 2, takes the first step of the Thomas
- * forward sweep for the second derivatives m[1..k-2] (m[0] = m[k-1] = 0).
- * Returns the scratch past sp's own. */
+/* Points sp at its knots and at the scratch w; returns the scratch past
+ * sp's own. */
 static double *spline_begin(spline *sp, const double *t, const double *v, ptrdiff_t k,
                             double *w)
 {
-    ptrdiff_t i;
-    double bb, *h = w, *sl = w + (k - 1);
-
     sp->t = t;
     sp->v = v;
     sp->k = k;
-    sp->h = h;
-    sp->sl = sl;
-    sp->m = sl + (k - 1);
+    sp->h = w;
+    sp->sl = w + (k - 1);
+    sp->m = sp->sl + (k - 1);
     sp->cp = sp->m + k;
     sp->dp = sp->cp + (k - 2);
-    for (i = 0; i < k - 1; i++) {
-        h[i] = t[i + 1] - t[i];
-        sl[i] = (v[i + 1] - v[i]) / h[i];
-    }
-    if (k > 2) {
-        bb = 2.0 * (h[0] + h[1]);
-        sp->cp[0] = h[1] / bb;
-        sp->dp[0] = 6.0 * (sl[1] - sl[0]) / bb;
-    }
-    sp->m[0] = 0.0;
-    sp->m[k - 1] = 0.0;
+    sp->c1 = sp->sl;
+    sp->c2 = sp->cp;
+    sp->c3 = sp->h;
     return sp->dp + (k - 1);
 }
 
-/* Step idx (1 <= idx < k - 2) of sp's forward sweep. */
+/* The spacing h[i] and slope sl[i] of sp's knots i and i + 1. */
+static void knot_gap(spline *sp, ptrdiff_t i)
+{
+    sp->h[i] = sp->t[i + 1] - sp->t[i];
+    sp->sl[i] = (sp->v[i + 1] - sp->v[i]) / sp->h[i];
+}
+
+/* Row 0 of sp's Thomas forward sweep for the second derivatives m[1..k-2]
+ * (m[0] = m[k-1] = 0), k > 2, from h and sl up to index 1. */
+static void forward_first(spline *sp)
+{
+    double bb = 2.0 * (sp->h[0] + sp->h[1]);
+
+    sp->cp[0] = sp->h[1] / bb;
+    sp->dp[0] = 6.0 * (sp->sl[1] - sp->sl[0]) / bb;
+}
+
+/* Row idx (1 <= idx < k - 2) of sp's forward sweep, from h and sl up to
+ * index idx + 1. */
 static void forward_step(spline *sp, ptrdiff_t idx)
 {
     const double *h = sp->h;
@@ -205,75 +215,66 @@ static void forward_step(spline *sp, ptrdiff_t idx)
     sp->dp[idx] = (r - h[i - 1] * sp->dp[idx - 1]) / w;
 }
 
-/* Step j (0 <= j < k - 2) of sp's back substitution, from the top down. */
-static void back_step(spline *sp, ptrdiff_t j)
+/* Segment s's c1 and c3, from m[s] = m0 and m[s + 1] = m1, over its sl[s]
+ * and h[s]; returns its c2, which the caller stores. */
+static double segment_coefs(spline *sp, ptrdiff_t s, double m0, double m1)
 {
-    ptrdiff_t idx = sp->k - 3 - j;
-
-    sp->m[idx + 1] = sp->dp[idx] - sp->cp[idx] * sp->m[idx + 2];
+    sp->c1[s] = sp->sl[s] - sp->h[s] * (2.0 * m0 + m1) / 6.0;
+    sp->c3[s] = (m1 - m0) / (6.0 * sp->h[s]);
+    return m0 / 2.0;
 }
 
-/* sp's segment coefficients, from its second derivatives. */
-static void spline_coefs(spline *sp)
+/* Solves sp pass by pass: the knot spacings and slopes, the forward sweep,
+ * the back substitution into m, then the segment coefficients.  This is
+ * hht_spline_eval's solve, and the reference that solve_envelopes' fused
+ * sweeps are tested against. */
+static void spline_solve(spline *sp)
 {
-    ptrdiff_t s;
-    double *h = sp->h, *m = sp->m;
+    ptrdiff_t i, k = sp->k;
+    double *m = sp->m;
 
-    sp->c1 = sp->sl;
-    sp->c2 = sp->cp;
-    sp->c3 = h;
-    for (s = 0; s < sp->k - 1; s++) {
-        sp->c1[s] = sp->sl[s] - h[s] * (2.0 * m[s] + m[s + 1]) / 6.0;
-        sp->c2[s] = m[s] / 2.0;
-        sp->c3[s] = (m[s + 1] - m[s]) / (6.0 * h[s]);
-    }
+    for (i = 0; i < k - 1; i++)
+        knot_gap(sp, i);
+    if (k > 2)
+        forward_first(sp);
+    for (i = 1; i < k - 2; i++)
+        forward_step(sp, i);
+    m[0] = 0.0;
+    m[k - 1] = 0.0;
+    for (i = k - 3; i >= 0; i--)
+        m[i + 1] = sp->dp[i] - sp->cp[i] * m[i + 2];
+    for (i = 0; i < k - 1; i++)
+        sp->c2[i] = segment_coefs(sp, i, m[i], m[i + 1]);
 }
 
-/* Solves the splines sp[0 .. count - 1], one Thomas step of each in turn,
- * so that the serial division chain of one overlaps the others'; each keeps
- * its own arithmetic.  Then writes their coefficients. */
-static void spline_solve(spline *sp, int count)
+/* The grid point where the segment after the interior knot tt begins, on
+ * the grid 0 .. n_out - 1 (lim = n_out): the first point past tt, or 0 or
+ * n_out when tt lies below or at or past the grid's end.  tt is compared in
+ * double before any cast, so no out-of-range or non-finite value is
+ * converted to an integer. */
+static ptrdiff_t segment_start(double tt, double lim, ptrdiff_t n_out)
 {
-    ptrdiff_t j, k = 0;
-    int q;
-
-    for (q = 0; q < count; q++)
-        k = sp[q].k > k ? sp[q].k : k;
-    for (j = 1; j < k - 2; j++)
-        for (q = 0; q < count; q++)
-            if (j < sp[q].k - 2)
-                forward_step(&sp[q], j);
-    for (j = 0; j < k - 2; j++)
-        for (q = 0; q < count; q++)
-            if (j < sp[q].k - 2)
-                back_step(&sp[q], j);
-    for (q = 0; q < count; q++)
-        spline_coefs(&sp[q]);
+    return tt < 0.0 ? 0 : tt < lim ? (ptrdiff_t)tt + 1 : n_out;
 }
 
 /* The segment map of sp on the grid 0 .. n_out - 1: grid point i lies in
  * segment s when t[s] < i <= t[s + 1], and the end segments extend past
- * the outer knots.  Segment s + 1 begins at the first grid point past
- * t[s + 1], so first[i] counts the segments that begin at i, and a running
- * sum of first is each point's segment.  Knots are compared in double
- * before any cast, so no out-of-range or non-finite value is converted to
- * an integer. */
+ * the outer knots.  Segment s + 1 begins at segment_start(t[s + 1]), so
+ * first[i] counts the segments that begin at i, and a running sum of first
+ * is each point's segment. */
 static void segment_map(const spline *sp, ptrdiff_t *first, ptrdiff_t n_out)
 {
     ptrdiff_t i;
-    double tt, lim = (double)n_out;
 
     memset(first, 0, (size_t)(n_out + 1) * sizeof(ptrdiff_t));
-    for (i = 1; i < sp->k - 1; i++) {
-        tt = sp->t[i];
-        first[tt < 0.0 ? 0 : tt < lim ? (ptrdiff_t)tt + 1 : n_out]++;
-    }
+    for (i = 1; i < sp->k - 1; i++)
+        first[segment_start(sp->t[i], (double)n_out, n_out)]++;
 }
 
-/* sp at grid point i, which lies in segment s. */
-static double spline_at(const spline *sp, ptrdiff_t s, ptrdiff_t i)
+/* sp at grid point x, which lies in segment s. */
+static double spline_at(const spline *sp, ptrdiff_t s, double x)
 {
-    double d = (double)i - sp->t[s];
+    double d = x - sp->t[s];
 
     return sp->v[s] + d * (sp->c1[s] + d * (sp->c2[s] + d * sp->c3[s]));
 }
@@ -294,15 +295,95 @@ int hht_spline_eval(const double *t, const double *v, ptrdiff_t k,
     if (w == NULL)
         return -1;
     first = (ptrdiff_t *)spline_begin(&sp, t, v, k, w);
-    spline_solve(&sp, 1);
+    spline_solve(&sp);
     segment_map(&sp, first, n_out);
     s = 0;
     for (i = 0; i < n_out; i++) {
         s += first[i];
-        out[i] = spline_at(&sp, s, i);
+        out[i] = spline_at(&sp, s, (double)i);
     }
     free(w);
     return 0;
+}
+
+/* Row idx (1 <= idx < k - 2) of one envelope's forward sweep, which first
+ * takes the spacing and slope of knots idx + 1 and idx + 2, and enters
+ * interior knot idx + 1 into the byte segment map first of the grid
+ * 0 .. n - 1 (lim = n). */
+static void forward_row(spline *sp, ptrdiff_t idx, unsigned char *first, double lim,
+                        ptrdiff_t n)
+{
+    knot_gap(sp, idx + 1);
+    forward_step(sp, idx);
+    first[segment_start(sp->t[idx + 1], lim, n)]++;
+}
+
+/* Row idx (0 <= idx < k - 3) of one envelope's back substitution, from
+ * m[idx + 2] = m_hi: returns m[idx + 1] and writes segment idx + 1's
+ * coefficients, both of whose second derivatives are then known. */
+static double back_row(spline *sp, ptrdiff_t idx, double m_hi)
+{
+    double m = sp->dp[idx] - sp->cp[idx] * m_hi;
+
+    sp->c2[idx + 1] = segment_coefs(sp, idx + 1, m, m_hi);
+    return m;
+}
+
+/* Solves the upper (sp[0]) and lower (sp[1]) envelopes, each of k >= 4
+ * knots, and fills their segment maps on the grid 0 .. n - 1 into first[0]
+ * and first[1], n + 1 bytes each, in two sweeps over the knots instead of
+ * spline_solve's four and segment_map's one:
+ *   - the forward sweep takes each knot's spacing and slope just before the
+ *     Thomas row that first reads them, and enters the row's interior knot
+ *     into the map;
+ *   - the back substitution writes segment s's coefficients as soon as m[s]
+ *     and m[s + 1] are known, keeping m in a register.  The top segment's
+ *     c2 lands on dp[0], which the last row still reads, so it is stored
+ *     after the loop, with segment 0's coefficients (m[0] = 0).
+ * Each value is the same IEEE operations on the same operands, in the same
+ * order, as spline_solve and segment_map, so the bits are theirs.  The two
+ * envelopes go through their common rows in lockstep, one row of each in
+ * turn, so that the serial division chain of one overlaps the other's; the
+ * longer one then runs its last rows alone.
+ *
+ * A map entry is one byte: the knots are distinct integer positions
+ * (mirror_extrema rejects knots that do not strictly ascend), so an
+ * interior grid point starts at most one segment, and each end bucket,
+ * first[0] and first[n], collects at most MIRRORED_EXTREMA knots. */
+static void solve_envelopes(spline sp[2], unsigned char *const first[2], ptrdiff_t n)
+{
+    /* rows 0 .. both - 1 of each sweep are common to the two envelopes */
+    ptrdiff_t q, j, both = (sp[0].k < sp[1].k ? sp[0].k : sp[1].k) - 2;
+    double lim = (double)n, m[2], top_c2[2];
+
+    for (q = 0; q < 2; q++) {
+        memset(first[q], 0, (size_t)(n + 1));
+        knot_gap(&sp[q], 0);
+        knot_gap(&sp[q], 1);
+        forward_first(&sp[q]);
+        first[q][segment_start(sp[q].t[1], lim, n)]++;
+    }
+    for (j = 1; j < both; j++)
+        for (q = 0; q < 2; q++)
+            forward_row(&sp[q], j, first[q], lim, n);
+    for (q = 0; q < 2; q++)
+        for (j = both; j < sp[q].k - 2; j++)
+            forward_row(&sp[q], j, first[q], lim, n);
+
+    /* back substitution, row j from the top: row k - 3 - j */
+    for (q = 0; q < 2; q++) {
+        m[q] = sp[q].dp[sp[q].k - 3] - sp[q].cp[sp[q].k - 3] * 0.0;
+        top_c2[q] = segment_coefs(&sp[q], sp[q].k - 2, m[q], 0.0);
+    }
+    for (j = 1; j < both; j++)
+        for (q = 0; q < 2; q++)
+            m[q] = back_row(&sp[q], sp[q].k - 3 - j, m[q]);
+    for (q = 0; q < 2; q++) {
+        for (j = both; j < sp[q].k - 2; j++)
+            m[q] = back_row(&sp[q], sp[q].k - 3 - j, m[q]);
+        sp[q].c2[0] = segment_coefs(&sp[q], 0, 0.0, m[q]);
+        sp[q].c2[sp[q].k - 2] = top_c2[q];
+    }
 }
 
 static ptrdiff_t min_size(ptrdiff_t a, ptrdiff_t b)
@@ -409,10 +490,11 @@ static int mirror_extrema(const double *t[2], const double *v[2], const ptrdiff_
 /* One component's workspace, one block for all its steps: the scan of the
  * current h (positions, values and counts as hht_find_extrema writes them),
  * its extrema positions as doubles, both envelopes' knots and spline
- * scratch, the second h buffer, and both segment maps. */
+ * scratch, the second h buffer, and both envelopes' byte segment maps. */
 typedef struct {
-    ptrdiff_t cap, cnt[2], *pos, *first[2];
+    ptrdiff_t cap, cnt[2], *pos;
     double *val, *tpos, *knots, *alt;
+    unsigned char *first[2];
 } workspace;
 
 /* Points ws into one block for series of n samples; returns the block, to
@@ -423,7 +505,7 @@ static void *workspace_begin(workspace *ws, ptrdiff_t n)
 {
     ptrdiff_t cap = n / 2 + 1, knots = 14 * (cap + 2 * MIRRORED_EXTREMA);
     double *w = malloc((size_t)(4 * cap + knots + n) * sizeof(double)
-                       + (size_t)(2 * cap + 2 * (n + 1)) * sizeof(ptrdiff_t));
+                       + (size_t)(2 * cap) * sizeof(ptrdiff_t) + (size_t)(2 * (n + 1)));
 
     if (w == NULL)
         return NULL;
@@ -433,7 +515,7 @@ static void *workspace_begin(workspace *ws, ptrdiff_t n)
     ws->knots = ws->tpos + 2 * cap;
     ws->alt = ws->knots + knots;
     ws->pos = (ptrdiff_t *)(ws->alt + n);
-    ws->first[0] = ws->pos + 2 * cap;
+    ws->first[0] = (unsigned char *)(ws->pos + 2 * cap);
     ws->first[1] = ws->first[0] + (n + 1);
     return w;
 }
@@ -441,7 +523,8 @@ static void *workspace_begin(workspace *ws, ptrdiff_t n)
 /* The envelopes of h[0..n-1], whose extrema ws holds: Rilling's mirror
  * padding of MIRRORED_EXTREMA extrema past each end, then the upper (sp[0])
  * and lower (sp[1]) natural splines, solved, with their segment maps in
- * ws->first, as mirror_extrema and hht_spline_eval compose them.  Writes to
+ * ws->first, as mirror_extrema and hht_spline_eval compose them (see
+ * solve_envelopes).  Writes to
  * *oscillatory whether every maximum of h is positive and every minimum
  * negative.  Returns 0, or mirror_extrema's -1 or -2. */
 static int envelopes(const workspace *ws, const double *h, ptrdiff_t n, spline sp[2],
@@ -472,23 +555,23 @@ static int envelopes(const workspace *ws, const double *h, ptrdiff_t n, spline s
      * each envelope has k >= 4 knots */
     for (q = 0; q < 2; q++)
         scratch = spline_begin(&sp[q], kt[q], kv[q], cnt[q], scratch);
-    spline_solve(sp, 2);
-    for (q = 0; q < 2; q++)
-        segment_map(&sp[q], ws->first[q], n);
+    solve_envelopes(sp, ws->first, n);
     return 0;
 }
 
 /* The mean of the envelopes sp on the grid 0 .. n - 1, out[i] =
- * (upper[i] + lower[i]) * 0.5. */
+ * (upper[i] + lower[i]) * 0.5.  The grid position is carried as a double
+ * counter x, which equals (double)i exactly below 2^53. */
 static void envelope_mean(const workspace *ws, const spline sp[2], ptrdiff_t n, double *out)
 {
-    const ptrdiff_t *first0 = ws->first[0], *first1 = ws->first[1];
+    const unsigned char *first0 = ws->first[0], *first1 = ws->first[1];
     ptrdiff_t i, s0 = 0, s1 = 0;
+    double x = 0.0;
 
-    for (i = 0; i < n; i++) {
+    for (i = 0; i < n; i++, x += 1.0) {
         s0 += first0[i];
         s1 += first1[i];
-        out[i] = (spline_at(&sp[0], s0, i) + spline_at(&sp[1], s1, i)) * 0.5;
+        out[i] = (spline_at(&sp[0], s0, x) + spline_at(&sp[1], s1, x)) * 0.5;
     }
 }
 

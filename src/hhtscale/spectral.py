@@ -17,7 +17,11 @@ dominates.
 
 The tracks are built one component at a time: each analytic signal is
 transformed, measured, scaled and turned into phase steps while it is the
-only one alive, so no whole-stack complex array is ever made.  The
+only one alive, so no whole-stack complex array is ever made.  The Hilbert
+transforms alone go two components per FFT call: NumPy's pocketfft runs a
+multi-row transform lane by lane with the arithmetic of a lone row, so a
+pair gets the bits of two single calls for less time, and pairs, unlike the
+whole stack, keep the temporaries small.  The
 neighbour product is written conj(z[t]) * z[t+1], one row at a time, so a
 component's bits do not depend on the stack it shares.
 
@@ -50,25 +54,29 @@ _workspace = threading.local()
 
 
 def _hilbert(x: np.ndarray) -> np.ndarray:
-    """Hilbert transform of the real 1-D series ``x``, from its half spectrum."""
-    n = x.shape[0]
+    """Hilbert transform of the real 1-D series ``x``, or of each row of the
+    2-D ``x``, from its half spectrum."""
+    n = x.shape[-1]
     if n < 4:
         raise ValueError("need at least 4 samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
     spec = np.fft.rfft(x)
     spec *= -1j
-    spec[0] = 0.0
+    spec[..., 0] = 0.0
     if n % 2 == 0:
-        spec[-1] = 0.0
+        spec[..., -1] = 0.0
     return np.fft.irfft(spec, n)
 
 
-def _analytic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _analytic(
+    x: np.ndarray, out: np.ndarray | None = None, hilbert: np.ndarray | None = None
+) -> np.ndarray:
     """Analytic signal x + iH of the real 1-D series ``x``, written into
-    ``out`` (a complex row of the same length) when given."""
+    ``out`` (a complex row of the same length) when given, from ``x``'s
+    Hilbert transform ``hilbert`` when already made."""
     z = np.empty(x.shape[0], dtype=np.complex128) if out is None else out
-    z.imag = _hilbert(x)
+    z.imag = _hilbert(x) if hilbert is None else hilbert
     z.real = x
     return z
 
@@ -131,8 +139,10 @@ def _fill_track(
     analytic signal in turn.  ``periods`` and ``validity`` are made when not
     given, once the rows' temporaries are freed, as a fresh track's are."""
     length = imfs.shape[1]
-    for imf, amplitude, frequency in zip(imfs, amplitudes, frequencies):
-        z = _analytic(imf, row)
+    for index, (imf, amplitude, frequency) in enumerate(zip(imfs, amplitudes, frequencies)):
+        if index % 2 == 0:  # the Hilbert transforms of this row and the next
+            transforms = _hilbert(imfs[index : index + 2])
+        z = _analytic(imf, row, transforms[index % 2])
         np.abs(z, out=amplitude)
         # Scale z by a power of two (largest amplitude in [0.5, 1), at most
         # 2**1023 for a subnormal row) so the products of neighbours below

@@ -15,8 +15,10 @@
  * NaN and infinities sit at the edges of the scan's 64-step blocks,
  * hht_find_extrema returns the bits of the plain step-by-step rule.
  * TestLoader builds it a second time with __SSE2__ undefined, so the scan's
- * portable loop runs whole blocks too.  Prints "ok" and exits 0 when every
- * case passes.
+ * portable loop runs whole blocks too.  The fused envelope solve of
+ * hht_sift_component, solve_envelopes, equals hht_spline_eval on knot sets
+ * that reach the ends of its lockstep sweeps and of its byte segment maps.
+ * Prints "ok" and exits 0 when every case passes.
  */
 
 #include <math.h>
@@ -312,7 +314,7 @@ static void check_spline_scratch(void)
         }
         if (spline_begin(&sp, t, v, k, w) != w + (5 * k - 5))
             fail("spline scratch", "scratch is not 5k - 5 doubles");
-        spline_solve(&sp, 1);
+        spline_solve(&sp);
         for (s = 0; s < k - 1; s++) {
             d = spline_at(&sp, s, (ptrdiff_t)t[s + 1]) - v[s + 1];
             if (spline_at(&sp, s, (ptrdiff_t)t[s]) != v[s] || d > 1e-12 || d < -1e-12)
@@ -334,6 +336,135 @@ static void walk(double *x, ptrdiff_t n, unsigned long long seed, double tick)
         level += (double)(seed >> 11) / 4503599627370496.0 - 1.0;
         x[i] = tick > 0.0 ? (double)(long long)(level / tick) * tick : level;
     }
+}
+
+/* solve_envelopes on the knot sets (t[q], v[q]) of k[q] >= 4 knots, with
+ * byte maps on the grid 0 .. n - 1, against the generic path: each map
+ * equals segment_map's, and each envelope evaluated from it equals
+ * hht_spline_eval's output, bit for bit.  Every buffer is sized exactly. */
+static void check_envelopes(const char *name, const double *const t[2], const double *const v[2],
+                            const ptrdiff_t k[2], ptrdiff_t n)
+{
+    spline sp[2];
+    double *w[2], *want = malloc((size_t)n * sizeof *want), x, got;
+    unsigned char *first[2];
+    ptrdiff_t *map = malloc((size_t)(n + 1) * sizeof *map), q, i, s;
+    int bad = 0;
+
+    for (q = 0; q < 2; q++) {
+        w[q] = malloc((size_t)(5 * k[q] - 5) * sizeof *w[q]);
+        first[q] = malloc((size_t)(n + 1));
+        spline_begin(&sp[q], t[q], v[q], k[q], w[q]);
+    }
+    solve_envelopes(sp, first, n);
+    for (q = 0; q < 2; q++) {
+        segment_map(&sp[q], map, n);
+        for (i = 0; i <= n; i++)
+            bad |= first[q][i] != map[i];
+        if (hht_spline_eval(t[q], v[q], k[q], want, n))
+            fail(name, "spline scratch allocation failed");
+        for (i = 0, s = 0, x = 0.0; i < n; i++, x += 1.0) {
+            s += first[q][i];
+            got = spline_at(&sp[q], s, x);
+            bad |= memcmp(&got, &want[i], sizeof got) != 0;
+        }
+        free(first[q]);
+        free(w[q]);
+    }
+    if (bad)
+        fail(name, "fused envelope solve differs from hht_spline_eval");
+    free(map);
+    free(want);
+}
+
+/* Knot sets that no sift step makes, through solve_envelopes directly: the
+ * mirror rule gives each envelope k >= 5 knots, counts that differ by at
+ * most 1, and at most one interior knot in each end bucket of a map.  Here
+ * k = 4 meets k = 4, 5 and 6 either way round, so the lockstep sweeps run
+ * no common row and tails of 0, 1 and 2 rows; and knots at -3, -2, n + 1
+ * and n + 2 put two interior knots in each end bucket, beside a lower
+ * envelope of two knots fewer. */
+static void check_envelope_shapes(void)
+{
+    static const double ends[9] = {-6.0, -3.0, -2.0, 2.0, 5.0, 9.0, 13.0, 14.0, 17.0};
+    static const double lower[7] = {-4.0, 1.0, 3.0, 6.0, 7.0, 10.0, 15.0};
+    static const double inside[6] = {-1.0, 2.0, 4.0, 7.0, 9.0, 12.0};
+    double v[11];
+    const double *t[2], *vv[2] = {v, v + 2};
+    ptrdiff_t k[2], a;
+
+    walk(v, 11, 29, 0.0);
+    /* k = 4 against k = 4, 5, 6, each way round, on a grid of 12 */
+    for (a = 4; a <= 6; a++) {
+        t[0] = inside;
+        t[1] = inside;
+        k[0] = 4;
+        k[1] = a;
+        check_envelopes("envelopes: k = 4 first", t, vv, k, 12);
+        k[0] = a;
+        k[1] = 4;
+        check_envelopes("envelopes: k = 4 second", t, vv, k, 12);
+    }
+    /* grid of 12: interior knots -3, -2 (bucket 0) and 13, 14 (bucket 12) */
+    t[0] = ends;
+    t[1] = lower;
+    k[0] = 9;
+    k[1] = 7;
+    check_envelopes("envelopes: full end buckets", t, vv, k, 12);
+    k[0] = 7;
+    k[1] = 9;
+    t[0] = lower;
+    t[1] = ends;
+    check_envelopes("envelopes: full end buckets", t, vv, k, 12);
+}
+
+/* The knot counts of the two envelopes of x[0..n-1]'s first sift step, or
+ * 0 when it has none. */
+static int knot_counts(const double *x, ptrdiff_t n, ptrdiff_t k[2])
+{
+    workspace ws;
+    spline sp[2];
+    void *block = workspace_begin(&ws, n);
+    int made = 0, oscillatory;
+
+    hht_find_extrema(x, n, ws.cap, ws.pos, ws.val, ws.cnt);
+    if (ws.cnt[0] >= 2 && ws.cnt[1] >= 2 && envelopes(&ws, x, n, sp, &oscillatory) == 0) {
+        k[0] = sp[0].k;
+        k[1] = sp[1].k;
+        made = 1;
+    }
+    free(block);
+    return made;
+}
+
+/* Seeded walks of 8 to 67 samples whose first step's envelopes have knot
+ * counts that differ by -1, 0 and 1, and the fewest knots a sift step
+ * gives (5), each stepped and sifted whole. */
+static void check_knot_counts(void)
+{
+    static const char *names[4] = {
+        "knot counts: upper one fewer", "knot counts: equal", "knot counts: upper one more",
+        "knot counts: five knots",
+    };
+    double x[67];
+    ptrdiff_t n, k[2], c;
+    unsigned long long seed;
+    int found[4] = {0, 0, 0, 0};
+
+    for (seed = 1; seed <= 2000; seed++) {
+        n = 8 + (ptrdiff_t)(seed % 60);
+        walk(x, n, seed, 0.0);
+        if (!knot_counts(x, n, k) || k[0] - k[1] < -1 || k[0] - k[1] > 1)
+            continue;
+        c = k[0] == 5 || k[1] == 5 ? 3 : 1 + k[0] - k[1];
+        if (found[c]++ < 3) {
+            check_step(names[c], x, n);
+            check_component(names[c], x, n, 100);
+        }
+    }
+    for (c = 0; c < 4; c++)
+        if (!found[c])
+            fail(names[c], "no walk has these knot counts");
 }
 
 /* The scan's block edges: each length around one and two 64-step blocks,
@@ -473,6 +604,8 @@ int main(void)
         fail("spline", "scratch allocation failed");
     check_spline_scratch();
     check_block_edges();
+    check_envelope_shapes();
+    check_knot_counts();
 
     if (failures)
         return 1;

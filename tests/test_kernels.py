@@ -454,6 +454,24 @@ class TestEnvelopeStep:
         if case == "exhausted":
             assert fused.stop_reasons[-1] == emd.STOP_EXTREMA and fused.sift_counts[-1] > 0
 
+    @pytest.mark.parametrize("process, shape, length", [
+        ("bm", {}, 10_000),
+        ("fbm", {"hurst": 0.7}, 10_000),
+        ("arfima", {"d": 0.2}, 10_000),
+        ("slm", {"alpha": 1.5}, 10_384),
+    ])
+    def test_decompose_at_the_benchmark_lengths(self, process, shape, length):
+        # each ensemble_t10k process at its benchmark length: the one-call
+        # sift against the loop of the Python mirror and hht_spline_eval
+        x = simulate(SimConfig(process=process, length=length, seed=0, **shape)).values
+        fused = emd.decompose(x, backend=get_backend("compiled"))
+        composed = emd.decompose(x, backend=_TwoKernels(get_backend("compiled")))
+        assert composed.imfs.tobytes() == fused.imfs.tobytes()
+        assert composed.residue.tobytes() == fused.residue.tobytes()
+        assert (composed.sift_counts, composed.stop_reasons) == (
+            fused.sift_counts, fused.stop_reasons,
+        )
+
 
 def _composed_sift(h, budget):
     """The sift spelled out over ``envelope_step`` on the NumPy kernels:

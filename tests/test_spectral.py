@@ -237,3 +237,29 @@ class TestSpectralTrack:
             spectral_track(dec, trim_fraction=0.5)
         with pytest.raises(ValueError):
             spectral_track(dec, trim_fraction=-0.1)
+
+
+@pytest.mark.parametrize("length", [16, 17, 1001, 10_000, 10_384])
+@pytest.mark.parametrize("n_imfs", [1, 2, 3, 5])
+def test_paired_transforms_match_the_row_by_row_track(monkeypatch, length, n_imfs):
+    # Both builds take two components per FFT call, and an odd count's last
+    # row runs alone; each must give the bits of a track whose transforms
+    # are made one row at a time by the 1-D _hilbert.
+    from hhtscale import spectral
+
+    rng = np.random.default_rng(length * 10 + n_imfs)
+    imfs = np.cumsum(rng.standard_normal((n_imfs, length)), axis=1)
+    dec = ImfDecomposition(
+        imfs=imfs, residue=np.zeros(length), sift_counts=[1] * n_imfs,
+        stop_reasons=["oscillatory"] * n_imfs,
+    )
+    fresh = spectral_track(dec, 0.05)
+    retained = [field.copy() for field in vars(spectral._retained_track(dec, 0.05)).values()]
+    one_row = spectral._hilbert
+    monkeypatch.setattr(
+        spectral, "_hilbert", lambda x: np.array([one_row(row) for row in np.atleast_2d(x)])
+    )
+    reference = vars(spectral_track(dec, 0.05)).values()
+    for want, got, kept in zip(reference, vars(fresh).values(), retained):
+        assert got.tobytes() == want.tobytes()
+        assert kept.tobytes() == want.tobytes()
