@@ -20,21 +20,27 @@ Tree A's ``src`` records them once, into the work directory, and, for the
 scan, counts per series the blocks of 64 steps that it reads off the masks
 alone (``fast_blocks``: not the first block, and no flat step in the block
 or just before it), over all its scans and over the first.  Each tree's
-``sift.c`` is then compiled by that tree's ``build.find_compiler()`` with
-its ``build.OPT_FLAGS`` and the tree's ``--a-flags`` or ``--b-flags`` (say
-``-U__SSE2__``), together with a small driver, and each round runs both
-drivers, tree A first in even rounds.  A driver times, per series,
-``--repeats`` passes over its inputs (the median pass, in microseconds per
-call) and ``--repeats`` x 10 calls on its first input, the series itself
-(``first``), and hashes every output: the scan's positions, values and
-counts, or the sift's status, step count and component.
+``sift.c`` is then compiled as the package builds it (that tree's
+``build.find_compiler()`` and ``build.OPT_FLAGS``, ``-fPIC -shared``), with
+the tree's ``--a-flags`` or ``--b-flags`` (say ``-U__SSE2__``), into a
+shared library.  Each round is one driver process that loads both
+libraries, tree A's first in even rounds, and alternates them pass by
+pass, tree A first in even passes, so that a change in the machine's speed
+falls on both sides of a pair of passes.  Per series, the driver times
+``--repeats`` passes of each library over the series' inputs
+(microseconds per call) and ``--repeats`` x 10 calls of each on its first
+input, the series itself (``first``), reports each side's median and the
+median of the per-pass ratios B/A, and hashes every output of each
+library: the scan's positions, values and counts, or the sift's status,
+step count and component.
 
 Prints one JSON block: per series, for its first input and for the sum of
 the four ``ensemble_t10k`` processes, each tree's median, quartiles and
-runs, the rounds B was lower and the paired B/A ratios
-(``ab_decompose.compare``); the inputs' counts (and the scan's fast
-blocks); and whether both trees' kernels returned the same bits
-(``digests_equal``).
+runs over the rounds, the rounds B was lower and the paired B/A ratios of
+the rounds' medians (``ab_decompose.compare``), and the quartiles of the
+rounds' median per-pass ratios (``pass_b_over_a``); the inputs' counts
+(and the scan's fast blocks); and whether both libraries returned the same
+bits in every round (``digests_equal``).
 
     python3 bench/ab_scan.py TREE_A TREE_B --rounds 10 --work /tmp/scan --a "..." --b "..."
     python3 bench/ab_scan.py TREE_A TREE_B --mode component --repeats 9 --work /tmp/sift
@@ -51,7 +57,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ab_decompose import PROCESSES, compare
+from ab_decompose import PROCESSES, compare, quartiles
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import SIZES, op_seed, write_prices  # noqa: E402
@@ -130,6 +136,7 @@ print(json.dumps({"counts": counts, "budget": MAX_SIFT_ITERATIONS}))
 """
 
 DRIVER = r"""
+#include <dlfcn.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -170,9 +177,11 @@ static uint64_t fnv(uint64_t h, const void *data, size_t size)
 
 #ifdef BUDGET
 /* the component sift of x[0..n-1] with BUDGET steps */
-int hht_sift_component(const double *x, ptrdiff_t n, ptrdiff_t budget, double *h,
-                       ptrdiff_t *steps);
+#define ENTRY "hht_sift_component"
+typedef int (*kernel)(const double *x, ptrdiff_t n, ptrdiff_t budget, double *h,
+                      ptrdiff_t *steps);
 
+static kernel kernels[2];
 static ptrdiff_t length_, result[2];
 static double *h;
 
@@ -182,9 +191,9 @@ static void begin(ptrdiff_t n)
     h = realloc(h, (size_t)n * sizeof *h);
 }
 
-static void call(const double *x)
+static void call(int side, const double *x)
 {
-    result[0] = hht_sift_component(x, length_, BUDGET, h, &result[1]);
+    result[0] = kernels[side](x, length_, BUDGET, h, &result[1]);
 }
 
 static uint64_t digest_of(uint64_t digest)
@@ -194,9 +203,11 @@ static uint64_t digest_of(uint64_t digest)
 }
 #else
 /* the extrema scan of x[0..n-1] */
-void hht_find_extrema(const double *x, ptrdiff_t n, ptrdiff_t cap,
-                      ptrdiff_t *pos, double *val, ptrdiff_t *cnt);
+#define ENTRY "hht_find_extrema"
+typedef void (*kernel)(const double *x, ptrdiff_t n, ptrdiff_t cap, ptrdiff_t *pos, double *val,
+                       ptrdiff_t *cnt);
 
+static kernel kernels[2];
 static ptrdiff_t length_, cap, *pos, cnt[2];
 static double *val;
 
@@ -208,9 +219,9 @@ static void begin(ptrdiff_t n)
     val = realloc(val, (size_t)(2 * cap) * sizeof *val);
 }
 
-static void call(const double *x)
+static void call(int side, const double *x)
 {
-    hht_find_extrema(x, length_, cap, pos, val, cnt);
+    kernels[side](x, length_, cap, pos, val, cnt);
 }
 
 static uint64_t digest_of(uint64_t digest)
@@ -223,15 +234,41 @@ static uint64_t digest_of(uint64_t digest)
 }
 #endif
 
+/* Prints "key": [A's median, B's median, the median of B/A], from the walls
+ * of the k alternated timings of each side. */
+static void report(const char *key, int q, double *walls[2], int k)
+{
+    double *ratio = malloc((size_t)k * sizeof *ratio), ma, mb;
+    int r;
+
+    for (r = 0; r < k; r++)
+        ratio[r] = walls[1][r] / walls[0][r];
+    ma = median(walls[0], k);
+    mb = median(walls[1], k);
+    printf("\"%d%s\": [%.4f, %.4f, %.5f], ", q, key, ma, mb, median(ratio, k));
+    free(ratio);
+}
+
+/* driver LIB_A LIB_B INPUTS REPEATS SERIES */
 int main(int argc, char **argv)
 {
-    FILE *f = fopen(argv[1], "rb");
-    int repeats = atoi(argv[2]), r, q, k, processes = atoi(argv[3]);
+    FILE *f = fopen(argv[3], "rb");
+    int repeats = atoi(argv[4]), processes = atoi(argv[5]), r, q, side, o;
     int64_t head[2];
-    double *x[16], *walls = malloc((size_t)(10 * repeats) * sizeof *walls), start;
+    double *x[16], *walls[2], start;
     ptrdiff_t calls[16], length[16], i;
-    uint64_t digest = 14695981039346656037ULL;
+    uint64_t digest[2] = {14695981039346656037ULL, 14695981039346656037ULL};
+    void *library;
 
+    if (argc != 6 || f == NULL)
+        return 2;
+    for (side = 0; side < 2; side++) {
+        library = dlopen(argv[1 + side], RTLD_NOW | RTLD_LOCAL);
+        if (library == NULL)
+            return 2;
+        *(void **)&kernels[side] = dlsym(library, ENTRY);
+        walls[side] = malloc((size_t)(10 * repeats) * sizeof *walls[side]);
+    }
     for (q = 0; q < processes; q++) {
         if (fread(head, sizeof head, 1, f) != 1)
             return 2;
@@ -245,39 +282,53 @@ int main(int argc, char **argv)
     printf("{");
     for (q = 0; q < processes; q++) {
         begin(length[q]);
-        for (i = 0; i < calls[q]; i++) {
-            call(x[q] + i * length[q]);
-            digest = digest_of(digest);
-        }
-        for (r = 0; r < repeats; r++) {
-            start = now_us();
-            for (i = 0; i < calls[q]; i++)
-                call(x[q] + i * length[q]);
-            walls[r] = (now_us() - start) / (double)calls[q];
-        }
-        printf("\"%d\": %.4f, ", q, median(walls, repeats));
-        for (k = 0; k < 10 * repeats; k++) {
-            start = now_us();
-            call(x[q]);
-            walls[k] = now_us() - start;
-        }
-        printf("\"%d first\": %.4f, ", q, median(walls, 10 * repeats));
+        for (side = 0; side < 2; side++)
+            for (i = 0; i < calls[q]; i++) {
+                call(side, x[q] + i * length[q]);
+                digest[side] = digest_of(digest[side]);
+            }
+        /* pass r runs tree A first when r is even */
+        for (r = 0; r < repeats; r++)
+            for (o = 0; o < 2; o++) {
+                side = (r + o) % 2;
+                start = now_us();
+                for (i = 0; i < calls[q]; i++)
+                    call(side, x[q] + i * length[q]);
+                walls[side][r] = (now_us() - start) / (double)calls[q];
+            }
+        report("", q, walls, repeats);
+        for (r = 0; r < 10 * repeats; r++)
+            for (o = 0; o < 2; o++) {
+                side = (r + o) % 2;
+                start = now_us();
+                call(side, x[q]);
+                walls[side][r] = now_us() - start;
+            }
+        report(" first", q, walls, 10 * repeats);
     }
-    printf("\"digest\": \"%016llx\"}\n", (unsigned long long)digest);
+    printf("\"digests\": [\"%016llx\", \"%016llx\"]}\n", (unsigned long long)digest[0],
+           (unsigned long long)digest[1]);
     return 0;
 }
 """
 
 
-def compile_argv(tree: Path, flags: str) -> list:
-    """The compiler and ``OPT_FLAGS`` of the tree's ``_kernels/build.py``,
-    then ``flags``."""
+def tree_build(tree: Path):
+    """The tree's ``_kernels/build.py``, loaded as a module."""
     spec = importlib.util.spec_from_file_location(
         "tree_build", tree / "src" / "hhtscale" / "_kernels" / "build.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [*module.find_compiler(), *module.OPT_FLAGS, *shlex.split(flags)]
+    return module
+
+
+def fold(rounds: list) -> dict:
+    """``compare`` of the rounds' medians of each side, with the quartiles of
+    the rounds' median per-pass ratios B/A (``pass_b_over_a``)."""
+    out = compare([r[0] for r in rounds], [r[1] for r in rounds])
+    out["pass_b_over_a"] = quartiles([r[2] for r in rounds])
+    return out
 
 
 def main(argv=None) -> int:
@@ -293,8 +344,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=31)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--work", type=Path, required=True, help="directory for the inputs "
-                        "and the drivers")
+    parser.add_argument("--work", type=Path, required=True, help="directory for the inputs, "
+                        "the libraries and the driver")
     args = parser.parse_args(argv)
     trees = {"a": args.tree_a.resolve(), "b": args.tree_b.resolve()}
     args.work.mkdir(parents=True, exist_ok=True)
@@ -310,45 +361,57 @@ def main(argv=None) -> int:
         env=env, capture_output=True, text=True, check=True, timeout=600,
     ).stdout)
     counts = recorded["counts"]
-    source = args.work / "driver.c"
-    source.write_text(DRIVER)
-    drivers = {}
     flags = {"a": args.a_flags, "b": args.b_flags}
-    # the component sift's budget: tree A's emd.MAX_SIFT_ITERATIONS
-    budget = [] if args.mode == "scan" else [f"-DBUDGET={recorded['budget']}"]
+    libraries = {}
     for side, tree in trees.items():
-        drivers[side] = args.work / f"driver_{side}"
+        # as the package builds it, with the side's flags
+        build = tree_build(tree)
+        libraries[side] = args.work / f"sift_{side}.so"
         subprocess.run(
-            [*compile_argv(tree, flags[side]), *budget, str(source),
-             str(tree / "src" / "hhtscale" / "_kernels" / "sift.c"), "-o", str(drivers[side])],
+            [*build.find_compiler(), *build.OPT_FLAGS, *shlex.split(flags[side]), "-fPIC",
+             "-shared", str(tree / "src" / "hhtscale" / "_kernels" / "sift.c"), "-o",
+             str(libraries[side])],
             check=True, timeout=300,
         )
+    source, driver = args.work / "driver.c", args.work / "driver"
+    source.write_text(DRIVER)
+    # the component sift's budget: tree A's emd.MAX_SIFT_ITERATIONS
+    budget = [] if args.mode == "scan" else [f"-DBUDGET={recorded['budget']}"]
+    subprocess.run(
+        [*tree_build(trees["a"]).find_compiler(), "-O2", *budget, str(source), "-o", str(driver),
+         "-ldl"],
+        check=True, timeout=300,
+    )
 
-    runs = {"a": [], "b": []}
+    rounds = []
     for index in range(args.rounds):
-        for side in ("a", "b") if index % 2 == 0 else ("b", "a"):
-            done = subprocess.run(
-                [str(drivers[side]), str(inputs), str(args.repeats), str(len(counts))],
-                capture_output=True, text=True, check=True, timeout=600,
-            )
-            runs[side].append(json.loads(done.stdout))
+        # odd rounds load tree B's library first, so that neither tree keeps
+        # the placement of the first library loaded
+        first, second = ("a", "b") if index % 2 == 0 else ("b", "a")
+        done = subprocess.run(
+            [str(driver), str(libraries[first]), str(libraries[second]), str(inputs),
+             str(args.repeats), str(len(counts))],
+            capture_output=True, text=True, check=True, timeout=600,
+        )
+        out = json.loads(done.stdout)
+        if first == "b":
+            out = {key: [value[1], value[0], 1.0 / value[2]] if key != "digests" else value
+                   for key, value in out.items()}
+        rounds.append(out)
         print(f"round {index + 1}/{args.rounds} done", file=sys.stderr)
 
     block = {
         "a": args.a, "b": args.b, "mode": args.mode, "a_flags": args.a_flags,
         "b_flags": args.b_flags,
         "rounds": args.rounds, "repeats": args.repeats, "seed": args.seed, "inputs": counts,
-        "digests_equal": len({r["digest"] for side in runs for r in runs[side]}) == 1,
+        "digests_equal": len({d for r in rounds for d in r["digests"]}) == 1,
     }
     for q, name in enumerate(counts):
         for suffix, key in (("", str(q)), ("_first", f"{q} first")):
-            block[f"{name}{suffix}_us_per_call"] = compare(
-                *([r[key] for r in runs[side]] for side in "ab")
-            )
+            block[f"{name}{suffix}_us_per_call"] = fold([r[key] for r in rounds])
     keys = [str(q) for q, name in enumerate(counts) if name in PROCESSES]
-    block["sum_us_per_call"] = compare(
-        *([sum(r[k] for k in keys) for r in runs[side]] for side in "ab")
-    )
+    sums = [[sum(r[k][side] for k in keys) for side in (0, 1)] for r in rounds]
+    block["sum_us_per_call"] = fold([[a, b, b / a] for a, b in sums])
     print(json.dumps(block, indent=1))
     return 0
 

@@ -524,9 +524,9 @@ static void *workspace_begin(workspace *ws, ptrdiff_t n)
  * padding of MIRRORED_EXTREMA extrema past each end, then the upper (sp[0])
  * and lower (sp[1]) natural splines, solved, with their segment maps in
  * ws->first, as mirror_extrema and hht_spline_eval compose them (see
- * solve_envelopes).  Writes to
- * *oscillatory whether every maximum of h is positive and every minimum
- * negative.  Returns 0, or mirror_extrema's -1 or -2. */
+ * solve_envelopes).  Writes to *oscillatory whether every maximum of h is
+ * positive and every minimum negative.  Returns 0, or mirror_extrema's -1
+ * or -2. */
 static int envelopes(const workspace *ws, const double *h, ptrdiff_t n, spline sp[2],
                      int *oscillatory)
 {
