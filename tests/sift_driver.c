@@ -395,9 +395,9 @@ static void check_envelope_shapes(void)
 
     walk(v, 11, 29, 0.0);
     /* k = 4 against k = 4, 5, 6, each way round, on a grid of 12 */
+    t[0] = inside;
+    t[1] = inside;
     for (a = 4; a <= 6; a++) {
-        t[0] = inside;
-        t[1] = inside;
         k[0] = 4;
         k[1] = a;
         check_envelopes("envelopes: k = 4 first", t, vv, k, 12);
