@@ -15,8 +15,8 @@ digests of the same op index are compared within each pair.
     python3 bench/pairs.py PARENT_TREE CHANGE_TREE --pairs 10 --seed 18 \\
         --commits PARENT_SHA CHANGE_SHA --lever c_loop.json --out BENCH_18.json
 
-``--lever`` adds a JSON block written by ``bench/ab_decompose.py`` (one per
-file, keyed by the file's stem) under ``levers_in_process``.
+``--lever`` adds a JSON block written by ``bench/ab.py`` (one per file,
+keyed by the file's stem) under ``levers_in_process``.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from ab import quartiles
 
 WORKLOADS = ("ensemble_t10k", "cli_cold")
 TRACED = (
@@ -39,19 +40,22 @@ RAW = ("op_ms_p50", "op_ms_tail", "ops_per_s", "reference_ms")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``; its run record."""
-    subprocess.run(
+    """One ``perfbench/run.py`` run in ``tree``; its run record.  The last
+    run's record is deleted first, so that a run which dies before writing
+    its own is an error, not a copy of the last one."""
+    record = tree / "perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
+    record.unlink(missing_ok=True)
+    done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, stdout=subprocess.DEVNULL, check=False, timeout=3600,
     )
-    record = tree / "perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
+    if not record.exists():
+        raise RuntimeError(
+            f"{tree}: perfbench/run.py --workload {workload} exited {done.returncode} "
+            "without writing its run record"
+        )
     return json.loads(record.read_text())
-
-
-def summary(values: list) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
 def fold(records: dict, bounds: dict) -> dict:
@@ -59,7 +63,7 @@ def fold(records: dict, bounds: dict) -> dict:
     out = {}
     for name, spec in bounds.items():
         sides = {side: [r["metrics"][name]["value"] for r in records[side]] for side in records}
-        parent, change = summary(sides["parent"]), summary(sides["change"])
+        parent, change = quartiles(sides["parent"]), quartiles(sides["change"])
         lower = spec["better"] == "lower"
         wins = sum((c < p) if lower else (c > p) for p, c in zip(sides["parent"], sides["change"]))
         out[name] = {

@@ -468,6 +468,8 @@ def _scaling_outputs(params, series, calendar):
         comments.append(f"ghe_q1=nan ({exc})")
     if window is not None:
         comments.append(f"rolling_window={window}")
+    # h_star and r2 read nan where the regression is undefined: fewer
+    # than three usable components, or periods spanning less than an octave
     table = {"t": range(st.length), "h_star": st.h_star, "r2": st.r_squared,
              "points_used": st.points_used}
     return [("scaling.csv", "scaling-track", table, comments)]

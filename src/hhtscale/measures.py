@@ -21,6 +21,7 @@ reductions over axis 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +39,21 @@ __all__ = [
 ]
 
 MIN_REGRESSION_POINTS = 3
+# the least spread of ln tau a defined regression spans: one octave.  EMD
+# acts as a dyadic filter bank (Flandrin, Rilling & Goncalves 2004), so a
+# slope that reads a scaling exponent spans at least that.
+MIN_LN_TAU_SPREAD = math.log(2.0)
 
 
 @dataclass
 class ScalingTrack:
     """Local scaling exponent per sample.
 
-    h_star / r_squared are NaN where undefined (fewer than three usable
-    components, or degenerate spread); ``defined`` carries the same
-    information as a boolean mask; ``points_used`` counts the components
-    entering each regression.
+    h_star / r_squared are NaN where undefined: fewer than three usable
+    components, or usable periods that span less than an octave (largest
+    ln tau minus smallest below ln 2), where the slope has no leverage;
+    ``defined`` carries the same information as a boolean mask;
+    ``points_used`` counts the components entering each regression.
     """
 
     h_star: np.ndarray
@@ -89,17 +95,22 @@ def _column_regression(rows, length) -> ScalingTrack:
     False, so the first pass adds them unmasked.  It is called once per
     pass, so each row's logs are computed again in the second pass and no
     (components, length) stack of them is ever held.  h_star/r_squared are
-    NaN where undefined.  Each column sum adds the rows one at a time, in
-    row order, as a reduction over axis 0 adds them, so the sums have its
-    bits without its whole-stack temporaries; they start from -0.0, which
-    leaves the first row's values unchanged.
+    NaN where undefined: below three used rows, or where the used ln tau
+    span less than ``MIN_LN_TAU_SPREAD``; the first pass keeps their running
+    minimum and maximum beside the sums.  Each column sum adds the rows one
+    at a time, in row order, as a reduction over axis 0 adds them, so the
+    sums have its bits without its whole-stack temporaries; they start from
+    -0.0, which leaves the first row's values unchanged.
     """
     count = np.zeros(length, dtype=np.intp)
     sum_x, sum_y = np.full(length, -0.0), np.full(length, -0.0)
+    lo, hi = np.full(length, np.inf), np.full(length, -np.inf)
     for y, x, use in rows():
         count += use
         sum_x += x
         sum_y += y
+        np.minimum(lo, x, out=lo, where=use)
+        np.maximum(hi, x, out=hi, where=use)
     safe = np.maximum(count, 1)
     mean_x = sum_x / safe
     mean_y = sum_y / safe
@@ -111,7 +122,7 @@ def _column_regression(rows, length) -> ScalingTrack:
         syy += dy * dy
         sxy += dx * dy
 
-    defined = (count >= MIN_REGRESSION_POINTS) & (sxx > 0.0)
+    defined = (count >= MIN_REGRESSION_POINTS) & (sxx > 0.0) & (hi - lo >= MIN_LN_TAU_SPREAD)
     slope = np.full(length, np.nan)
     r2 = np.full(length, np.nan)
     np.divide(sxy, sxx, out=slope, where=defined)
@@ -135,9 +146,9 @@ def scaling_exponent(track: SpectralTrack) -> ScalingTrack:
     """Per-sample slope of ln(amplitude) against ln(period) across components.
 
     Components enter a sample's regression when flagged valid there and the
-    amplitude is positive.  Fewer than three points, or all periods equal,
-    leave the sample undefined.  Each component's logs are taken from its
-    own row, once per regression pass.
+    amplitude is positive.  Fewer than three points, or periods that span
+    less than an octave, leave the sample undefined.  Each component's logs
+    are taken from its own row, once per regression pass.
     """
     if track.n_imfs < MIN_REGRESSION_POINTS:
         raise ValueError(

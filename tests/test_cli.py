@@ -566,7 +566,7 @@ class TestCsvBytes:
         "table-arfima": (
             ["table", "--process", "arfima", "--d-grid=-0.2,0.2", "--paths", "2",
              "--length", "256", "--seed", "3"],
-            {"table.csv": "b9e78f723eaee0c004d665d7991c8283941fa87634585c0ddc7dba806dc1a3bd"},
+            {"table.csv": "200764e4b9f8bc62c76badc05ac1e7e04123e37d678e7293472ee3e423b800cb"},
         ),
         "table-bm": (
             ["table", "--process", "bm", "--paths", "2", "--length", "256"],

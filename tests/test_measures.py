@@ -99,6 +99,16 @@ class TestScalingExponent:
         assert not result.defined.any()
         assert np.all(np.isnan(result.h_star))
 
+    def test_periods_must_span_an_octave(self):
+        # three periods within 1.4% of each other give a slope with no
+        # leverage; three spanning two octaves give the power law's slope
+        amplitudes = np.array([[1.0], [3.0], [2.0]])
+        narrow = scaling_exponent(synthetic_track(amplitudes, [[1000.0], [1007.0], [1014.0]]))
+        assert not narrow.defined.any() and np.isnan(narrow.h_star).all()
+        assert narrow.points_used[0] == 3
+        wide = scaling_exponent(synthetic_track(amplitudes, [[1000.0], [2000.0], [4000.0]]))
+        assert wide.defined.all() and np.isfinite(wide.h_star).all()
+
     def test_pipeline_scale_invariance(self):
         rng = np.random.default_rng(21)
         x = np.cumsum(rng.standard_normal(2048))

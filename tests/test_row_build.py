@@ -100,7 +100,10 @@ def reference_regression(ln_a, ln_tau, valid):
     sxx = (dx * dx).sum(axis=0)
     syy = (dy * dy).sum(axis=0)
     sxy = (dx * dy).sum(axis=0)
-    defined = (count >= MIN_POINTS) & (sxx > 0.0)
+    # the used periods must span an octave
+    spread = np.where(valid, ln_tau, -np.inf).max(axis=0)
+    spread -= np.where(valid, ln_tau, np.inf).min(axis=0)
+    defined = (count >= MIN_POINTS) & (sxx > 0.0) & (spread >= np.log(2.0))
     slope = np.full(ln_a.shape[1], np.nan)
     r2 = np.full(ln_a.shape[1], np.nan)
     np.divide(sxy, sxx, out=slope, where=defined)
