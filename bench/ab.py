@@ -39,9 +39,10 @@ own package:
     flat step in the block or just before it);
   - ``component``: the raw ``hht_sift_component`` entry with tree A's
     ``emd.MAX_SIFT_ITERATIONS`` budget over each component's input.
-A side given ``--a-flags`` or ``--b-flags`` runs the kernel stages on its
-``sift.c`` built as its package builds it plus those flags (say
-``-U__SSE2__``), into a temporary directory, loaded through ``Kernels``.
+A compiler-flag A/B compares a tree with a ``git archive`` copy of it whose
+``_kernels/build.py`` ``OPT_FLAGS`` carries the flag (say ``-U__SSE2__``):
+the loader hashes the flags into the library's name, so the copy builds and
+loads a library of its own.
 
 Per stage and series, each side makes two untimed calls, or for a kernel
 stage an untimed sweep and call: the first's outputs are hashed, the second
@@ -64,7 +65,6 @@ every output had the same digest on both sides in every round
 least 9 of 10 rounds of the sum.
 
     python3 bench/ab.py TREE_A TREE_B --rounds 10 --a "..." --b "..."
-    python3 bench/ab.py TREE_A TREE_A --stage scan --b-flags -U__SSE2__
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ import json
 import math
 import os
 import resource
-import shlex
 import statistics
 import subprocess
 import sys
@@ -145,7 +144,7 @@ def compare(a: list, b: list, passes: list | None = None) -> dict:
 class Side:
     """One tree's ``hhtscale``, loaded as the package ``name``."""
 
-    def __init__(self, src: str, name: str, library: str | None):
+    def __init__(self, src: str, name: str):
         init = Path(src) / "hhtscale" / "__init__.py"
         spec = importlib.util.spec_from_file_location(
             name, init, submodule_search_locations=[str(init.parent)]
@@ -154,8 +153,6 @@ class Side:
         sys.modules[name] = self.pkg
         spec.loader.exec_module(self.pkg)
         self.backend = importlib.import_module(name + "._kernels").get_backend("compiled")
-        self.kernels = (importlib.import_module(name + "._kernels.compiled").Kernels(library)
-                        if library else self.backend)
         self.budget = importlib.import_module(name + ".emd").MAX_SIFT_ITERATIONS
 
     def config(self, name: str, seed: int):
@@ -302,7 +299,7 @@ def kernel_stage(stage: str, sides: dict, name: str, x, seed: int, repeats: int)
         pos, val = np.empty(2 * cap, dtype=np.intp), np.empty(2 * cap)
         counts = (ctypes.c_ssize_t * 2)()
         args = (n, cap, pos.ctypes.data, val.ctypes.data, counts)
-        one = {s: (lambda p, f=sides[s].kernels._find: f(p, *args)) for s in "ab"}
+        one = {s: (lambda p, f=sides[s].backend._find: f(p, *args)) for s in "ab"}
 
         def output(_):
             nmax, nmin = counts
@@ -310,7 +307,7 @@ def kernel_stage(stage: str, sides: dict, name: str, x, seed: int, repeats: int)
     else:
         h, steps = np.empty(n), ctypes.c_ssize_t()
         args = (n, sides["a"].budget, h.ctypes.data, ctypes.byref(steps))
-        one = {s: (lambda p, f=sides[s].kernels._component: f(p, *args)) for s in "ab"}
+        one = {s: (lambda p, f=sides[s].backend._component: f(p, *args)) for s in "ab"}
 
         def output(status):
             return [status, steps.value, h]
@@ -344,7 +341,7 @@ def kernel_stage(stage: str, sides: dict, name: str, x, seed: int, repeats: int)
 def one_round(job: dict) -> dict:
     """Every stage of ``job`` over every series: per stage and series, the
     row that ``fold`` folds with the other rounds'."""
-    sides = {s: Side(job["src"][s], "tree_" + s, job["libraries"].get(s)) for s in job["order"]}
+    sides = {s: Side(job["src"][s], "tree_" + s) for s in job["order"]}
     series = make_series(sides["a"], job["seed"])
     out = {}
     for stage in job["stages"]:
@@ -359,20 +356,6 @@ def one_round(job: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # the rounds, folded
-
-
-def build_flagged(src: Path, flags: str, target: Path) -> str:
-    """``src``'s ``sift.c`` built as its package builds it, plus ``flags``."""
-    kernels = src / "hhtscale" / "_kernels"
-    spec = importlib.util.spec_from_file_location("tree_build", kernels / "build.py")
-    build = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(build)
-    subprocess.run(
-        [*build.find_compiler(), *build.OPT_FLAGS, *shlex.split(flags), "-fPIC", "-shared",
-         str(kernels / "sift.c"), "-o", str(target)],
-        check=True, timeout=300,
-    )
-    return str(target)
 
 
 def fold_series(rows: list) -> dict:
@@ -416,10 +399,6 @@ def main(argv=None) -> int:
     parser.add_argument("tree_b", type=Path)
     parser.add_argument("--a", default="tree A", help="what tree A is")
     parser.add_argument("--b", default="tree B", help="what tree B is")
-    parser.add_argument("--a-flags", default="",
-                        help="compiler flags added to tree A's kernel stages' library")
-    parser.add_argument("--b-flags", default="",
-                        help="compiler flags added to tree B's kernel stages' library")
     parser.add_argument("--stage", choices=STAGES, action="append",
                         help="a stage to time (repeatable; default: every stage)")
     parser.add_argument("--rounds", type=int, default=10)
@@ -429,29 +408,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     stages = [s for s in STAGES if s in (args.stage or STAGES)]
     src = {"a": args.tree_a.resolve() / "src", "b": args.tree_b.resolve() / "src"}
-    flags = {"a": args.a_flags, "b": args.b_flags}
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env["HHTSCALE_BACKEND"] = "compiled"
 
     rounds = []
-    with tempfile.TemporaryDirectory() as tmp:
-        libraries = {s: build_flagged(src[s], flags[s], Path(tmp) / f"sift_{s}.so")
-                     for s in "ab" if flags[s]}
-        for index in range(args.rounds):
-            job = {
-                "src": {s: str(path) for s, path in src.items()}, "libraries": libraries,
-                "order": ("a", "b") if index % 2 == 0 else ("b", "a"), "stages": stages,
-                "seed": args.seed, "repeats": args.repeats,
-            }
-            done = subprocess.run(
-                [sys.executable, "-c", CHILD, str(BENCH), json.dumps(job)],
-                env=env, stdout=subprocess.PIPE, text=True, check=True, timeout=3600,
-            )
-            rounds.append(json.loads(done.stdout))
-            print(f"round {index + 1}/{args.rounds} done", file=sys.stderr)
+    for index in range(args.rounds):
+        job = {
+            "src": {s: str(path) for s, path in src.items()},
+            "order": ("a", "b") if index % 2 == 0 else ("b", "a"), "stages": stages,
+            "seed": args.seed, "repeats": args.repeats,
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", CHILD, str(BENCH), json.dumps(job)],
+            env=env, stdout=subprocess.PIPE, text=True, check=True, timeout=3600,
+        )
+        rounds.append(json.loads(done.stdout))
+        print(f"round {index + 1}/{args.rounds} done", file=sys.stderr)
 
     block = {
-        "a": args.a, "b": args.b, "a_flags": args.a_flags, "b_flags": args.b_flags,
+        "a": args.a, "b": args.b,
         "rounds": args.rounds, "repeats": args.repeats, "seed": args.seed,
         "order": "round i loads tree A first when i is even; pass r runs tree A first "
                  "when r is even",

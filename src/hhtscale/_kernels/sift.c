@@ -55,8 +55,8 @@
  * neither.  SSE2 takes two steps per subtraction and compare, which are the
  * scalar IEEE operations lane by lane; the plain loop sets the same bits.
  * The compiler does not vectorize that loop, and the scan built with the
- * plain loop alone takes nearly twice as long (bench/ab_scan.py with
- * --a-flags=-U__SSE2__). */
+ * plain loop alone takes nearly twice as long (BENCH_28.json
+ * levers_in_process.scan_sse2_vs_plain). */
 static void step_bits(const double *x, int m, uint64_t *rise, uint64_t *flat)
 {
     uint64_t r = 0, f = 0;

@@ -249,7 +249,8 @@ def generalized_hurst_q1(series, tau_max: int = 19) -> GheResult:
 
     Computes the mean absolute increment E|X(t+tau) - X(t)| for
     tau = 1..tau_max and fits a line to its log-log trend; the slope is the
-    scaling exponent.
+    scaling exponent.  It holds over the whole float range; a path with a
+    non-finite value has a NaN slope and a NaN R^2.
     """
     x = np.asarray(getattr(series, "values", series), dtype=np.float64)
     if x.ndim != 1:
@@ -261,9 +262,18 @@ def generalized_hurst_q1(series, tau_max: int = 19) -> GheResult:
             f"series too short: need >= 10*tau_max = {10 * tau_max} samples, got {x.shape[0]}"
         )
     taus = np.arange(1, tau_max + 1)
-    moments = np.empty(tau_max, dtype=np.float64)
-    for i, tau in enumerate(taus):
-        moments[i] = np.mean(np.abs(x[tau:] - x[:-tau]))
+
+    def moments_of(path):
+        return np.array([np.mean(np.abs(path[tau:] - path[:-tau])) for tau in taus])
+
+    with np.errstate(over="ignore"):
+        moments = moments_of(x)
+    if not np.all(np.isfinite(moments)):
+        # An increment or a sum overflowed.  The path scaled by a power of
+        # two (largest |value| in [0.5, 1)) has the same slope up to
+        # rounding, and the scaling is exact; it is taken only here, so
+        # that every other path keeps its bits.
+        moments = moments_of(np.ldexp(x, -np.frexp(np.abs(x).max())[1]))
     if np.any(moments <= 0.0):
         raise ValueError("degenerate series: zero mean absolute increment at some lag")
     lx = np.log(taus.astype(np.float64))
@@ -274,6 +284,9 @@ def generalized_hurst_q1(series, tau_max: int = 19) -> GheResult:
     syy = float(np.dot(dy, dy))
     sxy = float(np.dot(dx, dy))
     slope = sxy / sxx
-    r2 = 0.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
+    if math.isnan(slope):  # a non-finite path: no fit, not a perfect one
+        r2 = math.nan
+    else:
+        r2 = 0.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
     return GheResult(h_g=float(slope), r_squared=float(r2))
 

@@ -29,8 +29,9 @@ import numpy as np
 from .emd import decompose
 from .measures import generalized_hurst_q1, scaling_exponent
 from .series import TimeSeries
-from .spectral import _retained_track
-from .spectral import spectral_track  # noqa: F401  perfbench's tracer swaps it (ROADMAP item 2)
+# The worker's one track build, bound under the name that perfbench's tracer
+# wraps, so that traced runs time every path's track.
+from .spectral import _retained_track as spectral_track
 
 __all__ = [
     "EnsembleStats",
@@ -244,7 +245,7 @@ def _ensemble_worker(args):
     ts = simulate(config, path_index)
     # the components are freed as soon as the track is built, before H*; the
     # track lives in this thread's workspace and is dropped with this frame
-    track = _retained_track(decompose(ts.values), trim_fraction)
+    track = spectral_track(decompose(ts.values), trim_fraction)
     scaling = scaling_exponent(track)
     ghe = generalized_hurst_q1(ts.values, tau_max)
     return scaling.h_star, scaling.r_squared, ghe.h_g

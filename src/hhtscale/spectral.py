@@ -16,8 +16,11 @@ invalid, as is an optional margin at both ends where boundary distortion
 dominates.
 
 The tracks are built one component at a time: each analytic signal is
-transformed, measured, scaled and turned into phase steps while it is the
-only one alive, so no whole-stack complex array is ever made.  The Hilbert
+made from its component scaled by a power of two, measured and turned into
+phase steps while it is the only one alive, so no whole-stack complex array
+is ever made.  The scaling is exact and spans the whole float range: only
+the amplitude is scaled back, and one above the largest float raises
+``ValueError``.  The Hilbert
 transforms alone go two components per FFT call: NumPy's pocketfft runs a
 multi-row transform lane by lane with the arithmetic of a lone row, so a
 pair gets the bits of two single calls for less time, and pairs, unlike the
@@ -25,8 +28,9 @@ whole stack, keep the temporaries small.  The
 neighbour product is written conj(z[t]) * z[t+1], one row at a time, so a
 component's bits do not depend on the stack it shares.
 
-``spectral_track`` returns fresh arrays.  The ensemble worker builds its
-tracks into a per-thread workspace instead (``_retained_track``): the
+``spectral_track`` allocates fresh stacks first and fills them.  The
+ensemble worker builds its tracks into a per-thread workspace instead
+(``_retained_track``): the
 amplitude, frequency, period and validity stacks, of shape
 (default_max_imfs(T), T), and one complex row, kept between calls so that
 a path does not fault its large arrays in again.  The workspace only grows,
@@ -51,6 +55,9 @@ __all__ = ["SpectralTrack", "hilbert_transform", "spectral_track"]
 RETAINED_BYTES_MAX = 8 << 20
 
 _workspace = threading.local()
+
+# Every finite float is below 2**_MAX_EXPONENT.
+_MAX_EXPONENT = np.finfo(np.float64).maxexp
 
 
 def _hilbert(x: np.ndarray) -> np.ndarray:
@@ -132,23 +139,35 @@ def _check(decomposition: ImfDecomposition, trim_fraction: float) -> None:
 
 
 def _fill_track(
-    imfs, trim_fraction, row, amplitudes, frequencies, periods=None, validity=None
+    imfs, trim_fraction, row, amplitudes, frequencies, periods, validity
 ) -> SpectralTrack:
     """The track of the (K, T) components ``imfs``, written into the given
     (K, T) stacks, with the complex row ``row`` of length T holding each
-    analytic signal in turn.  ``periods`` and ``validity`` are made when not
-    given, once the rows' temporaries are freed, as a fresh track's are."""
+    analytic signal in turn."""
     length = imfs.shape[1]
-    for index, (imf, amplitude, frequency) in enumerate(zip(imfs, amplitudes, frequencies)):
+    for index, (amplitude, frequency) in enumerate(zip(amplitudes, frequencies)):
         if index % 2 == 0:  # the Hilbert transforms of this row and the next
-            transforms = _hilbert(imfs[index : index + 2])
-        z = _analytic(imf, row, transforms[index % 2])
+            # Each row is scaled by a power of two (largest |value| in
+            # [0.5, 1), whatever the row's own range) so that no FFT sum
+            # overflows and the neighbour products below neither overflow
+            # nor underflow; the scaling is exact, the transform linear,
+            # and angles are left alone.  The scaled rows are held in their
+            # own amplitude rows, each written only once its analytic
+            # signal has copied it.
+            pair = imfs[index : index + 2]
+            scaled = np.abs(pair, out=amplitudes[index : index + 2])
+            shifts = np.frexp(scaled.max(axis=1))[1]
+            np.ldexp(pair, -shifts[:, None], out=scaled)
+            transforms = _hilbert(scaled)
+        z = _analytic(scaled[index % 2], row, transforms[index % 2])
         np.abs(z, out=amplitude)
-        # Scale z by a power of two (largest amplitude in [0.5, 1), at most
-        # 2**1023 for a subnormal row) so the products of neighbours below
-        # neither overflow nor underflow; the scaling is exact and leaves
-        # angles alone.
-        z *= np.ldexp(1.0, min(-np.frexp(amplitude.max())[1], 1023))
+        shift = shifts[index % 2]
+        if np.frexp(amplitude.max())[1] + shift > _MAX_EXPONENT:
+            raise ValueError(
+                f"component {index} has an amplitude above the largest float, "
+                f"{np.finfo(np.float64).max:.6g}"
+            )
+        np.ldexp(amplitude, shift, out=amplitude)
         # One-step phase change, wrapped into (-pi, pi].  The operands stay
         # in this order: the complex multiply is not commutative in the last
         # bit on every SIMD target, and with the conj temporary first NumPy's
@@ -160,9 +179,7 @@ def _fill_track(
         frequency[0] = step[0]
         frequency[-1] = step[-1]
 
-    validity = np.greater(frequencies, 0.0, out=validity)
-    if periods is None:
-        periods = np.empty_like(frequencies)
+    np.greater(frequencies, 0.0, out=validity)
     periods.fill(np.nan)
     np.divide(2.0 * np.pi, frequencies, out=periods, where=validity)
 
@@ -177,12 +194,15 @@ def spectral_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) 
     """Amplitude/frequency/period tracks for every component of a decomposition.
 
     The residue takes no part.  ``trim_fraction`` flags that fraction of
-    samples at each end invalid (0 keeps everything).
+    samples at each end invalid (0 keeps everything).  A component whose
+    amplitude is above the largest float raises ValueError.
     """
     _check(decomposition, trim_fraction)
     imfs = np.asarray(decomposition.imfs, dtype=np.float64)
-    row = np.empty(imfs.shape[1], dtype=np.complex128)
-    return _fill_track(imfs, trim_fraction, row, np.empty(imfs.shape), np.empty(imfs.shape))
+    shape = imfs.shape
+    stacks = np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    row = np.empty(shape[1], dtype=np.complex128)
+    return _fill_track(imfs, trim_fraction, row, *stacks)
 
 
 def _retained_track(decomposition: ImfDecomposition, trim_fraction: float = 0.0) -> SpectralTrack:

@@ -5,8 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import hhtscale
+
+# The suite runs Hypothesis unseeded, so a failure prints the
+# ``@reproduce_failure`` line that replays it; generation is unchanged.
+settings.register_profile("reproducible", print_blob=True)
+settings.load_profile("reproducible")
 
 
 def build_price_csv(

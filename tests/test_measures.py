@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hhtscale import (
+    ImfDecomposition,
     SpectralTrack,
     complexity,
     decompose,
@@ -22,6 +23,7 @@ from hhtscale import (
     scaling_exponent,
     spectral_track,
 )
+from hhtscale._kernels import available_backends, get_backend
 
 
 def synthetic_track(amplitudes: np.ndarray, periods: np.ndarray) -> SpectralTrack:
@@ -274,3 +276,42 @@ class TestGeneralizedHurst:
             generalized_hurst_q1(np.arange(500, dtype=np.float64), tau_max=1)
         with pytest.raises(ValueError, match="degenerate"):
             generalized_hurst_q1(np.full(500, 2.5))
+
+
+class TestTopOfTheFloatRange:
+    @pytest.mark.parametrize("length", [1_000, 10_000])
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_measures_hold_at_the_largest_values(self, backend, length):
+        # a walk whose largest |value| is 2**1022: the unnormalised FFT sums
+        # and the structure function's increments would overflow unscaled
+        rng = np.random.default_rng(length)
+        x = np.cumsum(rng.standard_normal(length))
+        unit = x / np.abs(x).max()
+        runs = []
+        for series in (unit, unit * 2.0**1022):
+            track = spectral_track(decompose(series, backend=get_backend(backend)))
+            runs.append((scaling_exponent(track), complexity(track), generalized_hurst_q1(series)))
+        (base_h, base_c, base_g), (top_h, top_c, top_g) = runs
+        assert np.array_equal(base_h.defined, top_h.defined)
+        assert np.abs(top_h.h_star - base_h.h_star)[base_h.defined].max() < 1e-9
+        assert np.array_equal(base_c.defined, top_c.defined)
+        assert np.abs(top_c.c_star - base_c.c_star)[base_c.defined].max() < 1e-9
+        assert abs(top_g.h_g - base_g.h_g) < 1e-9
+        assert abs(top_g.r_squared - base_g.r_squared) < 1e-9
+
+    def test_amplitude_above_the_largest_float_raises(self):
+        # a square wave of height 1.5 * 2**1023 is finite, but its Hilbert
+        # transform peaks near each jump, so its amplitude is not
+        t = np.arange(1_000)
+        square = np.where((t // 50) % 2 == 0, 1.5, -1.5) * 2.0**1023
+        imfs = np.stack([square, np.sin(2 * np.pi * t / 200), np.sin(2 * np.pi * t / 400)])
+        decomposition = ImfDecomposition(imfs, np.zeros(t.size), [1, 1, 1], ["oscillatory"] * 3)
+        with pytest.raises(ValueError, match="component 0 has an amplitude above the largest float"):
+            spectral_track(decomposition)
+
+    def test_non_finite_path_has_no_fit(self):
+        x = np.cumsum(np.random.default_rng(3).standard_normal(500))
+        x[250] = np.inf
+        with np.errstate(invalid="ignore"):
+            result = generalized_hurst_q1(x)
+        assert np.isnan(result.h_g) and np.isnan(result.r_squared)

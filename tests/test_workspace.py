@@ -135,13 +135,13 @@ def test_second_path_builds_its_track_without_page_faults():
         "import importlib, resource\n"
         "from hhtscale import SimConfig, monte_carlo_ensemble\n"
         "simulate = importlib.import_module('hhtscale.simulate')\n"
-        "build, faults = simulate._retained_track, []\n"
+        "build, faults = simulate.spectral_track, []\n"
         "def counted(*args):\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "    track = build(*args)\n"
         "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         "    return track\n"
-        "simulate._retained_track = counted\n"
+        "simulate.spectral_track = counted\n"
         "config = SimConfig(process='slm', length=10_384, alpha=1.5, seed=4)\n"
         "monte_carlo_ensemble(config)\n"
         "monte_carlo_ensemble(config)\n"
